@@ -29,9 +29,7 @@ from .mc import (
     TrajectoryResult,
     average_trajectories,
     click_cdf,
-    run_shot,
     run_trajectory,
-    sample_clicks,
 )
 from .povm import (
     ClickMultiplex,

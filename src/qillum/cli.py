@@ -33,12 +33,6 @@ class ConfigError(Exception):
     """Invalid configuration document or flag combination."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
-
-
 @contextmanager
 def _open_out(path):
     if path is None:
@@ -48,11 +42,18 @@ def _open_out(path):
         yield handle
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length columns: integer columns as %d, all others as %.12g."""
+    columns = [np.asarray(column) for column in columns]
+    integer = [column.dtype.kind in "iu" for column in columns]
+    line = ",".join("%d" if is_int else "%.12g" for is_int in integer) + "\n"
+    values = [
+        column.tolist() if is_int else column.astype(float).tolist()
+        for column, is_int in zip(columns, integer)
+    ]
+    body = "".join(line % row for row in zip(*values))
     with _open_out(path) as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.write(",".join(header) + "\n" + body)
 
 
 def _load_config(path) -> dict:
@@ -74,6 +75,12 @@ def _check_keys(document: dict, allowed: set, context: str) -> None:
     unknown = set(document) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} keys: {', '.join(sorted(unknown))}")
+
+
+def _check_nonnegative(grid, what: str) -> None:
+    for value in grid:
+        if value < 0:
+            raise ConfigError(f"{what} must be nonnegative, got {value}")
 
 
 def _parse_grid(spec) -> list:
@@ -155,19 +162,17 @@ def cmd_herald_stats(args) -> int:
             raise ConfigError(f"bad herald outcome ({n}, {k})")
         pairs.append((n, k))
 
+    _check_nonnegative(grid, "nbar grid values")
     header = ["nbar"]
     header += [f"pr_{n}_{k}" for n, k in pairs]
     header += [f"mean_{n}_{k}" for n, k in pairs]
-    rows = []
-    for nbar in grid:
-        if nbar < 0:
-            raise ConfigError(f"nbar grid values must be nonnegative, got {nbar}")
-        row = [nbar]
-        heralded = [herald_state(nbar, eta, n, k) for n, k in pairs]
-        row += [h.herald_probability for h in heralded]
-        row += [mean_photon(h) for h in heralded]
-        rows.append(row)
-    _write_csv(args.out, header, rows)
+    probabilities, means = [], []
+    for n, k in pairs:
+        heralded = (herald_state(nbar, eta, n, k) for nbar in grid)
+        stats = [(h.herald_probability, mean_photon(h)) for h in heralded]
+        probabilities.append([p for p, _ in stats])
+        means.append([m for _, m in stats])
+    _write_csv(args.out, header, [grid, *probabilities, *means])
     return 0
 
 
@@ -192,21 +197,20 @@ def cmd_click_prob(args) -> int:
     h0 = background_state(channel)
     pr_h0 = receiver_click_prob(receiver, 1, h0)
 
+    _check_nonnegative(grid, "nbar grid values")
     header = ["nbar", "pr_h0"] + [f"pr_{s['label']}" for s in parsed]
-    rows = []
-    for nbar in grid:
-        if nbar < 0:
-            raise ConfigError(f"nbar grid values must be nonnegative, got {nbar}")
-        row = [nbar, pr_h0]
-        for sig in parsed:
+    columns = [grid, [pr_h0] * len(grid)]
+    for sig in parsed:
+        column = []
+        for nbar in grid:
             if sig["kind"] == "coherent":
                 h1 = apply_channel(channel, DisplacedThermal(nbar, 0.0))
             else:
                 conditioned = herald_state(nbar, eta, sig["detectors"], sig["clicks"])
                 h1 = apply_channel(channel, conditioned)
-            row.append(receiver_click_prob(receiver, 1, h1))
-        rows.append(row)
-    _write_csv(args.out, header, rows)
+            column.append(receiver_click_prob(receiver, 1, h1))
+        columns.append(column)
+    _write_csv(args.out, header, columns)
     return 0
 
 
@@ -221,16 +225,13 @@ def cmd_match(args) -> int:
     if not (0.0 < eta_e <= 1.0):
         raise ConfigError(f"eta_e must lie in (0, 1], got {eta_e}")
 
+    _check_nonnegative(grid, "nbar_alpha")
+    matched = [matched_mean(MatchSpec(nbar_alpha, eta_e)) for nbar_alpha in grid]
+    coherent = [coherent_click_prob(nbar_alpha, eta_e) for nbar_alpha in grid]
+    thermal = [thermal_click_prob(nbar, eta_e) for nbar in matched]
     header = ["nbar_alpha", "matched_nbar", "coherent_click", "matched_thermal_click", "residual"]
-    rows = []
-    for nbar_alpha in grid:
-        if nbar_alpha < 0:
-            raise ConfigError(f"nbar_alpha must be nonnegative, got {nbar_alpha}")
-        matched = matched_mean(MatchSpec(nbar_alpha, eta_e))
-        coh = coherent_click_prob(nbar_alpha, eta_e)
-        th = thermal_click_prob(matched, eta_e)
-        rows.append([nbar_alpha, matched, coh, th, th - coh])
-    _write_csv(args.out, header, rows)
+    residual = [th - coh for th, coh in zip(thermal, coherent)]
+    _write_csv(args.out, header, [grid, matched, coherent, thermal, residual])
     return 0
 
 
@@ -246,7 +247,7 @@ def cmd_wigner(args) -> int:
     else:
         raise ConfigError(f"unknown state kind {args.state!r}")
     values = wigner_slice(state, q)
-    _write_csv(args.out, ["q", "w"], [[qq, ww] for qq, ww in zip(q, values)])
+    _write_csv(args.out, ["q", "w"], [q, values])
     return 0
 
 
@@ -302,11 +303,8 @@ def cmd_trajectories(args) -> int:
     labels = [s["label"] for s in signals]
     header = ["shot_index"] + [f"mean_posterior_{label}" for label in labels]
     shots = int(document["shots"])
-    rows = [
-        [m + 1] + [results[label].mean_posterior[m] for label in labels]
-        for m in range(shots)
-    ]
-    _write_csv(args.out, header, rows)
+    columns = [np.arange(1, shots + 1)] + [results[label].mean_posterior for label in labels]
+    _write_csv(args.out, header, columns)
 
     sidecar = {
         "seed": seed,

@@ -99,6 +99,22 @@ class LikelihoodTables:
     cdf_h1: np.ndarray
     probe_nbar: float
 
+    def __post_init__(self):
+        # run_trajectory counts the cdf entries below each draw; that count is
+        # the sampled outcome only for a nondecreasing row ending at 1.0.
+        for name in ("herald_cdf", "cdf_h0", "cdf_h1"):
+            cdf = getattr(self, name)
+            if cdf is None:
+                continue
+            for index, row in enumerate(np.atleast_2d(cdf)):
+                where = f"{name} row {index}" if np.ndim(cdf) == 2 else name
+                if not np.all(np.isfinite(row)):
+                    raise ValueError(f"{where} has a non-finite entry: {row}")
+                if np.any(np.diff(row) < 0.0):
+                    raise ValueError(f"{where} decreases: {row}")
+                if row[-1] != 1.0:
+                    raise ValueError(f"{where} ends at {row[-1]!r}, not exactly 1.0")
+
 
 def splitmix64(value: int) -> int:
     """One step of the SplitMix64 integer mixer (public-domain constants)."""
@@ -126,18 +142,6 @@ def click_cdf(multiplex: ClickMultiplex, state) -> np.ndarray:
         raise ValueError(f"cumulative distribution ends at {cdf[-1]!r}, not 1")
     cdf[-1] = 1.0
     return np.minimum(cdf, 1.0)
-
-
-def sample_clicks(cdf: np.ndarray, r: float) -> int:
-    """Inverse transform sampling: smallest k with cdf[k] >= r."""
-    cdf = np.asarray(cdf, dtype=float)
-    if cdf.ndim != 1 or cdf.size == 0:
-        raise ValueError("cdf must be a nonempty 1-D array")
-    if np.any(np.diff(cdf) < 0.0) or abs(cdf[-1] - 1.0) > 1e-12:
-        raise ValueError("cdf must be nondecreasing and end at 1")
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"uniform draw must lie in (0, 1), got {r}")
-    return int(np.searchsorted(cdf, r, side="left"))
 
 
 def _pinned_cumsum(rows: np.ndarray) -> np.ndarray:
@@ -197,43 +201,6 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
     )
 
 
-@dataclass
-class ShotContext:
-    """Mutable per-trial state threaded through run_shot."""
-
-    tables: LikelihoodTables
-    target_present: bool
-    rng: np.random.Generator
-    log_odds: float = 0.0
-
-
-def run_shot(ctx: ShotContext) -> tuple[float, float]:
-    """Advance one shot; returns the updated (Pr(H1), Pr(H0)) pair.
-
-    Quantum signals consume two uniform draws per shot (herald outcome, then
-    receiver outcome); coherent signals consume one.  The receiver outcome is
-    sampled from the cdf of the physically realized state: the H1-conditioned
-    state of the sampled herald outcome when the target is present, the bare
-    background otherwise.
-    """
-    tables = ctx.tables
-    if tables.herald_cdf is not None:
-        draws = ctx.rng.random(2)
-        herald_outcome = int(np.searchsorted(tables.herald_cdf, draws[0], side="left"))
-        receiver_draw = draws[1]
-    else:
-        herald_outcome = 0
-        receiver_draw = ctx.rng.random()
-    if ctx.target_present:
-        cdf = tables.cdf_h1[herald_outcome]
-    else:
-        cdf = tables.cdf_h0
-    receiver_clicks = int(np.searchsorted(cdf, receiver_draw, side="left"))
-    ctx.log_odds += float(tables.log_ratio[herald_outcome, receiver_clicks])
-    p1 = float(expit(ctx.log_odds))
-    return p1, 1.0 - p1
-
-
 def run_trajectory(
     config: TrajectoryConfig,
     trial_index: int,
@@ -242,9 +209,19 @@ def run_trajectory(
     """Posterior Pr(H1) after each of ``config.shots`` shots, for one trial.
 
     Deterministic given (config.seed, trial_index).  Starts from equal priors,
-    Pr(H1) = 1/2.  The vectorized arithmetic reproduces the scalar run_shot
-    loop bit for bit: draws are consumed in the same order and the log-odds
-    prefix sums accumulate left to right.
+    Pr(H1) = 1/2.  Heralded signals draw ``(shots, 2)`` uniforms (herald
+    outcome, then receiver outcome, per shot); coherent signals draw one per
+    shot.  The receiver outcome is sampled from the cdf of the physically
+    realized state: the H1 row of the sampled herald outcome when the target
+    is present, the background otherwise.
+
+    Each outcome is counted as the number of cdf entries below the draw, one
+    1-D compare per entry except the last.  On a nondecreasing cdf whose last
+    entry is 1.0 (``LikelihoodTables`` enforces both) that count equals
+    ``searchsorted(cdf, draw, side="left")``, so the curve is bit for bit the
+    one the scalar shot-by-shot reference ``run_shot`` in
+    ``tests/scalar_reference.py`` produces: same draws, same increments, and
+    log-odds prefix sums accumulated left to right.
     """
     if tables is None:
         tables = build_tables(config)
@@ -253,21 +230,24 @@ def run_trajectory(
 
     if tables.herald_cdf is not None:
         draws = rng.random((shots, 2))
-        herald_outcomes = np.searchsorted(tables.herald_cdf, draws[:, 0], side="left")
+        herald_outcomes = sum(draws[:, 0] > edge for edge in tables.herald_cdf[:-1])
         receiver_draws = draws[:, 1]
     else:
-        herald_outcomes = np.zeros(shots, dtype=np.intp)
+        herald_outcomes = 0
         receiver_draws = rng.random(shots)
 
-    if config.target_present:
-        cdf_rows = tables.cdf_h1[herald_outcomes]
-    else:
-        cdf_rows = np.broadcast_to(tables.cdf_h0, (shots, tables.cdf_h0.size))
-    receiver_clicks = np.sum(cdf_rows < receiver_draws[:, None], axis=1)
+    # One cdf row per herald outcome, or a single row (coherent probe, absent
+    # target) whose edges are scalars.
+    cdf = tables.cdf_h1 if config.target_present else tables.cdf_h0[None, :]
+    receiver_clicks = sum(
+        receiver_draws > (column[0] if column.size == 1 else column[herald_outcomes])
+        for column in cdf[:, :-1].T
+    )
 
-    increments = tables.log_ratio[herald_outcomes, receiver_clicks]
-    log_odds = np.cumsum(increments)
-    return expit(log_odds)
+    columns = tables.log_ratio.shape[1]
+    increments = tables.log_ratio.ravel()[herald_outcomes * columns + receiver_clicks]
+    log_odds = np.cumsum(increments, out=increments)
+    return expit(log_odds, out=log_odds)
 
 
 def first_crossing(curve: np.ndarray, threshold: float) -> Optional[int]:

@@ -1,0 +1,77 @@
+"""Golden-bytes tests: data outputs must not drift by a single byte.
+
+The closed-form figure tables are regenerated with the exact invocations of
+``scripts/make_figure_data.py`` and compared with the tracked ``out/*.csv``.
+A small ``qillum trajectories`` run is pinned by the sha256 of its CSV and
+sidecar, so any change to the Monte-Carlo draws, arithmetic or CSV formatting
+shows up here.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qillum import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Seed 7, 8 trials of 2000 shots, one thread: the acceptance fixture's
+# target-present and target-absent signal sets.
+TRAJECTORY_BASE = {
+    "nbar": 1.0, "eta": 0.9, "eta_s": 0.9, "receiver_detectors": 1,
+    "kappa": 0.1, "nbar_b": 3.0, "shots": 2000, "trials": 8, "seed": 7,
+    "thresholds": [0.8, 0.9],
+}
+HERALDED = [{"kind": "quantum_heralded", "herald_detectors": n} for n in (1, 2, 4)]
+TRAJECTORY_DOCS = {
+    "present": dict(TRAJECTORY_BASE, target_present=True, signals=HERALDED + [
+        {"kind": "coherent"},
+        {"kind": "quantum_heralded_matched", "herald_detectors": 1},
+    ]),
+    "absent": dict(TRAJECTORY_BASE, target_present=False,
+                   signals=HERALDED + [{"kind": "coherent"}]),
+}
+TRAJECTORY_DIGESTS = {
+    "present.csv": "877588f700d98e42a941543b3e14612061da78231e8cb7b3dc1bd7ec8ea1065c",
+    "present.csv.meta.json": "a01cf4f8bc4fc91c76771237c68d791274e643d8cc98ba5b3c2e6d0fa5e923e6",
+    "absent.csv": "9702188658831fe904e22a81a094ac5319444d784f335d6045357a1ac202da7f",
+    "absent.csv.meta.json": "d3ceb468283fe2a5c55443dd168bef38a66304048f5fc54c0ec671d82b3ba6f3",
+}
+
+
+def test_figure_tables_match_tracked_out(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_figure_data", ROOT / "scripts" / "make_figure_data.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def run(*args):
+        assert cli.main(list(args)) == 0
+
+    monkeypatch.setattr(script, "cli", run)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["make_figure_data.py", "--skip-trajectories"])
+    script.main()
+
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in (ROOT / "out").glob("*.csv"))
+    assert len(written) == 7
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (ROOT / "out" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("label", sorted(TRAJECTORY_DOCS))
+def test_trajectories_digests(tmp_path, monkeypatch, label):
+    monkeypatch.delenv(cli.ENV_THREADS, raising=False)
+    config = tmp_path / f"{label}.json"
+    config.write_text(json.dumps(TRAJECTORY_DOCS[label]))
+    out = tmp_path / f"{label}.csv"
+    assert cli.main(["trajectories", "--config", str(config), "--out", str(out)]) == 0
+    for name in (f"{label}.csv", f"{label}.csv.meta.json"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == TRAJECTORY_DIGESTS[name], name

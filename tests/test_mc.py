@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,19 +16,17 @@ from qillum import (
     herald_state,
     posterior,
     receiver_click_prob,
-    sample_clicks,
     tmsv_marginal,
 )
 from qillum.mc import (
-    ShotContext,
     SignalKind,
     TrajectoryConfig,
     average_trajectories,
     build_tables,
-    run_shot,
     run_trajectory,
     trial_stream,
 )
+from scalar_reference import ShotContext, run_shot, sample_clicks
 
 
 def base_config(**overrides):
@@ -152,6 +152,31 @@ class TestLikelihoodTables:
             matched_mean(MatchSpec(1.0, 0.9)), abs=1e-14
         )
 
+    def test_rejects_decreasing_cdf_row(self):
+        tables = build_tables(base_config(herald_detectors=2, receiver_detectors=2))
+        cdf_h1 = tables.cdf_h1.copy()
+        cdf_h1[1] = [0.6, 0.5, 1.0]
+        with pytest.raises(ValueError, match="cdf_h1 row 1 decreases"):
+            dataclasses.replace(tables, cdf_h1=cdf_h1)
+
+    def test_rejects_cdf_not_ending_at_one(self):
+        tables = build_tables(base_config(herald_detectors=2))
+        herald_cdf = tables.herald_cdf.copy()
+        herald_cdf[-1] = 1.0 - 1e-9
+        with pytest.raises(ValueError, match="herald_cdf ends at"):
+            dataclasses.replace(tables, herald_cdf=herald_cdf)
+        cdf_h0 = tables.cdf_h0.copy()
+        cdf_h0[-1] = 1.0 - 1e-9
+        with pytest.raises(ValueError, match="cdf_h0 ends at"):
+            dataclasses.replace(tables, cdf_h0=cdf_h0)
+
+    def test_rejects_non_finite_cdf(self):
+        tables = build_tables(base_config())
+        cdf_h1 = tables.cdf_h1.copy()
+        cdf_h1[0, 0] = np.nan
+        with pytest.raises(ValueError, match="cdf_h1 row 0 has a non-finite entry"):
+            dataclasses.replace(tables, cdf_h1=cdf_h1)
+
 
 class TestRunShot:
     def test_uninformative_receiver_leaves_posterior_unchanged(self):
@@ -207,6 +232,33 @@ class TestRunTrajectory:
             tables=build_tables(config), target_present=True, rng=trial_stream(config.seed, 2)
         )
         scalar = np.array([run_shot(ctx)[0] for _ in range(config.shots)])
+        assert np.array_equal(vector, scalar)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        signal_kind=st.sampled_from(list(SignalKind)),
+        target_present=st.booleans(),
+        herald_detectors=st.integers(min_value=1, max_value=8),
+        receiver_detectors=st.integers(min_value=1, max_value=6),
+        shots=st.integers(min_value=1, max_value=300),
+        trial=st.integers(min_value=0, max_value=2**20),
+    )
+    def test_matches_scalar_shot_loop_any_config(
+        self, signal_kind, target_present, herald_detectors, receiver_detectors, shots, trial
+    ):
+        config = base_config(
+            signal_kind=signal_kind,
+            target_present=target_present,
+            herald_detectors=herald_detectors,
+            receiver_detectors=receiver_detectors,
+            shots=shots,
+        )
+        tables = build_tables(config)
+        vector = run_trajectory(config, trial, tables)
+        ctx = ShotContext(
+            tables=tables, target_present=target_present, rng=trial_stream(config.seed, trial)
+        )
+        scalar = np.array([run_shot(ctx)[0] for _ in range(shots)])
         assert np.array_equal(vector, scalar)
 
     def test_single_shot_reduces_to_run_shot(self):
