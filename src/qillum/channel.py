@@ -38,9 +38,9 @@ class TargetChannel:
             raise ValueError(
                 f"reflectivity must lie strictly in (0, 1), got {self.reflectivity}"
             )
-        if not (self.background_mean >= 0.0):
+        if not (math.isfinite(self.background_mean) and self.background_mean >= 0.0):
             raise ValueError(
-                f"background mean must be nonnegative, got {self.background_mean}"
+                f"background mean must be finite and nonnegative, got {self.background_mean}"
             )
 
 

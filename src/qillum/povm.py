@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from .errors import NumericalInstabilityError, UnsupportedStateError
 from .numerics import MAX_ALTERNATING_TERMS, binomial, clamp_probability
-from .states import DisplacedThermal, HeraldedState, SignedThermalMixture, StateModel
+from .states import DisplacedThermal, SignedThermalMixture, _unwrap
 
 __all__ = [
     "ClickMultiplex",
@@ -52,12 +53,6 @@ class ClickMultiplex:
             raise ValueError(f"need at least one detector, got {self.detector_count}")
         if not (0.0 <= self.efficiency <= 1.0):
             raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-
-
-def _unwrap(state) -> StateModel:
-    if isinstance(state, HeraldedState):
-        return state.state
-    return state
 
 
 def normal_ordered_moment(state, s: float) -> float:
@@ -90,21 +85,27 @@ def _validate_outcome(multiplex: ClickMultiplex, clicks: int) -> None:
 
 
 def _thermal_outcome_value(mean: float, detector_count: int, clicks: int, efficiency: float) -> float:
-    """Exact Pr_{N,k} for a single thermal state, via rational arithmetic.
+    """Exact Pr_{N,k} for a single thermal state, via integer arithmetic.
 
     The alternating sum is a k-th finite difference of O(1) terms whose value
     can sit far below double-precision resolution (e.g. N = 1e4, k = 4 leaves
-    a difference of order 1e-16), so it is evaluated exactly over the
-    rationals of the rounded float inputs and converted once at the end.
+    a difference of order 1e-16), so it is evaluated exactly on the rounded
+    float inputs.  With m = a/A and eta = b/B, 1 + s_l m = D_l / (N A B) for
+    D_l = N A B + a b (N - l).  Over the common denominator prod_j D_j, term l
+    has numerator +-C(k,l) prod_{j!=l} D_j (prefix times suffix product), and
+    the one int/int division at the end is correctly rounded.
     """
-    m = Fraction(float(mean))
-    e = Fraction(float(efficiency))
-    total = Fraction(0)
-    for l in range(clicks + 1):
-        s = e * Fraction(detector_count - l, detector_count)
-        term = Fraction(math.comb(clicks, l)) / (1 + s * m)
-        total += term if (clicks - l) % 2 == 0 else -term
-    return float(math.comb(detector_count, clicks) * total)
+    a, big_a = float(mean).as_integer_ratio()
+    b, big_b = float(efficiency).as_integer_ratio()
+    nab = detector_count * big_a * big_b
+    d = [nab + a * b * (detector_count - l) for l in range(clicks + 1)]
+    prefix = list(accumulate(d, mul, initial=1))
+    suffix = list(accumulate(reversed(d), mul, initial=1))[::-1]
+    total = sum(
+        (-1) ** (clicks - l) * math.comb(clicks, l) * prefix[l] * suffix[l + 1]
+        for l in range(clicks + 1)
+    )
+    return math.comb(detector_count, clicks) * nab * total / suffix[0]
 
 
 def click_probability(multiplex: ClickMultiplex, clicks: int, state) -> float:

@@ -41,8 +41,8 @@ class ThermalComponent:
     def __post_init__(self):
         if not math.isfinite(self.weight):
             raise ValueError(f"component weight must be finite, got {self.weight}")
-        if not (self.mean >= 0.0):
-            raise ValueError(f"thermal mean must be nonnegative, got {self.mean}")
+        if not (math.isfinite(self.mean) and self.mean >= 0.0):
+            raise ValueError(f"thermal mean must be finite and nonnegative, got {self.mean}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,10 @@ class SignedThermalMixture:
             raise ValueError(f"mixture trace {trace!r} deviates from 1 beyond {trace_tol}")
         tol = _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
         probs = _mixture_distribution(weights, self.means, PHYSICALITY_CHECK_LEVELS)
-        if float(probs.min()) < -tol:
+        lowest = float(probs.min())  # NaN if any p_n is NaN, and then fails
+        if not (lowest >= -tol):
             raise ValueError(
-                f"mixture is unphysical: p_n reaches {probs.min():.3e} (tolerance {tol:.1e})"
+                f"mixture is unphysical: p_n reaches {lowest:.3e} (tolerance {tol:.1e})"
             )
 
     @classmethod
@@ -93,10 +94,9 @@ class DisplacedThermal:
     thermal_mean: float
 
     def __post_init__(self):
-        if not (self.coherent_mean >= 0.0):
-            raise ValueError(f"coherent mean must be nonnegative, got {self.coherent_mean}")
-        if not (self.thermal_mean >= 0.0):
-            raise ValueError(f"thermal mean must be nonnegative, got {self.thermal_mean}")
+        for name, value in (("coherent", self.coherent_mean), ("thermal", self.thermal_mean)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} mean must be finite and nonnegative, got {value}")
 
 
 StateModel = Union[SignedThermalMixture, DisplacedThermal]
@@ -131,8 +131,8 @@ def _unwrap(state) -> StateModel:
 
 def tmsv_marginal(nbar: float) -> SignedThermalMixture:
     """Signal (or idler) mode of the TMSV observed alone: thermal with mean nbar."""
-    if not (nbar >= 0.0):
-        raise ValueError(f"mean photon number must be nonnegative, got {nbar}")
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise ValueError(f"mean photon number must be finite and nonnegative, got {nbar}")
     return SignedThermalMixture.thermal(nbar)
 
 
@@ -162,8 +162,8 @@ def herald_state(nbar: float, efficiency: float, detectors: int, clicks: int) ->
     ``Pr_{N,k} = C(N,k) * sum_of_terms / (1 + nbar)``, which equals the click
     probability of an N-multiplex observing the thermal idler directly.
     """
-    if not (nbar >= 0.0):
-        raise ValueError(f"mean photon number must be nonnegative, got {nbar}")
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise ValueError(f"mean photon number must be finite and nonnegative, got {nbar}")
     if not (0.0 <= efficiency <= 1.0):
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
     if detectors < 1:
@@ -242,19 +242,17 @@ def fano_factor(state) -> float:
 
 
 def _mixture_distribution(weights: np.ndarray, means: np.ndarray, n_max: int) -> np.ndarray:
-    # Accumulate in extended precision: near-degenerate heralds carry weights of
-    # magnitude ~1e7, and the signed sum must cancel to ~1e-12 absolute.
-    n = np.arange(n_max + 1)
-    w = weights.astype(np.longdouble)
-    m = means.astype(np.longdouble)
-    ratios = np.where(m > 0.0, m / (1.0 + m), np.longdouble(0.0))
-    # p_n per component: m^n / (1+m)^(n+1); vacuum component contributes only n=0.
-    comp = ratios[:, None] ** n[None, :] / (1.0 + m)[:, None]
-    vacuum = m == 0.0
-    if np.any(vacuum):
-        comp[vacuum] = 0.0
-        comp[vacuum, 0] = 1.0
-    return (w @ comp).astype(float)
+    """Longdouble p_0 .. p_{n_max} of sum_i w_i m_i^n / (1 + m_i)^(n+1).
+
+    Near-degenerate heralds carry weights of magnitude ~1e7 whose signed sum
+    must cancel to ~1e-12 absolute, hence extended precision.  Each row is a
+    running product, 1/(1+m) times n factors m/(1+m); a vacuum row is [1, 0, ...].
+    """
+    m = means.astype(np.longdouble)[:, None]
+    comp = np.repeat(m / (1.0 + m), n_max + 1, axis=1)
+    comp[:, :1] = 1.0 / (1.0 + m)
+    np.multiply.accumulate(comp, axis=1, out=comp)
+    return weights.astype(np.longdouble) @ comp
 
 
 def photon_number_distribution(state, n_max: int) -> np.ndarray:
@@ -273,7 +271,7 @@ def photon_number_distribution(state, n_max: int) -> np.ndarray:
         )
     if not isinstance(st, SignedThermalMixture):
         raise UnsupportedStateError(f"no distribution for {type(st).__name__}")
-    return _mixture_distribution(st.weights, st.means, n_max)
+    return _mixture_distribution(st.weights, st.means, n_max).astype(float)
 
 
 def wigner_slice(state, q_grid) -> np.ndarray:

@@ -31,6 +31,11 @@ class TestTargetChannel:
         with pytest.raises(ValueError):
             TargetChannel(0.5, -1.0)
 
+    def test_non_finite_background_rejected(self):
+        for nb in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                TargetChannel(0.5, nb)
+
     def test_background_state(self):
         for nb in (0.0, 3.0, 10.0):
             state = background_state(TargetChannel(0.5, nb))

@@ -226,6 +226,20 @@ class TestExitCodes:
     def test_bad_grid_is_config_error(self):
         assert run_cli(["herald-stats", "--grid", "lin:1:2"]) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["wigner", "--state", "thermal", "--nbar", "inf"],
+            ["wigner", "--state", "herald", "--nbar", "inf"],
+            ["click-prob", "--grid", "1", "--nbar-b", "inf"],
+        ],
+    )
+    def test_infinite_mean_is_config_error(self, args, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run_cli(args + ["--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_threads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QILLUM_THREADS", "zero")
         config = TestTrajectories().make_config(tmp_path)

@@ -18,6 +18,9 @@ from qillum import (
     povm_fock_diagonal,
 )
 from qillum.errors import UnsupportedStateError
+from qillum.povm import _thermal_outcome_value
+
+from fraction_reference import thermal_outcome_value
 
 
 def pascal_table(n_max):
@@ -91,6 +94,29 @@ class TestClickProbability:
     def test_outcome_validation(self):
         with pytest.raises(ValueError):
             click_probability(ClickMultiplex(2, 0.9), 3, SignedThermalMixture.thermal(1.0))
+
+
+class TestThermalOutcomeValue:
+    """The integer-sum evaluator must return the Fraction reference's double."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        detectors=st.integers(min_value=1, max_value=10_000),
+        mean=st.sampled_from([0.0, 5e-324]) | st.floats(min_value=1e-4, max_value=1e6),
+        eta=st.sampled_from([0.0, 1.0])
+        | st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_equals_fraction_reference(self, data, detectors, mean, eta):
+        clicks = data.draw(st.integers(min_value=0, max_value=min(detectors, 64)))
+        got = _thermal_outcome_value(mean, detectors, clicks, eta)
+        assert got == thermal_outcome_value(mean, detectors, clicks, eta)
+
+    def test_sub_resolution_difference(self):
+        # N = 1e4, k = 4: an fsum of the rounded terms returns 0.0 here
+        got = _thermal_outcome_value(1.0, 10_000, 4, 0.9)
+        assert got == thermal_outcome_value(1.0, 10_000, 4, 0.9)
+        assert got > 0.0
 
 
 class TestClickDistribution:

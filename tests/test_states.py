@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from qillum import (
     wigner_slice,
 )
 from qillum.errors import DegenerateHeraldingError, UnsupportedStateError
-from qillum.states import second_moment, squeezing_to_mean
+from qillum.states import (
+    PHYSICALITY_CHECK_LEVELS,
+    _mixture_distribution,
+    second_moment,
+    squeezing_to_mean,
+)
+
+from fraction_reference import mixture_distribution
 
 # Grids where signed-mixture weights stay moderate (|w| well below 1e4), so
 # absolute 1e-12 assertions are meaningful for doubles.
@@ -200,6 +208,30 @@ class TestPhotonNumberDistribution:
         with pytest.raises(UnsupportedStateError):
             photon_number_distribution(DisplacedThermal(1.0, 0.5), 10)
 
+    @pytest.mark.parametrize(
+        "nbar, eta, detectors, clicks",
+        [
+            (0.01, 0.9, 4, 4),
+            (0.05, 0.9, 4, 4),
+            (0.01, 1.0, 8, 8),
+            (1.0, 0.9, 2, 2),
+            (5.0, 0.5, 4, 3),
+            (20.0, 1.0, 3, 1),
+            (2.0, 0.9, 1, 0),
+        ],
+    )
+    def test_matches_exact_rational_sum(self, nbar, eta, detectors, clicks):
+        # the extended-precision sum stays within 1e-18 * sum|w| of the exact
+        # value on all checked levels, near-degenerate weights (~1e16) included
+        state = herald_state(nbar, eta, detectors, clicks).state
+        scale = float(np.abs(state.weights).sum())
+        n_max = PHYSICALITY_CHECK_LEVELS
+        got = _mixture_distribution(state.weights, state.means, n_max)
+        exact = mixture_distribution(state.weights.tolist(), state.means.tolist(), n_max)
+        bound = Fraction(1e-18) * Fraction(scale)
+        for n, (p, q) in enumerate(zip(got, exact)):
+            assert abs(Fraction(*p.as_integer_ratio()) - q) <= bound, n
+
 
 class TestFanoFactor:
     def test_thermal(self):
@@ -262,3 +294,35 @@ class TestMixtureValidation:
             SignedThermalMixture(
                 (ThermalComponent(1.5, 0.0), ThermalComponent(-0.5, 1.0))
             )
+
+    def test_deep_tail_negativity_rejected(self):
+        # 2*thermal(10) - thermal(10.5) is nonnegative up to n = 170 and
+        # negative from n = 171 on (minimum about -2.9e-10), so only a check
+        # that reaches every level up to PHYSICALITY_CHECK_LEVELS catches it
+        weights, means = (2.0, -1.0), (10.0, 10.5)
+        exact = mixture_distribution(weights, means, PHYSICALITY_CHECK_LEVELS)
+        assert min(exact[:171]) >= 0 and exact[171] < 0
+        with pytest.raises(ValueError, match="unphysical"):
+            SignedThermalMixture(tuple(map(ThermalComponent, weights, means)))
+
+    def test_non_finite_means_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ThermalComponent(1.0, bad)
+            with pytest.raises(ValueError, match="finite"):
+                DisplacedThermal(bad, 0.0)
+            with pytest.raises(ValueError, match="finite"):
+                DisplacedThermal(0.0, bad)
+            with pytest.raises(ValueError, match="finite"):
+                tmsv_marginal(bad)
+            with pytest.raises(ValueError, match="finite"):
+                herald_state(bad, 0.9, 2, 2)
+
+    def test_non_finite_distribution_fails_check(self):
+        # a component built around the constructor's guard has an infinite
+        # mean, so m/(1+m) is NaN; the check must reject it, not pass it
+        component = object.__new__(ThermalComponent)
+        object.__setattr__(component, "weight", 1.0)
+        object.__setattr__(component, "mean", math.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unphysical"):
+            SignedThermalMixture((component,))
