@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -79,8 +80,8 @@ def _check_keys(document: dict, allowed: set, context: str) -> None:
 
 def _check_nonnegative(grid, what: str) -> None:
     for value in grid:
-        if value < 0:
-            raise ConfigError(f"{what} must be nonnegative, got {value}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{what} must be finite and nonnegative, got {value}")
 
 
 def _parse_grid(spec) -> list:
@@ -350,6 +351,8 @@ def cmd_verify(args) -> int:
         return 3
     for line in report.lines():
         print(line)
+    for check in report.checks:
+        print(check.worst_line(), file=sys.stderr)
     if not report.passed:
         return 3
     return 0

@@ -19,8 +19,10 @@ class MatchSpec:
     eavesdropper_efficiency: float
 
     def __post_init__(self):
-        if not (self.coherent_mean >= 0.0):
-            raise ValueError(f"coherent mean must be nonnegative, got {self.coherent_mean}")
+        if not (math.isfinite(self.coherent_mean) and self.coherent_mean >= 0.0):
+            raise ValueError(
+                f"coherent mean must be finite and nonnegative, got {self.coherent_mean}"
+            )
         if not (0.0 < self.eavesdropper_efficiency <= 1.0):
             raise ValueError(
                 "eavesdropper efficiency must lie in (0, 1], got "
@@ -30,8 +32,8 @@ class MatchSpec:
 
 def coherent_click_prob(coherent_mean: float, efficiency: float) -> float:
     """Single-click probability of a coherent beam: 1 - exp(-eta * nbar_alpha)."""
-    if coherent_mean < 0.0:
-        raise ValueError(f"coherent mean must be nonnegative, got {coherent_mean}")
+    if not (math.isfinite(coherent_mean) and coherent_mean >= 0.0):
+        raise ValueError(f"coherent mean must be finite and nonnegative, got {coherent_mean}")
     if not (0.0 <= efficiency <= 1.0):
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
     return -math.expm1(-efficiency * coherent_mean)
@@ -39,8 +41,8 @@ def coherent_click_prob(coherent_mean: float, efficiency: float) -> float:
 
 def thermal_click_prob(thermal_mean: float, efficiency: float) -> float:
     """Single-click probability of a thermal beam: eta*n / (1 + eta*n)."""
-    if thermal_mean < 0.0:
-        raise ValueError(f"thermal mean must be nonnegative, got {thermal_mean}")
+    if not (math.isfinite(thermal_mean) and thermal_mean >= 0.0):
+        raise ValueError(f"thermal mean must be finite and nonnegative, got {thermal_mean}")
     if not (0.0 <= efficiency <= 1.0):
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
     x = efficiency * thermal_mean
@@ -52,7 +54,14 @@ def matched_mean(spec: MatchSpec) -> float:
 
     Solves eta*n/(1 + eta*n) = 1 - exp(-eta*nbar_alpha) for n, giving
     n = (exp(eta*nbar_alpha) - 1) / eta.  Always >= nbar_alpha, with equality
-    only at zero.
+    only at zero.  Raises ``ValueError`` when the result overflows a double.
     """
     eta = spec.eavesdropper_efficiency
-    return math.expm1(eta * spec.coherent_mean) / eta
+    x = eta * spec.coherent_mean
+    try:
+        matched = math.expm1(x) / eta
+    except OverflowError:
+        matched = math.inf
+    if not math.isfinite(matched):
+        raise ValueError(f"matched mean overflows: eta * nbar_alpha = {x} is too large")
+    return matched

@@ -6,6 +6,14 @@ explicit photon-number vectors, the target channel acts through discrete
 loss/amplifier kernels on those vectors (with a full two-mode unitary mode for
 spot checks), and Wigner values come from the Laguerre series.  Truncation
 adequacy is always self-reported through the trace deficit.
+
+The POVM coefficients and the loss and amplifier kernels are cached by their
+physical parameters alone.  This relies on a prefix invariant: coefficient n,
+and kernel entry (row, column), depend only on that index and the parameters,
+never on the truncation, so the result at any size is the leading block of
+the result at a larger size.  Each key holds one read-only array that a
+larger request rebuilds and replaces (at the largest size seen per
+dimension); every smaller request gets a leading-block view of it.
 """
 
 from __future__ import annotations
@@ -28,9 +36,9 @@ _TAIL_TARGET = 1e-13
 class FockVector:
     """Diagonal photon-number probabilities up to a truncation level.
 
-    The trace deficit (one minus the retained mass) is checked on construction;
-    a vector that lost more than ``trace_tol`` cannot back a comparison at the
-    oracle's advertised accuracy.
+    Every entry must be finite, and the trace deficit (one minus the retained
+    mass) is checked on construction; a vector that lost more than
+    ``trace_tol`` cannot back a comparison at the oracle's advertised accuracy.
     """
 
     probs: np.ndarray
@@ -41,10 +49,12 @@ class FockVector:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("FockVector needs a nonempty 1-D probability array")
+        if not np.isfinite(probs).all():
+            raise ValueError("non-finite probability in Fock vector")
         if float(probs.min()) < -1e-12:
             raise ValueError(f"negative probability {probs.min():.3e} in Fock vector")
         deficit = self.trace_deficit
-        if deficit > self.trace_tol:
+        if not deficit <= self.trace_tol:
             raise TruncationError(
                 f"trace deficit {deficit:.3e} exceeds tolerance {self.trace_tol:.1e}; "
                 f"increase n_max beyond {self.n_max}"
@@ -61,6 +71,8 @@ class FockVector:
 
 def choose_truncation(mean: float, tail: float = _TAIL_TARGET, floor: int = DEFAULT_TRUNCATION) -> int:
     """Smallest truncation keeping the thermal tail (m/(1+m))^n below ``tail``."""
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
     if mean <= 0.0:
         return floor
     ratio = mean / (1.0 + mean)
@@ -70,8 +82,8 @@ def choose_truncation(mean: float, tail: float = _TAIL_TARGET, floor: int = DEFA
 
 def thermal_diag(mean: float, n_max: int = DEFAULT_TRUNCATION, trace_tol: float = DEFAULT_TRACE_TOL) -> FockVector:
     """Bose-Einstein distribution truncated at n_max."""
-    if mean < 0.0:
-        raise ValueError(f"thermal mean must be nonnegative, got {mean}")
+    if not (math.isfinite(mean) and mean >= 0.0):
+        raise ValueError(f"thermal mean must be finite and nonnegative, got {mean}")
     n = np.arange(n_max + 1)
     if mean == 0.0:
         probs = np.zeros(n_max + 1)
@@ -83,8 +95,8 @@ def thermal_diag(mean: float, n_max: int = DEFAULT_TRUNCATION, trace_tol: float 
 
 def poisson_diag(mean: float, n_max: int = DEFAULT_TRUNCATION, trace_tol: float = DEFAULT_TRACE_TOL) -> FockVector:
     """Poisson distribution (coherent-state photon statistics) truncated at n_max."""
-    if mean < 0.0:
-        raise ValueError(f"coherent mean must be nonnegative, got {mean}")
+    if not (math.isfinite(mean) and mean >= 0.0):
+        raise ValueError(f"coherent mean must be finite and nonnegative, got {mean}")
     n = np.arange(n_max + 1)
     if mean == 0.0:
         probs = np.zeros(n_max + 1)
@@ -107,12 +119,13 @@ _coeff_cache: dict = {}
 
 
 def _povm_coeffs(detectors: int, clicks: int, efficiency: float, n_max: int) -> np.ndarray:
-    key = (detectors, clicks, float(efficiency), n_max)
-    if key not in _coeff_cache:
+    key = (detectors, clicks, float(efficiency))
+    coeffs = _coeff_cache.get(key)
+    if coeffs is None or not 0 <= n_max < coeffs.size:
         coeffs = povm_fock_diagonal(detectors, clicks, efficiency, n_max)
         coeffs.setflags(write=False)
         _coeff_cache[key] = coeffs
-    return _coeff_cache[key]
+    return coeffs[: n_max + 1]
 
 
 def oracle_click_prob(detectors: int, clicks: int, efficiency: float, diag: FockVector) -> float:
@@ -151,26 +164,25 @@ _kernel_cache: dict = {}
 
 def _loss_kernel(transmission: float, n_in: int) -> np.ndarray:
     """Binomial-thinning kernel of the pure-loss channel: out j from in n."""
-    key = ("loss", float(transmission), n_in)
-    if key in _kernel_cache:
-        return _kernel_cache[key]
-    n = np.arange(n_in + 1)
-    j = n[:, None]  # output index
-    nn = n[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_binom = gammaln(nn + 1) - gammaln(j + 1) - gammaln(nn - j + 1)
-        if transmission in (0.0, 1.0):
+    key = ("loss", float(transmission))
+    kernel = _kernel_cache.get(key)
+    if kernel is None or kernel.shape[0] <= n_in:
+        n = np.arange(n_in + 1)
+        j = n[:, None]  # output index
+        nn = n[None, :]
+        if transmission == 1.0:
+            kernel = np.eye(n_in + 1)
+        elif transmission == 0.0:
             kernel = np.zeros((n_in + 1, n_in + 1))
-            if transmission == 1.0:
-                np.fill_diagonal(kernel, 1.0)
-            else:
-                kernel[0, :] = 1.0
+            kernel[0, :] = 1.0
         else:
-            log_k = log_binom + j * math.log(transmission) + (nn - j) * math.log1p(-transmission)
-            kernel = np.where(j <= nn, np.exp(log_k), 0.0)
-    kernel.setflags(write=False)
-    _kernel_cache[key] = kernel
-    return kernel
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_binom = gammaln(nn + 1) - gammaln(j + 1) - gammaln(nn - j + 1)
+                log_k = log_binom + j * math.log(transmission) + (nn - j) * math.log1p(-transmission)
+                kernel = np.where(j <= nn, np.exp(log_k), 0.0)
+        kernel.setflags(write=False)
+        _kernel_cache[key] = kernel
+    return kernel[: n_in + 1, : n_in + 1]
 
 
 def _amplifier_kernel(gain: float, n_in: int, n_out: int) -> np.ndarray:
@@ -179,25 +191,26 @@ def _amplifier_kernel(gain: float, n_in: int, n_out: int) -> np.ndarray:
     P(n | j) = C(n, j) (1/G)^(j+1) (1 - 1/G)^(n-j) for n >= j; the vacuum
     column reproduces a thermal state of mean G - 1.
     """
-    key = ("amp", float(gain), n_in, n_out)
-    if key in _kernel_cache:
-        return _kernel_cache[key]
     if gain < 1.0:
         raise ValueError(f"amplifier gain must be >= 1, got {gain}")
-    n = np.arange(n_out + 1)[:, None]
-    j = np.arange(n_in + 1)[None, :]
-    if gain == 1.0:
-        kernel = np.zeros((n_out + 1, n_in + 1))
-        m = min(n_out, n_in) + 1
-        kernel[:m, :m] = np.eye(m)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_binom = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
-            log_k = log_binom - (j + 1) * math.log(gain) + (n - j) * math.log1p(-1.0 / gain)
-            kernel = np.where(n >= j, np.exp(log_k), 0.0)
-    kernel.setflags(write=False)
-    _kernel_cache[key] = kernel
-    return kernel
+    key = ("amp", float(gain))
+    kernel = _kernel_cache.get(key)
+    if kernel is None or kernel.shape[0] <= n_out or kernel.shape[1] <= n_in:
+        rows, cols = n_out + 1, n_in + 1
+        if kernel is not None:
+            rows, cols = max(rows, kernel.shape[0]), max(cols, kernel.shape[1])
+        n = np.arange(rows)[:, None]
+        j = np.arange(cols)[None, :]
+        if gain == 1.0:
+            kernel = np.eye(rows, cols)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_binom = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+                log_k = log_binom - (j + 1) * math.log(gain) + (n - j) * math.log1p(-1.0 / gain)
+                kernel = np.where(n >= j, np.exp(log_k), 0.0)
+        kernel.setflags(write=False)
+        _kernel_cache[key] = kernel
+    return kernel[: n_out + 1, : n_in + 1]
 
 
 def displaced_thermal_diag(
@@ -212,6 +225,8 @@ def displaced_thermal_diag(
     the displaced thermal state (coherent part mu, thermal part m); both steps
     have exact Fock-diagonal kernels, so no quadrature is involved.
     """
+    if not (math.isfinite(thermal_mean) and thermal_mean >= 0.0):
+        raise ValueError(f"thermal mean must be finite and nonnegative, got {thermal_mean}")
     if thermal_mean == 0.0:
         return poisson_diag(coherent_mean, n_max, trace_tol)
     gain = 1.0 + thermal_mean
@@ -241,8 +256,8 @@ def oracle_beamsplitter(
     """
     if not (0.0 < reflectivity < 1.0):
         raise ValueError(f"reflectivity must lie strictly in (0, 1), got {reflectivity}")
-    if background_mean < 0.0:
-        raise ValueError(f"background mean must be nonnegative, got {background_mean}")
+    if not (math.isfinite(background_mean) and background_mean >= 0.0):
+        raise ValueError(f"background mean must be finite and nonnegative, got {background_mean}")
     if n_max is None:
         out_mean = reflectivity * float(np.arange(signal.n_max + 1) @ signal.probs) + background_mean
         n_max = choose_truncation(out_mean)

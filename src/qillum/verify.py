@@ -7,6 +7,7 @@ the CLI ``verify`` subcommand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +41,44 @@ QUICK_BACKGROUND_GRID = (0.0, 3.0)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Worst deviation of one check family, with the parameters that produced it."""
+
     name: str
     max_error: float
     tolerance: float
     cases: int
+    worst_case: tuple[tuple[str, object], ...]
 
     @property
     def passed(self) -> bool:
         return self.max_error <= self.tolerance
+
+    def worst_line(self) -> str:
+        params = ", ".join(f"{key}={value}" for key, value in self.worst_case)
+        return f"worst {self.name}: {params}"
+
+
+@dataclass
+class _Worst:
+    """Running maximum of one family's errors and the first case attaining it.
+
+    A NaN error ranks above every number, so it becomes the maximum and fails
+    the family instead of being skipped by the comparison.
+    """
+
+    max_error: float = 0.0
+    case: dict | None = None
+    cases: int = 0
+
+    def add(self, error: float, **case) -> None:
+        self.cases += 1
+        if self.case is None or (not error <= self.max_error and not math.isnan(self.max_error)):
+            self.max_error, self.case = error, case
+
+    def result(self, name: str, tolerance: float) -> CheckResult:
+        return CheckResult(
+            name, self.max_error, tolerance, self.cases, tuple((self.case or {}).items())
+        )
 
 
 @dataclass(frozen=True)
@@ -103,7 +134,7 @@ def run_verification(
     checks = []
 
     # Heralded photon-number distributions vs direct TMSV contraction.
-    worst, cases = 0.0, 0
+    worst = _Worst()
     herald_diags = {}
     for nbar, eta, detectors, clicks in _herald_grid(nbars, etas, MAX_HERALD_DETECTORS):
         trunc = signal_truncation(nbar)
@@ -112,12 +143,12 @@ def run_verification(
         closed = photon_number_distribution(
             herald_state(nbar, eta, detectors, clicks), min(60, trunc)
         )
-        worst = max(worst, float(np.abs(closed - diag.probs[: closed.size]).max()))
-        cases += 1
-    checks.append(CheckResult("herald photon distributions", worst, closed_tol, cases))
+        error = float(np.abs(closed - diag.probs[: closed.size]).max())
+        worst.add(error, nbar=nbar, eta=eta, detectors=detectors, clicks=clicks)
+    checks.append(worst.result("herald photon distributions", closed_tol))
 
     # Thermal click probabilities vs Fock contraction.
-    worst, cases = 0.0, 0
+    worst = _Worst()
     first = True
     for nbar in nbars:
         trunc = signal_truncation(nbar)
@@ -131,12 +162,13 @@ def run_verification(
                         closed += perturbation
                         first = False
                     brute = oracle.oracle_click_prob(detectors, clicks, eta, diag)
-                    worst = max(worst, abs(closed - brute))
-                    cases += 1
-    checks.append(CheckResult("thermal click probabilities", worst, closed_tol, cases))
+                    worst.add(
+                        abs(closed - brute), nbar=nbar, eta=eta, detectors=detectors, clicks=clicks
+                    )
+    checks.append(worst.result("thermal click probabilities", closed_tol))
 
     # Channel action on thermals vs loss/amplifier kernels.
-    worst, cases = 0.0, 0
+    worst = _Worst()
     for nbar in nbars:
         trunc = signal_truncation(nbar)
         diag = oracle.thermal_diag(nbar, trunc)
@@ -146,12 +178,12 @@ def run_verification(
                 out = oracle.oracle_beamsplitter(diag, kappa, nb)
                 closed_state = apply_channel(channel, SignedThermalMixture.thermal(nbar))
                 closed = photon_number_distribution(closed_state, out.n_max)
-                worst = max(worst, float(np.abs(closed - out.probs).max()))
-                cases += 1
-    checks.append(CheckResult("channel thermal transform", worst, closed_tol, cases))
+                error = float(np.abs(closed - out.probs).max())
+                worst.add(error, nbar=nbar, kappa=kappa, nbar_b=nb)
+    checks.append(worst.result("channel thermal transform", closed_tol))
 
     # Displaced thermal moments vs kernel-built distributions.
-    worst, cases = 0.0, 0
+    worst = _Worst()
     for mu in (0.5, 1.0, 2.0):
         for kappa in kappas:
             for nb in backgrounds:
@@ -164,12 +196,11 @@ def run_verification(
                 for eta in (0.5, 0.9):
                     closed = normal_ordered_moment(returned, eta)
                     brute = oracle.oracle_click_prob(1, 0, eta, diag)
-                    worst = max(worst, abs(closed - brute))
-                    cases += 1
-    checks.append(CheckResult("displaced thermal moments", worst, closed_tol, cases))
+                    worst.add(abs(closed - brute), mu=mu, kappa=kappa, nbar_b=nb, eta=eta)
+    checks.append(worst.result("displaced thermal moments", closed_tol))
 
     # End-to-end receiver click probabilities: herald -> channel -> receiver.
-    worst, cases = 0.0, 0
+    worst = _Worst()
     e2e_nbars = tuple(n for n in nbars if n <= 2.0)
     for nbar in e2e_nbars:
         for eta in etas:
@@ -192,12 +223,16 @@ def run_verification(
                                 for k_s in range(n_s + 1):
                                     closed = receiver_click_prob(receiver, k_s, closed_state)
                                     brute = oracle.oracle_click_prob(n_s, k_s, 0.9, brute_out)
-                                    worst = max(worst, abs(closed - brute))
-                                    cases += 1
-    checks.append(CheckResult("end-to-end receiver clicks", worst, end_to_end_tol, cases))
+                                    worst.add(
+                                        abs(closed - brute),
+                                        nbar=nbar, eta=eta, detectors=detectors, clicks=clicks,
+                                        kappa=kappa, nbar_b=nb, receiver_detectors=n_s,
+                                        receiver_clicks=k_s,
+                                    )
+    checks.append(worst.result("end-to-end receiver clicks", end_to_end_tol))
 
     # Wigner slices vs the Laguerre series.
-    worst, cases = 0.0, 0
+    worst = _Worst()
     q_points = (0.0, 0.5, 1.0, 2.0)
     for nbar in nbars:
         for eta in (0.9,):
@@ -212,12 +247,14 @@ def run_verification(
                 closed = wigner_slice(conditioned, q_points)
                 for i, q in enumerate(q_points):
                     brute = oracle.oracle_wigner(diag, q)
-                    worst = max(worst, abs(float(closed[i]) - brute))
-                    cases += 1
-    checks.append(CheckResult("wigner slices", worst, wigner_tol, cases))
+                    worst.add(
+                        abs(float(closed[i]) - brute),
+                        nbar=nbar, eta=eta, detectors=detectors, clicks=clicks, q=q,
+                    )
+    checks.append(worst.result("wigner slices", wigner_tol))
 
     # H0 receiver statistics against a plain thermal contraction.
-    worst, cases = 0.0, 0
+    worst = _Worst()
     for nb in backgrounds:
         if nb == 0.0:
             continue
@@ -228,8 +265,9 @@ def run_verification(
             for k_s in range(n_s + 1):
                 closed = receiver_click_prob(receiver, k_s, background_state(channel))
                 brute = oracle.oracle_click_prob(n_s, k_s, 0.9, diag)
-                worst = max(worst, abs(closed - brute))
-                cases += 1
-    checks.append(CheckResult("background receiver clicks", worst, closed_tol, cases))
+                worst.add(
+                    abs(closed - brute), nbar_b=nb, receiver_detectors=n_s, receiver_clicks=k_s
+                )
+    checks.append(worst.result("background receiver clicks", closed_tol))
 
     return VerifyReport(tuple(checks))

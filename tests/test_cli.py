@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qillum import verify
 from qillum.cli import main
 
 
@@ -212,6 +213,33 @@ class TestVerifyCommand:
     def test_perturbation_detected(self):
         assert run_cli(["verify", "--quick", "--selftest-perturb", "1e-6"]) == 3
 
+    def test_worst_cases_on_stderr(self, capsys):
+        assert run_cli(["verify", "--quick"]) == 0
+        captured = capsys.readouterr()
+        report = verify.run_verification(quick=True)
+        assert captured.out == "".join(line + "\n" for line in report.lines())
+        worst = [line for line in captured.err.splitlines() if line.startswith("worst ")]
+        assert worst == [check.worst_line() for check in report.checks]
+        assert [line.split(":")[0] for line in worst] == [
+            f"worst {check.name}" for check in report.checks
+        ]
+        assert (
+            "worst thermal click probabilities: nbar=1.0, eta=0.5, detectors=3, clicks=1"
+            in worst
+        )
+
+    @pytest.mark.parametrize("offset, shown", [("1e-6", "1.000e-06"), ("nan", "nan")])
+    def test_worst_case_names_perturbed_case(self, capsys, offset, shown):
+        # the self-test offset lands on the first thermal click case; a NaN
+        # error must fail the family, not be skipped by the comparison
+        assert run_cli(["verify", "--quick", "--selftest-perturb", offset]) == 3
+        captured = capsys.readouterr()
+        assert f"FAIL  thermal click probabilities: max |error| = {shown} " in captured.out
+        assert (
+            "worst thermal click probabilities: nbar=0.1, eta=0.5, detectors=1, clicks=0"
+            in captured.err
+        )
+
     def test_truncation_insufficient_reported(self, capsys):
         assert run_cli(["verify", "--quick", "--n-max", "10"]) == 3
         err = capsys.readouterr().err
@@ -237,6 +265,14 @@ class TestExitCodes:
     def test_infinite_mean_is_config_error(self, args, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert run_cli(args + ["--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["inf", "nan", "1000"])
+    def test_bad_match_grid_is_config_error(self, grid, tmp_path, capsys):
+        # inf and nan fail the grid check; 1000 overflows the matched mean
+        out = tmp_path / "out.csv"
+        assert run_cli(["match", "--grid", grid, "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 

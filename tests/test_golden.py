@@ -4,7 +4,9 @@ The closed-form figure tables are regenerated with the exact invocations of
 ``scripts/make_figure_data.py`` and compared with the tracked ``out/*.csv``.
 A small ``qillum trajectories`` run is pinned by the sha256 of its CSV and
 sidecar, so any change to the Monte-Carlo draws, arithmetic or CSV formatting
-shows up here.
+shows up here.  The stdout of ``qillum verify`` and ``qillum verify --quick``
+is pinned the same way; the full report's digest is also the benchmark's
+``verify_report``.
 """
 
 import hashlib
@@ -42,6 +44,11 @@ TRAJECTORY_DIGESTS = {
     "absent.csv.meta.json": "d3ceb468283fe2a5c55443dd168bef38a66304048f5fc54c0ec671d82b3ba6f3",
 }
 
+VERIFY_DIGESTS = {
+    "full": "d31a9e7fb3fd1cf90b012350120e84d1acf016fe09bece6e3f6351dac38b25a5",
+    "quick": "efaa60d6ee0e17867d5ba5949df36c346466b810ee0f270b0edac6ae275c7b42",
+}
+
 
 def test_figure_tables_match_tracked_out(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location(
@@ -75,3 +82,15 @@ def test_trajectories_digests(tmp_path, monkeypatch, label):
     for name in (f"{label}.csv", f"{label}.csv.meta.json"):
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == TRAJECTORY_DIGESTS[name], name
+
+
+@pytest.mark.parametrize("sweep", sorted(VERIFY_DIGESTS))
+def test_verify_report_digest(capsys, sweep):
+    assert cli.main(["verify"] + (["--quick"] if sweep == "quick" else [])) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_DIGESTS[sweep]
+
+
+def test_full_verify_digest_is_the_benchmark_digest():
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    assert VERIFY_DIGESTS["full"] == expected["verify_report"]

@@ -84,6 +84,24 @@ class TestMatchedMean:
             thermal_click_prob(matched, eta_e) - coherent_click_prob(nbar_alpha, eta_e)
         ) < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_means_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MatchSpec(bad, 0.9)
+        with pytest.raises(ValueError, match="finite"):
+            coherent_click_prob(bad, 0.9)
+        with pytest.raises(ValueError, match="finite"):
+            thermal_click_prob(bad, 0.9)
+
+    def test_overflow_rejected(self):
+        # expm1 itself overflows past eta * nbar_alpha ~ 709.78; at 709.5 and
+        # eta = 0.5 it does not, but the division by eta overflows to infinity
+        assert math.isfinite(matched_mean(MatchSpec(700.0, 0.9)))
+        with pytest.raises(ValueError, match="overflows"):
+            matched_mean(MatchSpec(1000.0, 0.9))
+        with pytest.raises(ValueError, match="overflows"):
+            matched_mean(MatchSpec(1419.0, 0.5))
+
     def test_downstream_receiver_enhancement(self):
         # the matched probe yields a larger receiver click probability than
         # running the heralded probe at the bare coherent mean

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qillum import (
     ClickMultiplex,
@@ -18,6 +20,7 @@ from qillum import (
 )
 from qillum import oracle
 from qillum.errors import TruncationError
+from qillum.povm import povm_fock_diagonal
 from qillum.verify import run_verification
 
 
@@ -33,6 +36,140 @@ class TestFockVector:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             oracle.FockVector(np.array([1.1, -0.1]))
+
+    @pytest.mark.parametrize(
+        "probs", [[math.nan], [0.5, math.nan, 0.5], [math.inf, 0.0], [1.0, -math.inf]]
+    )
+    def test_non_finite_probability_rejected(self, probs):
+        # NaN compares false against both the negativity and the deficit bound
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle.FockVector(np.array(probs))
+
+
+class TestNonFiniteMeans:
+    @pytest.mark.parametrize("mean", [math.inf, math.nan])
+    def test_thermal_diag(self, mean):
+        with pytest.raises(ValueError, match="finite"):
+            oracle.thermal_diag(mean)
+
+    @pytest.mark.parametrize("mean", [math.inf, math.nan])
+    def test_poisson_diag(self, mean):
+        with pytest.raises(ValueError, match="finite"):
+            oracle.poisson_diag(mean)
+
+    @pytest.mark.parametrize(
+        "coherent, thermal", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 0.0)]
+    )
+    def test_displaced_thermal_diag(self, coherent, thermal):
+        with pytest.raises(ValueError, match="finite"):
+            oracle.displaced_thermal_diag(coherent, thermal)
+
+    @pytest.mark.parametrize("mean", [math.inf, math.nan])
+    def test_choose_truncation(self, mean):
+        with pytest.raises(ValueError, match="finite"):
+            oracle.choose_truncation(mean)
+
+    @pytest.mark.parametrize("background", [math.inf, math.nan])
+    def test_beamsplitter_background(self, background):
+        with pytest.raises(ValueError, match="finite"):
+            oracle.oracle_beamsplitter(oracle.thermal_diag(1.0), 0.3, background)
+
+
+def _cold(build, *args):
+    """``build(*args)`` against empty oracle caches, leaving the real ones untouched."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_coeff_cache", {})
+        mp.setattr(oracle, "_kernel_cache", {})
+        return build(*args)
+
+
+_SIZES = st.integers(min_value=0, max_value=240)
+_REQUESTS = st.tuples(
+    st.lists(st.tuples(st.integers(0, 1), _SIZES, _SIZES), min_size=1, max_size=8),
+    st.sampled_from(["ascending", "descending", "interleaved"]),
+)
+
+
+def _ordered(requests, order):
+    if order == "interleaved":
+        return requests
+    return sorted(requests, key=lambda r: r[1:], reverse=order == "descending")
+
+
+class TestCachePrefixInvariant:
+    """Cached coefficients and kernels equal cold builds at every requested size.
+
+    Each request picks one of two parameter values, so a cache key that drops
+    the parameter returns the other value's array; a cache that returns its
+    whole grown array instead of the leading block fails on shape.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        detectors=st.integers(1, 6),
+        data=st.data(),
+        efficiencies=st.tuples(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        ),
+        requests=_REQUESTS,
+    )
+    def test_povm_coefficients(self, detectors, data, efficiencies, requests):
+        clicks = data.draw(st.integers(0, detectors))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_coeff_cache", {})
+            for which, n_max, _ in _ordered(*requests):
+                eta = efficiencies[which]
+                got = oracle._povm_coeffs(detectors, clicks, eta, n_max)
+                cold = povm_fock_diagonal(detectors, clicks, eta, n_max)
+                assert np.array_equal(got, cold)
+                assert not got.flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        transmissions=st.tuples(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        ),
+        requests=_REQUESTS,
+    )
+    def test_loss_kernel(self, transmissions, requests):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_kernel_cache", {})
+            for which, n_in, _ in _ordered(*requests):
+                block = oracle._loss_kernel(transmissions[which], n_in)
+                cold = _cold(oracle._loss_kernel, transmissions[which], n_in)
+                assert np.array_equal(block, cold)
+                x = np.random.default_rng(n_in).random(n_in + 1)
+                assert (block @ x).tobytes() == (cold @ x).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gains=st.tuples(
+            st.just(1.0) | st.floats(1.0, 20.0),
+            st.just(1.0) | st.floats(1.0, 20.0),
+        ),
+        requests=_REQUESTS,
+    )
+    def test_amplifier_kernel(self, gains, requests):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_kernel_cache", {})
+            for which, n_in, n_out in _ordered(*requests):
+                block = oracle._amplifier_kernel(gains[which], n_in, n_out)
+                cold = _cold(oracle._amplifier_kernel, gains[which], n_in, n_out)
+                assert np.array_equal(block, cold)
+                x = np.random.default_rng(n_in).random(n_in + 1)
+                assert (block @ x).tobytes() == (cold @ x).tobytes()
+
+    def test_quick_report_same_cold_and_after_full_sweep(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_coeff_cache", {})
+            mp.setattr(oracle, "_kernel_cache", {})
+            cold = run_verification(quick=True)
+            run_verification()
+            warm = run_verification(quick=True)
+        assert warm.lines() == cold.lines()
+        assert [c.max_error for c in warm.checks] == [c.max_error for c in cold.checks]
 
 
 class TestOracleHeraldState:
