@@ -6,11 +6,9 @@ truncated-Fock brute-force oracle that cross-validates every closed form.
 """
 
 from .channel import (
-    HypothesisPair,
     TargetChannel,
     apply_channel,
     background_state,
-    hypothesis_pair,
     posterior,
     receiver_click_prob,
 )
@@ -33,7 +31,6 @@ from .mc import (
 )
 from .povm import (
     ClickMultiplex,
-    binomial,
     click_distribution,
     click_probability,
     normal_ordered_moment,

@@ -18,11 +18,10 @@ from .errors import UndefinedPosteriorError, UnsupportedStateError
 from .povm import ClickMultiplex, click_probability
 from .states import (
     DisplacedThermal,
-    HeraldedState,
     SignedThermalMixture,
     StateModel,
     ThermalComponent,
-    mean_photon,
+    _unwrap,
 )
 
 
@@ -44,14 +43,6 @@ class TargetChannel:
             )
 
 
-@dataclass(frozen=True)
-class HypothesisPair:
-    """Receiver-side conditional states: target absent (h0) and present (h1)."""
-
-    h0: SignedThermalMixture
-    h1: StateModel
-
-
 def background_state(channel: TargetChannel) -> SignedThermalMixture:
     """State reaching the receiver when the target is absent: pure background."""
     return SignedThermalMixture.thermal(channel.background_mean)
@@ -59,8 +50,7 @@ def background_state(channel: TargetChannel) -> SignedThermalMixture:
 
 def apply_channel(channel: TargetChannel, signal) -> StateModel:
     """Return state for a present target: reflected signal plus background."""
-    if isinstance(signal, HeraldedState):
-        signal = signal.state
+    signal = _unwrap(signal)
     kappa, nb = channel.reflectivity, channel.background_mean
     if isinstance(signal, SignedThermalMixture):
         return SignedThermalMixture(
@@ -72,17 +62,6 @@ def apply_channel(channel: TargetChannel, signal) -> StateModel:
     if isinstance(signal, DisplacedThermal):
         return DisplacedThermal(kappa * signal.coherent_mean, kappa * signal.thermal_mean + nb)
     raise UnsupportedStateError(f"channel undefined for {type(signal).__name__}")
-
-
-def hypothesis_pair(channel: TargetChannel, signal) -> HypothesisPair:
-    """Build the H0/H1 pair for a probe signal, checking mean conservation."""
-    h0 = background_state(channel)
-    h1 = apply_channel(channel, signal)
-    expected = channel.reflectivity * mean_photon(signal) + channel.background_mean
-    got = mean_photon(h1)
-    if abs(got - expected) > 1e-9 * max(1.0, abs(expected)):
-        raise AssertionError(f"channel mean drifted: {got} vs {expected}")
-    return HypothesisPair(h0=h0, h1=h1)
 
 
 def receiver_click_prob(receiver: ClickMultiplex, clicks: int, hyp_state) -> float:

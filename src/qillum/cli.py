@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Every figure-style dataset is emitted as CSV (header row, comma separated,
-12 significant digits, newline-terminated) so any plotting tool can reproduce
-the curves.  Config files are JSON documents with a strict schema: unknown
-keys are rejected and physical ranges are enforced at parse time.  CLI flags
-override config fields.
+12 significant digits, newline-terminated).  Each subcommand declares its
+inputs once, in ``COMMANDS``: flag, config key, JSON type and default.  A value
+comes from its flag, else the ``--config`` JSON document, else its default.
+Unknown keys and wrong JSON types are rejected, and physical ranges are
+enforced at parse time, before any work starts or any output file is opened.
+``--seed`` and ``--threads`` exist only on ``trajectories``.
 
-Exit codes: 0 success, 1 config error, 2 I/O error, 3 verification failure.
+Exit codes: 0 success, 1 config or usage error, 2 I/O error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,19 +33,25 @@ from .povm import ClickMultiplex
 from .states import DisplacedThermal, herald_state, mean_photon, tmsv_marginal, wigner_slice
 
 ENV_THREADS = "QILLUM_THREADS"
+REQUIRED = object()
 
 
 class ConfigError(Exception):
-    """Invalid configuration document or flag combination."""
+    """Invalid command line, configuration document or parameter value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @contextmanager
-def _open_out(path):
-    if path is None:
-        yield sys.stdout
-        return
-    with open(path, "w", newline="") as handle:
-        yield handle
+def _blame(*names):
+    """Report a ValueError raised inside as a ConfigError naming the inputs at fault."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join(names)}: {exc}") from exc
 
 
 def _write_csv(path, header, columns) -> None:
@@ -48,303 +59,277 @@ def _write_csv(path, header, columns) -> None:
     columns = [np.asarray(column) for column in columns]
     integer = [column.dtype.kind in "iu" for column in columns]
     line = ",".join("%d" if is_int else "%.12g" for is_int in integer) + "\n"
-    values = [
-        column.tolist() if is_int else column.astype(float).tolist()
-        for column, is_int in zip(columns, integer)
-    ]
-    body = "".join(line % row for row in zip(*values))
-    with _open_out(path) as handle:
-        handle.write(",".join(header) + "\n" + body)
+    values = [c.tolist() if i else c.astype(float).tolist() for c, i in zip(columns, integer)]
+    _emit(path, ",".join(header) + "\n" + "".join(line % row for row in zip(*values)), sys.stdout)
+
+
+def _emit(path, text: str, stream) -> None:
+    if path is None:
+        stream.write(text)
+        return
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
 
 
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except OSError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ConfigError("config document must be a JSON object")
-    return document
+    with open(path) as handle, _blame(f"--config {path}"):
+        document = json.load(handle)
+        return _require(isinstance(document, dict), document, "a JSON object")
 
 
-def _check_keys(document: dict, allowed: set, context: str) -> None:
-    unknown = set(document) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {', '.join(sorted(unknown))}")
-
-
-def _check_nonnegative(grid, what: str) -> None:
-    for value in grid:
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{what} must be finite and nonnegative, got {value}")
-
-
-def _parse_grid(spec) -> list:
-    """Grid syntax: JSON list of numbers, or 'lin:start:stop:count'."""
-    if isinstance(spec, (list, tuple)):
-        return [float(v) for v in spec]
-    if isinstance(spec, str):
-        if spec.startswith("lin:"):
-            parts = spec.split(":")
-            if len(parts) != 4:
-                raise ConfigError(f"bad linspace grid {spec!r}; want lin:start:stop:count")
-            start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-            if count < 0:
-                raise ConfigError("grid count must be nonnegative")
-            return np.linspace(start, stop, count).tolist()
-        if spec == "":
-            return []
-        return [float(v) for v in spec.split(",")]
-    raise ConfigError(f"cannot parse grid from {spec!r}")
-
-
-def _parse_signal(entry, default_detectors):
-    """Signal spec: 'coherent', 'N,k' herald pair, or {kind, herald_detectors}."""
-    if isinstance(entry, str):
-        if entry == "coherent":
-            return {"kind": "coherent", "label": "coherent"}
-        parts = entry.split(",")
-        if len(parts) == 2:
-            n, k = int(parts[0]), int(parts[1])
-            return {"kind": "herald", "detectors": n, "clicks": k, "label": f"herald_{n}_{k}"}
-        raise ConfigError(f"cannot parse signal {entry!r}")
-    if isinstance(entry, dict):
-        _check_keys(entry, {"kind", "herald_detectors", "label"}, "signal")
-        kind = entry.get("kind")
-        if kind not in {"quantum_heralded", "coherent", "quantum_heralded_matched"}:
-            raise ConfigError(f"unknown signal kind {kind!r}")
-        detectors = int(entry.get("herald_detectors", default_detectors))
-        label = entry.get("label")
-        if label is None:
-            if kind == "coherent":
-                label = "coherent"
-            elif kind == "quantum_heralded":
-                label = f"quantum_n{detectors}"
-            else:
-                label = f"matched_n{detectors}"
-        return {"kind": kind, "detectors": detectors, "label": str(label)}
-    raise ConfigError(f"cannot parse signal {entry!r}")
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get(ENV_THREADS)
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"thread count must be positive, got {value}")
+# Readers take a JSON value (or a flag's converted text) and return the
+# resolved value, or raise ValueError saying what the value must be.
+def _require(ok: bool, value, what: str):
+    if not ok:
+        raise ValueError(f"must be {what}, got {value!r}")
     return value
 
 
-def cmd_herald_stats(args) -> int:
+def _number(value, allowed=lambda x: True, what="a number") -> float:
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return float(_require(numeric and allowed(value), value, what))
+
+
+def _integer(value, least=-math.inf) -> int:
+    ok = isinstance(value, int) and not isinstance(value, bool) and value >= least
+    return _require(ok, value, "an integer" if least == -math.inf else f"an integer >= {least}")
+
+
+def _items(value, read, what: str) -> list:
+    return [read(item) for item in _require(isinstance(value, list), value, f"a list of {what}")]
+
+
+def _grid(value) -> list:
+    """A JSON list of numbers, or text: a comma list or 'lin:start:stop:count'."""
+    if isinstance(value, str) and value.startswith("lin:"):
+        parts = value.split(":")
+        if len(parts) != 4:
+            raise ValueError(f"bad linspace grid {value!r}; want lin:start:stop:count")
+        value = np.linspace(float(parts[1]), float(parts[2]), int(parts[3])).tolist()
+    elif isinstance(value, str):
+        value = [float(v) for v in value.split(",")] if value else []
+    nonnegative = partial(_number, allowed=lambda x: 0 <= x < math.inf, what="finite, >= 0")
+    return _items(value, nonnegative, "numbers")
+
+
+def _outcome(pair) -> tuple:
+    """An [N, k] herald outcome: N >= 1 detectors and 0 <= k <= N clicks."""
+    n, k = map(_integer, _require(isinstance(pair, list) and len(pair) == 2, pair, "[N, k]"))
+    return _require(1 <= n and 0 <= k <= n, (n, k), "a herald outcome with 0 <= k <= N")
+
+
+def _signal(entry) -> dict:
+    """'coherent', an 'N,k' herald outcome, or {kind, herald_detectors, label}."""
+    if isinstance(entry, str) and entry.count(",") == 1:
+        n, k = _outcome([int(part) for part in entry.split(",")])
+        return {"kind": "herald", "detectors": n, "clicks": k, "label": f"herald_{n}_{k}"}
+    entry = {"kind": "coherent"} if entry == "coherent" else entry
+    _require(isinstance(entry, dict), entry, "'coherent', 'N,k' or a signal object")
+    unknown = set(entry) - {"kind", "herald_detectors", "label"}
+    if unknown:
+        raise ValueError(f"unknown signal keys: {', '.join(sorted(unknown))}")
+    kind = mc.SignalKind(entry.get("kind")).value
+    detectors = _integer(entry.get("herald_detectors", 1))
+    prefix = "quantum" if kind == "quantum_heralded" else "matched"
+    label = entry.get("label", "coherent" if kind == "coherent" else f"{prefix}_n{detectors}")
+    _require(isinstance(label, str), label, "a string label")
+    return {"kind": kind, "detectors": detectors, "label": label}
+
+
+def _signals(value, kinds: tuple) -> list:
+    signals = _items(value, _signal, "signals")
+    _require(all(s["kind"] in kinds for s in signals), value, f"of kind {', '.join(kinds)}")
+    labels = [s["label"] for s in signals]
+    _require(labels and len(set(labels)) == len(labels), labels, "one or more distinct labels")
+    return signals
+
+
+class Kind(NamedTuple):
+    """How an input is read: its reader and its flag's argparse options (a float by default)."""
+
+    read: Callable
+    flag: dict = {"type": float}
+
+
+def _physical(build) -> Kind:
+    """A number whose range is the one ``build(value)`` enforces by raising ValueError."""
+    return Kind(partial(_number, allowed=lambda x: build(x) is not None))
+
+
+NUMBER = Kind(_number)
+FINITE = Kind(partial(_number, allowed=math.isfinite, what="finite"))
+POSITIVE = Kind(partial(_number, allowed=lambda x: 0 < x < math.inf, what="finite, > 0"))
+INTEGER = Kind(_integer, {"type": int})
+NATURAL = Kind(partial(_integer, least=0), {"type": int})
+COUNT = Kind(partial(_integer, least=1), {"type": int})
+BOOLEAN = Kind(lambda value: _require(isinstance(value, bool), value, "true or false"))
+SWITCH = BOOLEAN._replace(flag={"action": "store_true"})
+TEXT = Kind(str, {})
+GRID = Kind(_grid, {})
+THRESHOLDS = Kind(partial(_items, read=partial(_number, allowed=lambda x: 0 < x < 1,
+                                               what="in (0, 1)"), what="numbers"))
+# Physical ranges belong to the library objects: each of these kinds builds
+# the object that owns its value, with in-range values for the other fields.
+MEAN = _physical(tmsv_marginal)
+EFFICIENCY = _physical(lambda eta: ClickMultiplex(1, eta))
+REFLECTIVITY = _physical(lambda kappa: TargetChannel(kappa, 0.0))
+BACKGROUND = _physical(lambda nbar_b: TargetChannel(0.5, nbar_b))
+EAVESDROPPER = _physical(lambda eta_e: MatchSpec(0.0, eta_e))
+
+
+class Param(NamedTuple):
+    """One input: ``flag`` > config ``key`` > ``default`` (None: absent)."""
+
+    key: str  # also the name of the resolved value
+    flag: str | None
+    kind: Kind
+    default: object = REQUIRED
+    help: str | None = None
+    config: bool = True
+
+
+GRID_HELP = "grid: comma list or lin:start:stop:count"
+OUT = Param("out", "--out", TEXT, None, "output CSV path (default: stdout)", config=False)
+
+
+def _resolve(name: str, command, args) -> SimpleNamespace:
+    """Apply flag > config > default to every parameter, then the command's build step."""
+    given = vars(args)
+    document = _load_config(given.get("config"))
+    for problem, keys in (
+        ("unknown", set(document) - {p.key for p in command.params if p.config}),
+        ("missing", {p.key for p in command.params if p.default is REQUIRED} - set(document)),
+    ):
+        if keys:
+            raise ConfigError(f"{problem} {name} config keys: {', '.join(sorted(keys))}")
+    values = SimpleNamespace(named={})
+    for p in command.params:
+        value = given.get(p.key, document.get(p.key, p.default))
+        source = p.flag if p.key in given else p.key if p.key in document else p.flag or p.key
+        values.named[p.key] = source
+        with _blame(source):
+            setattr(values, p.key, None if value is None else p.kind.read(value))
+    if command.build is not None:
+        command.build(values)
+    return values
+
+
+def cmd_herald_stats(v) -> int:
     """Heralding probabilities and conditioned means over an nbar grid."""
-    config = _load_config(args.config)
-    _check_keys(config, {"nbar_grid", "eta", "outcomes"}, "herald-stats")
-    grid = _parse_grid(args.grid if args.grid is not None else config.get("nbar_grid", []))
-    eta = float(args.eta if args.eta is not None else config.get("eta", 0.95))
-    if not (0.0 <= eta <= 1.0):
-        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
-    outcomes = config.get("outcomes", [[1, 0], [1, 1], [2, 1], [2, 2], [4, 4]])
-    pairs = []
-    for item in outcomes:
-        n, k = int(item[0]), int(item[1])
-        if not (1 <= n and 0 <= k <= n):
-            raise ConfigError(f"bad herald outcome ({n}, {k})")
-        pairs.append((n, k))
-
-    _check_nonnegative(grid, "nbar grid values")
-    header = ["nbar"]
-    header += [f"pr_{n}_{k}" for n, k in pairs]
-    header += [f"mean_{n}_{k}" for n, k in pairs]
+    names = [f"{n}_{k}" for n, k in v.outcomes]
+    header = ["nbar"] + [f"pr_{name}" for name in names] + [f"mean_{name}" for name in names]
     probabilities, means = [], []
-    for n, k in pairs:
-        heralded = (herald_state(nbar, eta, n, k) for nbar in grid)
-        stats = [(h.herald_probability, mean_photon(h)) for h in heralded]
-        probabilities.append([p for p, _ in stats])
-        means.append([m for _, m in stats])
-    _write_csv(args.out, header, [grid, *probabilities, *means])
+    for n, k in v.outcomes:
+        heralded = [herald_state(nbar, v.eta, n, k) for nbar in v.nbar_grid]
+        probabilities.append([h.herald_probability for h in heralded])
+        means.append([mean_photon(h) for h in heralded])
+    _write_csv(v.out, header, [v.nbar_grid, *probabilities, *means])
     return 0
 
 
-def cmd_click_prob(args) -> int:
+def cmd_click_prob(v) -> int:
     """Receiver single-click probabilities under H1 for a family of signals."""
-    config = _load_config(args.config)
-    allowed = {"nbar_grid", "kappa", "nbar_b", "eta", "eta_s", "signals"}
-    _check_keys(config, allowed, "click-prob")
-    grid = _parse_grid(args.grid if args.grid is not None else config.get("nbar_grid", []))
-    kappa = float(args.kappa if args.kappa is not None else config.get("kappa", 0.1))
-    nbar_b = float(args.nbar_b if args.nbar_b is not None else config.get("nbar_b", 10.0))
-    eta = float(args.eta if args.eta is not None else config.get("eta", 0.9))
-    eta_s = float(args.eta_s if args.eta_s is not None else config.get("eta_s", 0.9))
-    signals = config.get("signals", ["coherent", "1,0", "2,1", "1,1", "2,2", "4,4"])
-    parsed = [_parse_signal(s, 1) for s in signals]
-
-    try:
-        channel = TargetChannel(kappa, nbar_b)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    receiver = ClickMultiplex(1, eta_s)
-    h0 = background_state(channel)
-    pr_h0 = receiver_click_prob(receiver, 1, h0)
-
-    _check_nonnegative(grid, "nbar grid values")
-    header = ["nbar", "pr_h0"] + [f"pr_{s['label']}" for s in parsed]
-    columns = [grid, [pr_h0] * len(grid)]
-    for sig in parsed:
+    channel = TargetChannel(v.kappa, v.nbar_b)
+    receiver = ClickMultiplex(1, v.eta_s)
+    pr_h0 = receiver_click_prob(receiver, 1, background_state(channel))
+    header = ["nbar", "pr_h0"] + [f"pr_{s['label']}" for s in v.signals]
+    columns = [v.nbar_grid, [pr_h0] * len(v.nbar_grid)]
+    for sig in v.signals:
         column = []
-        for nbar in grid:
+        for nbar in v.nbar_grid:
             if sig["kind"] == "coherent":
-                h1 = apply_channel(channel, DisplacedThermal(nbar, 0.0))
+                signal = DisplacedThermal(nbar, 0.0)
             else:
-                conditioned = herald_state(nbar, eta, sig["detectors"], sig["clicks"])
-                h1 = apply_channel(channel, conditioned)
-            column.append(receiver_click_prob(receiver, 1, h1))
+                signal = herald_state(nbar, v.eta, sig["detectors"], sig["clicks"])
+            column.append(receiver_click_prob(receiver, 1, apply_channel(channel, signal)))
         columns.append(column)
-    _write_csv(args.out, header, columns)
+    _write_csv(v.out, header, columns)
     return 0
 
 
-def cmd_match(args) -> int:
-    """Click-probability matching table over a coherent-mean grid."""
-    config = _load_config(args.config)
-    _check_keys(config, {"nbar_alpha_grid", "eta_e"}, "match")
-    grid = _parse_grid(
-        args.grid if args.grid is not None else config.get("nbar_alpha_grid", [])
-    )
-    eta_e = float(args.eta_e if args.eta_e is not None else config.get("eta_e", 0.9))
-    if not (0.0 < eta_e <= 1.0):
-        raise ConfigError(f"eta_e must lie in (0, 1], got {eta_e}")
+def _build_match(v) -> None:
+    with _blame(v.named["nbar_alpha_grid"], v.named["eta_e"]):
+        v.specs = [MatchSpec(nbar_alpha, v.eta_e) for nbar_alpha in v.nbar_alpha_grid]
 
-    _check_nonnegative(grid, "nbar_alpha")
-    matched = [matched_mean(MatchSpec(nbar_alpha, eta_e)) for nbar_alpha in grid]
-    coherent = [coherent_click_prob(nbar_alpha, eta_e) for nbar_alpha in grid]
-    thermal = [thermal_click_prob(nbar, eta_e) for nbar in matched]
+
+def cmd_match(v) -> int:
+    """Click-probability matching table over a coherent-mean grid."""
+    matched = [matched_mean(spec) for spec in v.specs]
+    coherent = [coherent_click_prob(nbar_alpha, v.eta_e) for nbar_alpha in v.nbar_alpha_grid]
+    thermal = [thermal_click_prob(nbar, v.eta_e) for nbar in matched]
     header = ["nbar_alpha", "matched_nbar", "coherent_click", "matched_thermal_click", "residual"]
     residual = [th - coh for th, coh in zip(thermal, coherent)]
-    _write_csv(args.out, header, [grid, matched, coherent, thermal, residual])
+    _write_csv(v.out, header, [v.nbar_alpha_grid, matched, coherent, thermal, residual])
     return 0
 
 
-def cmd_wigner(args) -> int:
+def _build_wigner(v) -> None:
+    with _blame(v.named["nbar"], v.named["detectors"], v.named["clicks"]):
+        v.model = (herald_state(v.nbar, v.eta, v.detectors, v.clicks).state
+                   if v.state == "herald" else tmsv_marginal(v.nbar))
+
+
+def cmd_wigner(v) -> int:
     """W(q, 0) slice of a thermal or heralded state."""
-    if args.q_points < 1:
-        raise ConfigError(f"q-points must be positive, got {args.q_points}")
-    q = np.linspace(args.q_min, args.q_max, args.q_points)
-    if args.state == "thermal":
-        state = tmsv_marginal(args.nbar)
-    elif args.state == "herald":
-        state = herald_state(args.nbar, args.eta, args.detectors, args.clicks).state
-    else:
-        raise ConfigError(f"unknown state kind {args.state!r}")
-    values = wigner_slice(state, q)
-    _write_csv(args.out, ["q", "w"], [q, values])
+    q = np.linspace(v.q_min, v.q_max, v.q_points)
+    _write_csv(v.out, ["q", "w"], [q, wigner_slice(v.model, q)])
     return 0
 
 
-_TRAJECTORY_KEYS = {
-    "nbar", "eta", "eta_s", "receiver_detectors", "kappa", "nbar_b",
-    "shots", "trials", "seed", "target_present", "eta_e", "thresholds", "signals",
-}
+def _build_trajectories(v) -> None:
+    """Build every signal's TrajectoryConfig, and fix the thread count, before any run."""
+    v.configs = {}
+    for index, sig in enumerate(v.signals):
+        with _blame(f"{v.named['signals']}[{index}]"):
+            v.configs[sig["label"]] = mc.TrajectoryConfig(
+                nbar=v.nbar, herald_efficiency=v.eta, herald_detectors=sig["detectors"],
+                receiver_efficiency=v.eta_s, receiver_detectors=v.receiver_detectors,
+                reflectivity=v.kappa, background_mean=v.nbar_b, shots=v.shots,
+                trials=v.trials, seed=v.seed, signal_kind=sig["kind"],
+                target_present=v.target_present, eavesdropper_efficiency=v.eta_e,
+            )
+    if v.threads is None:
+        with _blame(ENV_THREADS):
+            v.threads = COUNT.read(int(os.environ.get(ENV_THREADS, "1")))
 
 
-def cmd_trajectories(args) -> int:
+def cmd_trajectories(v) -> int:
     """Ensemble-averaged detection trajectories for one or more signal kinds."""
-    if args.config is None:
-        raise ConfigError("trajectories requires --config with a run document")
-    document = _load_config(args.config)
-    _check_keys(document, _TRAJECTORY_KEYS, "trajectories")
-    missing = {"nbar", "shots", "trials", "signals"} - set(document)
-    if missing:
-        raise ConfigError(f"trajectories config lacks keys: {', '.join(sorted(missing))}")
+    results = {
+        label: mc.average_trajectories(config, threads=v.threads, thresholds=v.thresholds)
+        for label, config in v.configs.items()
+    }
+    header = ["shot_index"] + [f"mean_posterior_{label}" for label in results]
+    columns = [np.arange(1, v.shots + 1)] + [r.mean_posterior for r in results.values()]
+    _write_csv(v.out, header, columns)
 
-    seed = int(args.seed if args.seed is not None else document.get("seed", 0))
-    thresholds = tuple(float(t) for t in document.get("thresholds", [0.8, 0.9]))
-    threads = _resolve_threads(args)
-    signals = [_parse_signal(s, 1) for s in document["signals"]]
-    for sig in signals:
-        if sig["kind"] == "herald":
-            raise ConfigError(
-                "trajectories signals must be one of quantum_heralded, coherent, "
-                "quantum_heralded_matched"
-            )
-
-    results = {}
-    for sig in signals:
-        try:
-            config = mc.TrajectoryConfig(
-                nbar=float(document["nbar"]),
-                herald_efficiency=float(document.get("eta", 0.9)),
-                herald_detectors=int(sig.get("detectors", 1)),
-                receiver_efficiency=float(document.get("eta_s", 0.9)),
-                receiver_detectors=int(document.get("receiver_detectors", 1)),
-                reflectivity=float(document.get("kappa", 0.1)),
-                background_mean=float(document.get("nbar_b", 3.0)),
-                shots=int(document["shots"]),
-                trials=int(document["trials"]),
-                seed=seed,
-                signal_kind=mc.SignalKind(sig["kind"]),
-                target_present=bool(document.get("target_present", True)),
-                eavesdropper_efficiency=float(document.get("eta_e", 0.9)),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        results[sig["label"]] = mc.average_trajectories(config, threads=threads, thresholds=thresholds)
-
-    labels = [s["label"] for s in signals]
-    header = ["shot_index"] + [f"mean_posterior_{label}" for label in labels]
-    shots = int(document["shots"])
-    columns = [np.arange(1, shots + 1)] + [results[label].mean_posterior for label in labels]
-    _write_csv(args.out, header, columns)
-
+    first = next(iter(results.values())).rng_metadata
     sidecar = {
-        "seed": seed,
-        "trials": int(document["trials"]),
-        "shots": shots,
-        "threads": threads,
-        "generator": results[labels[0]].rng_metadata["generator"],
-        "stream_derivation": results[labels[0]].rng_metadata["stream_derivation"],
+        "seed": v.seed, "trials": v.trials, "shots": v.shots, "threads": v.threads,
+        "generator": first["generator"], "stream_derivation": first["stream_derivation"],
         "signals": {
             label: {
-                "probe_nbar": results[label].rng_metadata["probe_nbar"],
-                "mean_curve_crossings": {
-                    str(thr): results[label].mean_crossings[thr] for thr in thresholds
-                },
+                "probe_nbar": result.rng_metadata["probe_nbar"],
+                "mean_curve_crossings": {str(t): result.mean_crossings[t] for t in v.thresholds},
             }
-            for label in labels
+            for label, result in results.items()
         },
     }
-    if args.out is not None:
-        with open(str(args.out) + ".meta.json", "w") as handle:
-            json.dump(sidecar, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    else:
-        print(json.dumps(sidecar, indent=2, sort_keys=True), file=sys.stderr)
+    meta = None if v.out is None else str(v.out) + ".meta.json"
+    _emit(meta, json.dumps(sidecar, indent=2, sort_keys=True) + "\n", sys.stderr)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(v) -> int:
     """Oracle equivalence sweep; exit 0 only if every comparison passes."""
-    closed_tol = args.tolerance if args.tolerance is not None else verify.CLOSED_FORM_TOL
-    end_tol = 10.0 * closed_tol if args.tolerance is not None else verify.END_TO_END_TOL
+    closed_tol = verify.CLOSED_FORM_TOL if v.tolerance is None else v.tolerance
+    end_tol = verify.END_TO_END_TOL if v.tolerance is None else 10.0 * v.tolerance
     try:
         report = verify.run_verification(
-            closed_tol=closed_tol,
-            end_to_end_tol=end_tol,
-            wigner_tol=end_tol,
-            quick=args.quick,
-            n_max=args.n_max,
-            perturbation=args.selftest_perturb,
+            closed_tol=closed_tol, end_to_end_tol=end_tol, wigner_tol=end_tol,
+            quick=v.quick, n_max=v.n_max, perturbation=v.selftest_perturb,
         )
     except TruncationError as exc:
         print(f"FAIL  truncation-insufficient: {exc}", file=sys.stderr)
@@ -353,85 +338,98 @@ def cmd_verify(args) -> int:
         print(line)
     for check in report.checks:
         print(check.worst_line(), file=sys.stderr)
-    if not report.passed:
-        return 3
-    return 0
+    return 0 if report.passed else 3
+
+
+class Command(NamedTuple):
+    run: Callable  # its docstring is the subcommand's help
+    params: tuple
+    build: Callable | None = None  # cross-parameter checks, after every value is read
+    config: bool = True  # takes --config
+
+
+COMMANDS = {
+    "herald-stats": Command(cmd_herald_stats, (
+        Param("nbar_grid", "--grid", GRID, [], GRID_HELP),
+        Param("eta", "--eta", EFFICIENCY, 0.95, "herald detector efficiency"),
+        Param("outcomes", None, Kind(partial(_items, read=_outcome, what="[N, k] pairs")),
+              [[1, 0], [1, 1], [2, 1], [2, 2], [4, 4]]),
+        OUT,
+    )),
+    "click-prob": Command(cmd_click_prob, (
+        Param("nbar_grid", "--grid", GRID, [], GRID_HELP),
+        Param("kappa", "--kappa", REFLECTIVITY, 0.1, "target reflectivity"),
+        Param("nbar_b", "--nbar-b", BACKGROUND, 10.0, "background mean"),
+        Param("eta", "--eta", EFFICIENCY, 0.9, "herald efficiency"),
+        Param("eta_s", "--eta-s", EFFICIENCY, 0.9, "receiver efficiency"),
+        Param("signals", None, Kind(partial(_signals, kinds=("coherent", "herald"))),
+              ["coherent", "1,0", "2,1", "1,1", "2,2", "4,4"]),
+        OUT,
+    )),
+    "match": Command(cmd_match, (
+        Param("nbar_alpha_grid", "--grid", GRID, [], GRID_HELP),
+        Param("eta_e", "--eta-e", EAVESDROPPER, 0.9, "eavesdropper efficiency"),
+        OUT,
+    ), _build_match),
+    "wigner": Command(cmd_wigner, (
+        Param("state", "--state", Kind(str, {"choices": ["thermal", "herald"]}), "thermal"),
+        Param("nbar", "--nbar", MEAN, 0.0),
+        Param("eta", "--eta", EFFICIENCY, 0.9),
+        Param("detectors", "--detectors", COUNT, 2),
+        Param("clicks", "--clicks", INTEGER, 2),
+        Param("q_min", "--q-min", FINITE, -4.0),
+        Param("q_max", "--q-max", FINITE, 4.0),
+        Param("q_points", "--q-points", COUNT, 161),
+        OUT,
+    ), _build_wigner, config=False),
+    "trajectories": Command(cmd_trajectories, (
+        Param("nbar", None, MEAN),
+        Param("eta", None, EFFICIENCY, 0.9),
+        Param("eta_s", None, EFFICIENCY, 0.9),
+        Param("receiver_detectors", None, COUNT, 1),
+        Param("kappa", None, REFLECTIVITY, 0.1),
+        Param("nbar_b", None, BACKGROUND, 3.0),
+        Param("shots", None, COUNT),
+        Param("trials", None, COUNT),
+        Param("seed", "--seed", INTEGER, 0, "64-bit RNG seed override"),
+        Param("target_present", None, BOOLEAN, True),
+        Param("eta_e", None, EAVESDROPPER, 0.9),
+        Param("thresholds", None, THRESHOLDS, [0.8, 0.9]),
+        Param("signals", None, Kind(partial(_signals, kinds=[k.value for k in mc.SignalKind]))),
+        Param("threads", "--threads", COUNT, None, f"worker threads (or ${ENV_THREADS})",
+              config=False),
+        OUT,
+    ), _build_trajectories),
+    "verify": Command(cmd_verify, (
+        Param("tolerance", "--tolerance", POSITIVE, None, "closed-form comparison tolerance"),
+        Param("n_max", "--n-max", NATURAL, None, "override Fock truncation"),
+        Param("quick", "--quick", SWITCH, False, "reduced grid"),
+        Param("selftest_perturb", "--selftest-perturb", NUMBER, 0.0,
+              "inject this offset into one closed form (sensitivity self-test)"),
+    ), config=False),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qillum",
-        description="Quantum illumination with multiplexed click photodetection",
-    )
+    parser = _Parser(prog="qillum",
+                     description="Quantum illumination with multiplexed click photodetection")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, grid_flag=True):
-        p.add_argument("--config", help="JSON config document")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--seed", type=int, help="64-bit RNG seed override")
-        p.add_argument("--threads", type=int, help=f"worker threads (or ${ENV_THREADS})")
-        if grid_flag:
-            p.add_argument("--grid", help="grid: comma list or lin:start:stop:count")
-
-    p = sub.add_parser("herald-stats", help="heralding probabilities and conditioned means")
-    common(p)
-    p.add_argument("--eta", type=float, help="herald detector efficiency")
-    p.set_defaults(func=cmd_herald_stats)
-
-    p = sub.add_parser("click-prob", help="receiver click probabilities under H1")
-    common(p)
-    p.add_argument("--kappa", type=float, help="target reflectivity")
-    p.add_argument("--nbar-b", dest="nbar_b", type=float, help="background mean")
-    p.add_argument("--eta", type=float, help="herald efficiency")
-    p.add_argument("--eta-s", dest="eta_s", type=float, help="receiver efficiency")
-    p.set_defaults(func=cmd_click_prob)
-
-    p = sub.add_parser("match", help="click-probability matching table")
-    common(p)
-    p.add_argument("--eta-e", dest="eta_e", type=float, help="eavesdropper efficiency")
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("wigner", help="Wigner function slice W(q, 0)")
-    common(p, grid_flag=False)
-    p.add_argument("--state", choices=["thermal", "herald"], default="thermal")
-    p.add_argument("--nbar", type=float, default=0.0)
-    p.add_argument("--eta", type=float, default=0.9)
-    p.add_argument("--detectors", type=int, default=2)
-    p.add_argument("--clicks", type=int, default=2)
-    p.add_argument("--q-min", dest="q_min", type=float, default=-4.0)
-    p.add_argument("--q-max", dest="q_max", type=float, default=4.0)
-    p.add_argument("--q-points", dest="q_points", type=int, default=161)
-    p.set_defaults(func=cmd_wigner)
-
-    p = sub.add_parser("trajectories", help="sequential detection trajectory ensembles")
-    common(p, grid_flag=False)
-    p.set_defaults(func=cmd_trajectories)
-
-    p = sub.add_parser("verify", help="oracle equivalence sweep")
-    common(p, grid_flag=False)
-    p.add_argument("--tolerance", type=float, help="closed-form comparison tolerance")
-    p.add_argument("--n-max", dest="n_max", type=int, help="override Fock truncation")
-    p.add_argument("--quick", action="store_true", help="reduced grid")
-    p.add_argument(
-        "--selftest-perturb",
-        type=float,
-        default=0.0,
-        help="inject this offset into one closed form (sensitivity self-test)",
-    )
-    p.set_defaults(func=cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.run.__doc__, argument_default=argparse.SUPPRESS)
+        if command.config:
+            p.add_argument("--config", help="JSON config document")
+        for param in command.params:
+            if param.flag is not None:
+                p.add_argument(param.flag, dest=param.key, help=param.help, **param.kind.flag)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        command = COMMANDS[args.command]
+        return command.run(_resolve(args.command, command, args))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except QillumError as exc:

@@ -28,6 +28,16 @@ class MatchSpec:
                 "eavesdropper efficiency must lie in (0, 1], got "
                 f"{self.eavesdropper_efficiency}"
             )
+        x = self.eavesdropper_efficiency * self.coherent_mean
+        if not math.isfinite(_matched(x, self.eavesdropper_efficiency)):
+            raise ValueError(f"matched mean overflows: eta * nbar_alpha = {x} is too large")
+
+
+def _matched(x: float, eta: float) -> float:
+    try:
+        return math.expm1(x) / eta
+    except OverflowError:
+        return math.inf
 
 
 def coherent_click_prob(coherent_mean: float, efficiency: float) -> float:
@@ -54,14 +64,7 @@ def matched_mean(spec: MatchSpec) -> float:
 
     Solves eta*n/(1 + eta*n) = 1 - exp(-eta*nbar_alpha) for n, giving
     n = (exp(eta*nbar_alpha) - 1) / eta.  Always >= nbar_alpha, with equality
-    only at zero.  Raises ``ValueError`` when the result overflows a double.
+    only at zero.  ``MatchSpec`` rejects inputs whose result overflows a double.
     """
     eta = spec.eavesdropper_efficiency
-    x = eta * spec.coherent_mean
-    try:
-        matched = math.expm1(x) / eta
-    except OverflowError:
-        matched = math.inf
-    if not math.isfinite(matched):
-        raise ValueError(f"matched mean overflows: eta * nbar_alpha = {x} is too large")
-    return matched
+    return _matched(eta * spec.coherent_mean, eta)

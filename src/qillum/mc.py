@@ -26,7 +26,7 @@ from scipy.special import expit
 from .channel import TargetChannel, apply_channel, background_state
 from .matching import MatchSpec, matched_mean
 from .numerics import CompensatedVectorSum
-from .povm import ClickMultiplex, click_distribution
+from .povm import ClickMultiplex, _validate_outcome, click_distribution
 from .states import DisplacedThermal, herald_state, tmsv_marginal
 
 # Trials are reduced in fixed chunks: pairwise summation inside a chunk, then
@@ -69,6 +69,15 @@ class TrajectoryConfig:
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "signal_kind", SignalKind(self.signal_kind))
+        # The objects build_tables makes apply their own range rules.
+        tmsv_marginal(self.nbar)
+        TargetChannel(self.reflectivity, self.background_mean)
+        herald = ClickMultiplex(self.herald_detectors, self.herald_efficiency)
+        receiver = ClickMultiplex(self.receiver_detectors, self.receiver_efficiency)
+        for multiplex in (herald, receiver):  # build_tables evaluates every outcome
+            _validate_outcome(multiplex, multiplex.detector_count)
+        if self.signal_kind is SignalKind.QUANTUM_HERALDED_MATCHED:
+            MatchSpec(self.nbar, self.eavesdropper_efficiency)
 
 
 @dataclass(frozen=True)

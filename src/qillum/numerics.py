@@ -1,4 +1,4 @@
-"""Shared numeric helpers: exact binomials, compensated sums, probability clamps."""
+"""Shared numeric helpers: compensated sums and probability clamps."""
 
 from __future__ import annotations
 
@@ -11,24 +11,6 @@ from .errors import NumericalInstabilityError
 # Alternating click sums lose one bit of significance per term pair; beyond 64
 # terms double-precision weights are meaningless, so outcome counts are capped.
 MAX_ALTERNATING_TERMS = 64
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n <= 64.
-
-    Returns a Python int, so there is no floating-point rounding.  The cap on
-    ``n`` keeps results inside the range where downstream alternating sums
-    remain numerically meaningful; internal code that needs larger first
-    arguments with small ``k`` (Poisson-limit checks) calls ``math.comb``
-    directly.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial arguments must be nonnegative, got ({n}, {k})")
-    if k > n:
-        raise ValueError(f"binomial requires k <= n, got ({n}, {k})")
-    if n > MAX_ALTERNATING_TERMS:
-        raise ValueError(f"binomial is capped at n <= {MAX_ALTERNATING_TERMS}, got n={n}")
-    return math.comb(n, k)
 
 
 def clamp_probability(value: float, excursion_tol: float = 1e-10) -> float:

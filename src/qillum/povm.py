@@ -22,12 +22,11 @@ from operator import mul
 import numpy as np
 
 from .errors import NumericalInstabilityError, UnsupportedStateError
-from .numerics import MAX_ALTERNATING_TERMS, binomial, clamp_probability
+from .numerics import MAX_ALTERNATING_TERMS, clamp_probability
 from .states import DisplacedThermal, SignedThermalMixture, _unwrap
 
 __all__ = [
     "ClickMultiplex",
-    "binomial",
     "normal_ordered_moment",
     "click_probability",
     "click_distribution",

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.  The
 Monte-Carlo criteria share one ensemble cache (seed 7, 12000 trials of 30000
-shots each), which took 123-155 s on one core of a 2-core Xeon VM.
+shots each), built with one thread per core; the reproducibility contract
+makes it bit-identical to a one-thread build.  The module took 92 s on a
+2-core Xeon VM (164 s with one thread).
 
 Criterion 4 needs the default 12000 trials.  Its q2_present@0.9 reference
 (18092) sits 2.8% above the exact infinite-trial crossing (17590), so little of
@@ -119,7 +121,9 @@ def ensembles():
         "coherent_absent": (SignalKind.COHERENT, 1, False),
     }
     for name, (kind, detectors, present) in specs.items():
-        cache[name] = average_trajectories(base_config(kind, detectors, present))
+        cache[name] = average_trajectories(
+            base_config(kind, detectors, present), threads=os.cpu_count() or 1
+        )
     return cache
 
 

@@ -13,7 +13,6 @@ from qillum import (
     apply_channel,
     background_state,
     herald_state,
-    hypothesis_pair,
     mean_photon,
     posterior,
     receiver_click_prob,
@@ -118,9 +117,9 @@ class TestReceiverClickProb:
         for nbar in (0.1, 0.5, 1.0, 5.0, 20.0):
             for kappa in (0.1, 0.8):
                 ch = TargetChannel(kappa, 10.0)
-                pair = hypothesis_pair(ch, herald_state(nbar, 0.9, 2, 2))
-                p1 = receiver_click_prob(receiver, 1, pair.h1)
-                p0 = receiver_click_prob(receiver, 1, pair.h0)
+                h1 = apply_channel(ch, herald_state(nbar, 0.9, 2, 2))
+                p1 = receiver_click_prob(receiver, 1, h1)
+                p0 = receiver_click_prob(receiver, 1, background_state(ch))
                 assert p1 > p0
 
     def test_coherent_crossover_exists_at_high_reflectivity(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from qillum import verify
-from qillum.cli import main
+from qillum.cli import _build_parser, main
 
 
 def run_cli(args):
@@ -280,3 +281,126 @@ class TestExitCodes:
         monkeypatch.setenv("QILLUM_THREADS", "zero")
         config = TestTrajectories().make_config(tmp_path)
         assert run_cli(["trajectories", "--config", str(config)]) == 1
+
+
+def _trajectories_row(**overrides):
+    def argv(tmp_path):
+        config = TestTrajectories().make_config(tmp_path, **overrides)
+        return ["trajectories", "--config", str(config)]
+
+    return argv
+
+
+def _herald_stats_row(outcomes):
+    def argv(tmp_path):
+        config = tmp_path / "stats.json"
+        config.write_text(json.dumps({"outcomes": outcomes}))
+        return ["herald-stats", "--grid", "1", "--config", str(config)]
+
+    return argv
+
+
+class TestBoundaryDefects:
+    """Inputs the CLI once accepted, truncated or crashed on.
+
+    Each is a config error that names the offending flag or key, raised
+    before any output is written.
+    """
+
+    ROWS = {
+        "target_present_string": (_trajectories_row(target_present="false"), "target_present"),
+        "shots_float": (_trajectories_row(shots=4.7), "shots"),
+        "trials_float": (_trajectories_row(trials=2.9), "trials"),
+        "herald_detectors_float": (
+            _trajectories_row(signals=[{"kind": "quantum_heralded", "herald_detectors": 2.5}]),
+            "signals",
+        ),
+        "seed_float": (_trajectories_row(seed=1.9), "seed"),
+        "seed_bool": (_trajectories_row(seed=True), "seed"),
+        "threshold_above_one": (_trajectories_row(thresholds=[1.5]), "thresholds"),
+        "thresholds_string": (_trajectories_row(thresholds="0.8"), "thresholds"),
+        "outcomes_number": (_herald_stats_row(5), "outcomes"),
+        "outcomes_short_pair": (_herald_stats_row([[1]]), "outcomes"),
+        "tolerance_nan": (lambda tmp_path: ["verify", "--quick", "--tolerance", "nan"],
+                          "--tolerance"),
+        "n_max_negative": (lambda tmp_path: ["verify", "--quick", "--n-max", "-3"], "--n-max"),
+    }
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_config_error_before_any_output(self, row, tmp_path, capsys):
+        argv, name = self.ROWS[row]
+        argv = argv(tmp_path)
+        out = tmp_path / "out.csv"
+        if argv[0] != "verify":
+            argv += ["--out", str(out)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert name in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"eta": 1.5, "signals": ["coherent", {"kind": "quantum_heralded"}]},
+            {"nbar": 1000.0, "signals": ["coherent", {"kind": "quantum_heralded_matched"}]},
+        ],
+    )
+    def test_every_signal_checked_before_the_first_ensemble(
+        self, overrides, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr("qillum.mc.average_trajectories", lambda *a, **k: calls.append(a))
+        config = TestTrajectories().make_config(tmp_path, **overrides)
+        assert run_cli(["trajectories", "--config", str(config)]) == 1
+        assert calls == []
+
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch):
+        # only parse-time failures are config errors; a fault in the
+        # computation must surface with its traceback
+        def broken(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("qillum.cli.herald_state", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run_cli(["herald-stats", "--grid", "1"])
+
+
+class TestParser:
+    FLAGS = {
+        "herald-stats": {"--config", "--out", "--grid", "--eta"},
+        "click-prob": {"--config", "--out", "--grid", "--kappa", "--nbar-b", "--eta", "--eta-s"},
+        "match": {"--config", "--out", "--grid", "--eta-e"},
+        "wigner": {"--out", "--state", "--nbar", "--eta", "--detectors", "--clicks",
+                   "--q-min", "--q-max", "--q-points"},
+        "trajectories": {"--config", "--out", "--seed", "--threads"},
+        "verify": {"--tolerance", "--n-max", "--quick", "--selftest-perturb"},
+    }
+
+    def test_flag_sets(self):
+        parser = _build_parser()
+        (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, sub in subcommands.choices.items()
+        }
+        assert flags == self.FLAGS
+        assert sum(map(len, flags.values())) == 32
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["herald-stats", "--seed", "1"],
+            ["match", "--threads", "2"],
+            ["wigner", "--config", "run.json"],
+            ["verify", "--out", "report.txt"],
+            ["wigner", "--state", "squeezed"],
+            ["herald-stats", "--eta", "high"],
+            ["no-such-command"],
+            [],
+        ],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: ")

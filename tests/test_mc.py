@@ -48,6 +48,32 @@ def base_config(**overrides):
     return TrajectoryConfig(**base)
 
 
+class TestTrajectoryConfig:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"nbar": float("nan")}, "mean photon number"),
+            ({"herald_efficiency": 1.5}, "efficiency"),
+            ({"receiver_efficiency": -0.1}, "efficiency"),
+            ({"herald_detectors": 0}, "detector"),
+            ({"receiver_detectors": 0}, "detector"),
+            ({"herald_detectors": 65}, "beyond 64"),
+            ({"receiver_detectors": 65}, "beyond 64"),
+            ({"reflectivity": 0.0}, "reflectivity"),
+            ({"reflectivity": 1.0}, "reflectivity"),
+            ({"background_mean": float("inf")}, "background mean"),
+            ({"signal_kind": SignalKind.QUANTUM_HERALDED_MATCHED,
+              "eavesdropper_efficiency": 0.0}, "eavesdropper efficiency"),
+            ({"signal_kind": SignalKind.QUANTUM_HERALDED_MATCHED, "nbar": 1000.0},
+             "matched mean overflows"),
+        ],
+    )
+    def test_rejects_out_of_range_physics(self, overrides, message):
+        # the objects build_tables makes reject these at construction, not mid-run
+        with pytest.raises(ValueError, match=message):
+            base_config(**overrides)
+
+
 class TestClickCdf:
     def test_vacuum(self):
         cdf = click_cdf(ClickMultiplex(1, 0.9), SignedThermalMixture.thermal(0.0))

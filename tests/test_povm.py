@@ -9,7 +9,6 @@ from qillum import (
     ClickMultiplex,
     DisplacedThermal,
     SignedThermalMixture,
-    binomial,
     click_distribution,
     click_probability,
     herald_state,
@@ -21,38 +20,6 @@ from qillum.errors import UnsupportedStateError
 from qillum.povm import _thermal_outcome_value
 
 from fraction_reference import thermal_outcome_value
-
-
-def pascal_table(n_max):
-    """Independent oracle for binomial coefficients: Pascal's rule recurrence."""
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        rows.append(
-            [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-        )
-    return rows
-
-
-class TestBinomial:
-    def test_small_values(self):
-        assert binomial(4, 2) == 6
-        assert binomial(10, 0) == 1
-
-    def test_against_pascal_recurrence(self):
-        table = pascal_table(64)
-        assert binomial(64, 32) == table[64][32]
-        for n in (7, 23, 64):
-            for k in range(n + 1):
-                assert binomial(n, k) == table[n][k]
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial(3, 4)
-        with pytest.raises(ValueError):
-            binomial(65, 1)
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
 
 class TestNormalOrderedMoment:
