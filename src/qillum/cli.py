@@ -324,13 +324,8 @@ def cmd_trajectories(v) -> int:
 
 def cmd_verify(v) -> int:
     """Oracle equivalence sweep; exit 0 only if every comparison passes."""
-    closed_tol = verify.CLOSED_FORM_TOL if v.tolerance is None else v.tolerance
-    end_tol = verify.END_TO_END_TOL if v.tolerance is None else 10.0 * v.tolerance
     try:
-        report = verify.run_verification(
-            closed_tol=closed_tol, end_to_end_tol=end_tol, wigner_tol=end_tol,
-            quick=v.quick, n_max=v.n_max, perturbation=v.selftest_perturb,
-        )
+        report = verify.run_verification(v.tolerance, v.quick, v.n_max, v.selftest_perturb)
     except TruncationError as exc:
         print(f"FAIL  truncation-insufficient: {exc}", file=sys.stderr)
         return 3
@@ -401,7 +396,8 @@ COMMANDS = {
         OUT,
     ), _build_trajectories),
     "verify": Command(cmd_verify, (
-        Param("tolerance", "--tolerance", POSITIVE, None, "closed-form comparison tolerance"),
+        Param("tolerance", "--tolerance", POSITIVE, verify.CLOSED_FORM_TOL,
+              "closed-form comparison tolerance (end-to-end and Wigner: 10x)"),
         Param("n_max", "--n-max", NATURAL, None, "override Fock truncation"),
         Param("quick", "--quick", SWITCH, False, "reduced grid"),
         Param("selftest_perturb", "--selftest-perturb", NUMBER, 0.0,

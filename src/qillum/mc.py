@@ -16,7 +16,7 @@ any degree of parallelism.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .channel import TargetChannel, apply_channel, background_state
+from .errors import QillumError
 from .matching import MatchSpec, matched_mean
 from .numerics import CompensatedVectorSum
 from .povm import ClickMultiplex, _validate_outcome, click_distribution
@@ -60,6 +61,8 @@ class TrajectoryConfig:
     signal_kind: SignalKind
     target_present: bool
     eavesdropper_efficiency: float = 0.9
+    # Built at construction, so a config that constructs can run; every run reuses them.
+    tables: LikelihoodTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shots < 1:
@@ -69,15 +72,22 @@ class TrajectoryConfig:
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "signal_kind", SignalKind(self.signal_kind))
-        # The objects build_tables makes apply their own range rules.
+        # The objects build_tables makes apply their own range rules; every
+        # field is checked whether or not this signal kind uses it.
         tmsv_marginal(self.nbar)
         TargetChannel(self.reflectivity, self.background_mean)
         herald = ClickMultiplex(self.herald_detectors, self.herald_efficiency)
         receiver = ClickMultiplex(self.receiver_detectors, self.receiver_efficiency)
-        for multiplex in (herald, receiver):  # build_tables evaluates every outcome
+        for multiplex in (herald, receiver):
             _validate_outcome(multiplex, multiplex.detector_count)
         if self.signal_kind is SignalKind.QUANTUM_HERALDED_MATCHED:
             MatchSpec(self.nbar, self.eavesdropper_efficiency)
+        # In-range values can still give tables that lose completeness (a
+        # coherent receiver from about 12 detectors on).
+        try:
+            object.__setattr__(self, "tables", build_tables(self))
+        except QillumError as exc:
+            raise ValueError(f"likelihood tables cannot be built: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -144,17 +154,19 @@ def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
 
 
 def click_cdf(multiplex: ClickMultiplex, state) -> np.ndarray:
-    """Cumulative click distribution, final entry pinned to exactly one."""
-    dist = click_distribution(multiplex, state)
-    cdf = np.cumsum(dist)
-    if abs(cdf[-1] - 1.0) > 1e-12 * max(1.0, float(np.abs(dist).sum())):
-        raise ValueError(f"cumulative distribution ends at {cdf[-1]!r}, not 1")
-    cdf[-1] = 1.0
-    return np.minimum(cdf, 1.0)
+    """Cumulative click distribution, checked complete, final entry pinned to exactly one."""
+    return _pinned_cumsum(click_distribution(multiplex, state), check=True)
 
 
-def _pinned_cumsum(rows: np.ndarray) -> np.ndarray:
+def _pinned_cumsum(rows: np.ndarray, check: bool = False) -> np.ndarray:
+    """Cumulative sums along the last axis, final entry pinned to one, all clipped at one.
+
+    With ``check``, a distribution whose unpinned sum misses one by more than
+    1e-12 of its total magnitude is rejected instead.
+    """
     cdf = np.cumsum(rows, axis=-1)
+    if check and abs(cdf[-1] - 1.0) > 1e-12 * max(1.0, float(np.abs(rows).sum())):
+        raise ValueError(f"cumulative distribution ends at {cdf[-1]!r}, not 1")
     cdf[..., -1] = 1.0
     return np.minimum(cdf, 1.0)
 
@@ -204,17 +216,13 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
         l0=l0,
         l1=l1,
         log_ratio=log_ratio,
-        cdf_h0=_pinned_cumsum(l0.copy()),
-        cdf_h1=_pinned_cumsum(l1.copy()),
+        cdf_h0=_pinned_cumsum(l0),
+        cdf_h1=_pinned_cumsum(l1),
         probe_nbar=probe_nbar,
     )
 
 
-def run_trajectory(
-    config: TrajectoryConfig,
-    trial_index: int,
-    tables: Optional[LikelihoodTables] = None,
-) -> np.ndarray:
+def run_trajectory(config: TrajectoryConfig, trial_index: int) -> np.ndarray:
     """Posterior Pr(H1) after each of ``config.shots`` shots, for one trial.
 
     Deterministic given (config.seed, trial_index).  Starts from equal priors,
@@ -232,8 +240,7 @@ def run_trajectory(
     ``tests/scalar_reference.py`` produces: same draws, same increments, and
     log-odds prefix sums accumulated left to right.
     """
-    if tables is None:
-        tables = build_tables(config)
+    tables = config.tables
     rng = trial_stream(config.seed, trial_index)
     shots = config.shots
 
@@ -267,11 +274,11 @@ def first_crossing(curve: np.ndarray, threshold: float) -> Optional[int]:
     return int(hits[0]) + 1
 
 
-def _chunk_worker(config, tables, thresholds, start, stop):
+def _chunk_worker(config, thresholds, start, stop):
     rows = np.empty((stop - start, config.shots))
     crossings = {thr: [] for thr in thresholds}
     for offset, trial in enumerate(range(start, stop)):
-        curve = run_trajectory(config, trial, tables)
+        curve = run_trajectory(config, trial)
         rows[offset] = curve
         for thr in thresholds:
             crossings[thr].append(first_crossing(curve, thr))
@@ -289,7 +296,6 @@ def average_trajectories(
     headline estimator) and per trial (for dispersion).  The reduction order
     is fixed by chunk index, so any thread count yields identical output.
     """
-    tables = build_tables(config)
     thresholds = tuple(float(t) for t in thresholds)
     bounds = [
         (start, min(start + CHUNK_SIZE, config.trials))
@@ -300,12 +306,12 @@ def average_trajectories(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(
                 pool.map(
-                    lambda b: _chunk_worker(config, tables, thresholds, b[0], b[1]),
+                    lambda b: _chunk_worker(config, thresholds, b[0], b[1]),
                     bounds,
                 )
             )
     else:
-        partials = [_chunk_worker(config, tables, thresholds, a, b) for a, b in bounds]
+        partials = [_chunk_worker(config, thresholds, a, b) for a, b in bounds]
 
     accumulator = CompensatedVectorSum(config.shots)
     per_trial = {thr: [] for thr in thresholds}
@@ -323,7 +329,7 @@ def average_trajectories(
         "generator": "numpy.random.Philox (counter-based, 4x64)",
         "stream_derivation": "key = splitmix64(splitmix64(seed) ^ (trial_index + 0x9E3779B97F4A7C15))",
         "chunk_size": CHUNK_SIZE,
-        "probe_nbar": tables.probe_nbar,
+        "probe_nbar": config.tables.probe_nbar,
     }
     return TrajectoryResult(
         mean_posterior=mean_posterior,

@@ -40,8 +40,11 @@ class ClickMultiplex:
     """N identical on/off detectors sharing one mode, with common efficiency eta.
 
     Outcome counts (``clicks`` arguments below) are capped at 64 alternating
-    terms for numerical stability; detector counts beyond 64 are allowed so the
-    large-N Poisson limit can be probed at small click numbers.
+    terms; detector counts beyond 64 are allowed so the large-N Poisson limit
+    can be probed at small click numbers.  Thermal mixtures are summed
+    exactly, but displaced-thermal sums are doubles: at efficiency 0.9 a
+    coherent ``click_distribution`` fails its completeness check from N = 12
+    (mean 1) or N = 13 (means 0.09 and 3).
     """
 
     detector_count: int

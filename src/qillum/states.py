@@ -103,20 +103,11 @@ StateModel = Union[SignedThermalMixture, DisplacedThermal]
 
 
 @dataclass(frozen=True)
-class HeraldParams:
-    nbar: float
-    efficiency: float
-    detectors: int
-    clicks: int
-
-
-@dataclass(frozen=True)
 class HeraldedState:
     """A conditioned signal state together with the probability of heralding it."""
 
     state: SignedThermalMixture
     herald_probability: float
-    params: HeraldParams
 
     def __post_init__(self):
         if not (0.0 <= self.herald_probability <= 1.0):
@@ -203,11 +194,7 @@ def herald_state(nbar: float, efficiency: float, detectors: int, clicks: int) ->
     mixture = SignedThermalMixture(
         tuple(ThermalComponent(w, m) for w, m in zip(weights, means))
     )
-    return HeraldedState(
-        state=mixture,
-        herald_probability=probability,
-        params=HeraldParams(nbar, efficiency, detectors, clicks),
-    )
+    return HeraldedState(state=mixture, herald_probability=probability)
 
 
 def mean_photon(state) -> float:

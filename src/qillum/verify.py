@@ -1,14 +1,17 @@
 """Oracle equivalence sweep: every closed form against the Fock brute force.
 
-The sweep walks the standard parameter grid and reports the worst deviation
-per check family.  It backs the test suite's oracle-equivalence properties and
-the CLI ``verify`` subcommand.
+Each check family is a generator of ``(error, case)`` pairs over the parameter
+grid; ``FAMILIES`` lists them in report order, and the report keeps the worst
+error of each.  The sweep backs the test suite's oracle-equivalence properties
+and the CLI ``verify`` subcommand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,19 +27,18 @@ from .states import (
 )
 
 CLOSED_FORM_TOL = 1e-9
-END_TO_END_TOL = 1e-8
-WIGNER_TOL = 1e-8
-
-NBAR_GRID = (0.1, 1.0, 2.0, 5.0)
-ETA_GRID = (0.5, 0.9, 1.0)
-KAPPA_GRID = (0.1, 0.3, 0.8)
-BACKGROUND_GRID = (0.0, 3.0, 10.0)
 MAX_HERALD_DETECTORS = 4
 
-QUICK_NBAR_GRID = (0.1, 1.0)
-QUICK_ETA_GRID = (0.9,)
-QUICK_KAPPA_GRID = (0.1, 0.8)
-QUICK_BACKGROUND_GRID = (0.0, 3.0)
+
+class Grid(NamedTuple):
+    nbars: tuple
+    etas: tuple
+    kappas: tuple
+    backgrounds: tuple
+
+
+FULL_GRID = Grid((0.1, 1.0, 2.0, 5.0), (0.5, 0.9, 1.0), (0.1, 0.3, 0.8), (0.0, 3.0, 10.0))
+QUICK_GRID = Grid((0.1, 1.0), (0.9,), (0.1, 0.8), (0.0, 3.0))
 
 
 @dataclass(frozen=True)
@@ -58,29 +60,6 @@ class CheckResult:
         return f"worst {self.name}: {params}"
 
 
-@dataclass
-class _Worst:
-    """Running maximum of one family's errors and the first case attaining it.
-
-    A NaN error ranks above every number, so it becomes the maximum and fails
-    the family instead of being skipped by the comparison.
-    """
-
-    max_error: float = 0.0
-    case: dict | None = None
-    cases: int = 0
-
-    def add(self, error: float, **case) -> None:
-        self.cases += 1
-        if self.case is None or (not error <= self.max_error and not math.isnan(self.max_error)):
-            self.max_error, self.case = error, case
-
-    def result(self, name: str, tolerance: float) -> CheckResult:
-        return CheckResult(
-            name, self.max_error, tolerance, self.cases, tuple((self.case or {}).items())
-        )
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     checks: tuple[CheckResult, ...]
@@ -100,174 +79,164 @@ class VerifyReport:
         return out
 
 
-def _herald_grid(nbars, etas, max_detectors):
-    for nbar in nbars:
-        for eta in etas:
-            for detectors in range(1, max_detectors + 1):
-                for clicks in range(detectors + 1):
-                    yield nbar, eta, detectors, clicks
+@dataclass(frozen=True)
+class _Sweep:
+    """What the families read: the grid, the truncation override, the self-test offset."""
+
+    grid: Grid
+    n_max: int | None
+    perturbation: float
+    # Oracle herald states by (nbar, eta, N, k), filled by the herald family
+    # and read by the end-to-end and Wigner families that run after it.
+    herald_diags: dict = field(default_factory=dict)
+
+    def truncation(self, mean: float) -> int:
+        return self.n_max if self.n_max is not None else oracle.choose_truncation(mean)
 
 
-def run_verification(
-    closed_tol: float = CLOSED_FORM_TOL,
-    end_to_end_tol: float = END_TO_END_TOL,
-    wigner_tol: float = WIGNER_TOL,
-    quick: bool = False,
-    n_max: int | None = None,
-    perturbation: float = 0.0,
-) -> VerifyReport:
-    """Run the full equivalence sweep and return a report.
+def _outcomes(max_detectors: int):
+    """Every (N, k) outcome of an N-detector multiplex, N = 1 .. max_detectors."""
+    return [(n, k) for n in range(1, max_detectors + 1) for k in range(n + 1)]
 
-    ``perturbation`` is added to one closed-form click probability to prove
-    the sweep actually detects drift (sensitivity self-test).
-    ``n_max`` overrides the adaptive truncation (small values exercise the
-    truncation-insufficient path).
-    """
-    nbars = QUICK_NBAR_GRID if quick else NBAR_GRID
-    etas = QUICK_ETA_GRID if quick else ETA_GRID
-    kappas = QUICK_KAPPA_GRID if quick else KAPPA_GRID
-    backgrounds = QUICK_BACKGROUND_GRID if quick else BACKGROUND_GRID
 
-    def signal_truncation(nbar):
-        return n_max if n_max is not None else oracle.choose_truncation(nbar)
-
-    checks = []
-
-    # Heralded photon-number distributions vs direct TMSV contraction.
-    worst = _Worst()
-    herald_diags = {}
-    for nbar, eta, detectors, clicks in _herald_grid(nbars, etas, MAX_HERALD_DETECTORS):
-        trunc = signal_truncation(nbar)
+def _herald_distributions(s: _Sweep):
+    """Heralded photon-number distributions vs direct TMSV contraction."""
+    for nbar, eta, (detectors, clicks) in product(
+        s.grid.nbars, s.grid.etas, _outcomes(MAX_HERALD_DETECTORS)
+    ):
+        trunc = s.truncation(nbar)
         diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, trunc)
-        herald_diags[(nbar, eta, detectors, clicks)] = diag
+        s.herald_diags[(nbar, eta, detectors, clicks)] = diag
         closed = photon_number_distribution(
             herald_state(nbar, eta, detectors, clicks), min(60, trunc)
         )
         error = float(np.abs(closed - diag.probs[: closed.size]).max())
-        worst.add(error, nbar=nbar, eta=eta, detectors=detectors, clicks=clicks)
-    checks.append(worst.result("herald photon distributions", closed_tol))
+        yield error, dict(nbar=nbar, eta=eta, detectors=detectors, clicks=clicks)
 
-    # Thermal click probabilities vs Fock contraction.
-    worst = _Worst()
-    first = True
-    for nbar in nbars:
-        trunc = signal_truncation(nbar)
-        diag = oracle.thermal_diag(nbar, trunc)
+
+def _thermal_clicks(s: _Sweep):
+    """Thermal click probabilities vs Fock contraction; the self-test offset lands on the first."""
+    offset = s.perturbation
+    for nbar in s.grid.nbars:
+        diag = oracle.thermal_diag(nbar, s.truncation(nbar))
+        thermal = SignedThermalMixture.thermal(nbar)
+        for eta, (detectors, clicks) in product((0.5, 0.9), _outcomes(MAX_HERALD_DETECTORS)):
+            closed = click_probability(ClickMultiplex(detectors, eta), clicks, thermal) + offset
+            offset = 0.0
+            brute = oracle.oracle_click_prob(detectors, clicks, eta, diag)
+            yield abs(closed - brute), dict(nbar=nbar, eta=eta, detectors=detectors, clicks=clicks)
+
+
+def _channel_thermals(s: _Sweep):
+    """Channel action on thermals vs loss/amplifier kernels."""
+    for nbar in s.grid.nbars:
+        diag = oracle.thermal_diag(nbar, s.truncation(nbar))
+        thermal = SignedThermalMixture.thermal(nbar)
+        for kappa, nb in product(s.grid.kappas, s.grid.backgrounds):
+            out = oracle.oracle_beamsplitter(diag, kappa, nb)
+            closed_state = apply_channel(TargetChannel(kappa, nb), thermal)
+            closed = photon_number_distribution(closed_state, out.n_max)
+            yield float(np.abs(closed - out.probs).max()), dict(nbar=nbar, kappa=kappa, nbar_b=nb)
+
+
+def _displaced_moments(s: _Sweep):
+    """Displaced thermal moments vs kernel-built distributions."""
+    for mu, kappa, nb in product((0.5, 1.0, 2.0), s.grid.kappas, s.grid.backgrounds):
+        returned = apply_channel(TargetChannel(kappa, nb), DisplacedThermal(mu, 0.0))
+        diag = oracle.displaced_thermal_diag(
+            returned.coherent_mean, returned.thermal_mean, s.truncation(mu + nb)
+        )
         for eta in (0.5, 0.9):
-            for detectors in range(1, MAX_HERALD_DETECTORS + 1):
-                mux = ClickMultiplex(detectors, eta)
-                for clicks in range(detectors + 1):
-                    closed = click_probability(mux, clicks, SignedThermalMixture.thermal(nbar))
-                    if first:
-                        closed += perturbation
-                        first = False
-                    brute = oracle.oracle_click_prob(detectors, clicks, eta, diag)
-                    worst.add(
-                        abs(closed - brute), nbar=nbar, eta=eta, detectors=detectors, clicks=clicks
-                    )
-    checks.append(worst.result("thermal click probabilities", closed_tol))
+            closed = normal_ordered_moment(returned, eta)
+            brute = oracle.oracle_click_prob(1, 0, eta, diag)
+            yield abs(closed - brute), dict(mu=mu, kappa=kappa, nbar_b=nb, eta=eta)
 
-    # Channel action on thermals vs loss/amplifier kernels.
-    worst = _Worst()
-    for nbar in nbars:
-        trunc = signal_truncation(nbar)
-        diag = oracle.thermal_diag(nbar, trunc)
-        for kappa in kappas:
-            for nb in backgrounds:
-                channel = TargetChannel(kappa, nb)
-                out = oracle.oracle_beamsplitter(diag, kappa, nb)
-                closed_state = apply_channel(channel, SignedThermalMixture.thermal(nbar))
-                closed = photon_number_distribution(closed_state, out.n_max)
-                error = float(np.abs(closed - out.probs).max())
-                worst.add(error, nbar=nbar, kappa=kappa, nbar_b=nb)
-    checks.append(worst.result("channel thermal transform", closed_tol))
 
-    # Displaced thermal moments vs kernel-built distributions.
-    worst = _Worst()
-    for mu in (0.5, 1.0, 2.0):
-        for kappa in kappas:
-            for nb in backgrounds:
-                channel = TargetChannel(kappa, nb)
-                returned = apply_channel(channel, DisplacedThermal(mu, 0.0))
-                trunc = oracle.choose_truncation(mu + nb) if n_max is None else n_max
-                diag = oracle.displaced_thermal_diag(
-                    returned.coherent_mean, returned.thermal_mean, trunc
+def _end_to_end_clicks(s: _Sweep):
+    """End-to-end receiver click probabilities: herald -> channel -> receiver."""
+    nbars = [nbar for nbar in s.grid.nbars if nbar <= 2.0]
+    for nbar, eta, (detectors, clicks) in product(nbars, s.grid.etas, _outcomes(3)):
+        diag = s.herald_diags[(nbar, eta, detectors, clicks)]
+        conditioned = herald_state(nbar, eta, detectors, clicks)
+        for kappa, nb in product(s.grid.kappas, s.grid.backgrounds):
+            closed_state = apply_channel(TargetChannel(kappa, nb), conditioned)
+            brute_out = oracle.oracle_beamsplitter(diag, kappa, nb)
+            for n_s, k_s in _outcomes(2):
+                closed = receiver_click_prob(ClickMultiplex(n_s, 0.9), k_s, closed_state)
+                brute = oracle.oracle_click_prob(n_s, k_s, 0.9, brute_out)
+                yield abs(closed - brute), dict(
+                    nbar=nbar, eta=eta, detectors=detectors, clicks=clicks, kappa=kappa,
+                    nbar_b=nb, receiver_detectors=n_s, receiver_clicks=k_s,
                 )
-                for eta in (0.5, 0.9):
-                    closed = normal_ordered_moment(returned, eta)
-                    brute = oracle.oracle_click_prob(1, 0, eta, diag)
-                    worst.add(abs(closed - brute), mu=mu, kappa=kappa, nbar_b=nb, eta=eta)
-    checks.append(worst.result("displaced thermal moments", closed_tol))
 
-    # End-to-end receiver click probabilities: herald -> channel -> receiver.
-    worst = _Worst()
-    e2e_nbars = tuple(n for n in nbars if n <= 2.0)
-    for nbar in e2e_nbars:
-        for eta in etas:
-            for detectors in range(1, min(3, MAX_HERALD_DETECTORS) + 1):
-                for clicks in range(detectors + 1):
-                    key = (nbar, eta, detectors, clicks)
-                    diag = herald_diags.get(key)
-                    if diag is None:
-                        diag = oracle.oracle_herald_state(
-                            nbar, eta, detectors, clicks, signal_truncation(nbar)
-                        )
-                    conditioned = herald_state(nbar, eta, detectors, clicks)
-                    for kappa in kappas:
-                        for nb in backgrounds:
-                            channel = TargetChannel(kappa, nb)
-                            closed_state = apply_channel(channel, conditioned)
-                            brute_out = oracle.oracle_beamsplitter(diag, kappa, nb)
-                            for n_s in (1, 2):
-                                receiver = ClickMultiplex(n_s, 0.9)
-                                for k_s in range(n_s + 1):
-                                    closed = receiver_click_prob(receiver, k_s, closed_state)
-                                    brute = oracle.oracle_click_prob(n_s, k_s, 0.9, brute_out)
-                                    worst.add(
-                                        abs(closed - brute),
-                                        nbar=nbar, eta=eta, detectors=detectors, clicks=clicks,
-                                        kappa=kappa, nbar_b=nb, receiver_detectors=n_s,
-                                        receiver_clicks=k_s,
-                                    )
-    checks.append(worst.result("end-to-end receiver clicks", end_to_end_tol))
 
-    # Wigner slices vs the Laguerre series.
-    worst = _Worst()
+def _wigner_slices(s: _Sweep):
+    """Wigner slices vs the Laguerre series."""
     q_points = (0.0, 0.5, 1.0, 2.0)
-    for nbar in nbars:
-        for eta in (0.9,):
-            for detectors, clicks in ((1, 1), (2, 1), (2, 2)):
-                key = (nbar, eta, detectors, clicks)
-                diag = herald_diags.get(key)
-                if diag is None:
-                    diag = oracle.oracle_herald_state(
-                        nbar, eta, detectors, clicks, signal_truncation(nbar)
-                    )
-                conditioned = herald_state(nbar, eta, detectors, clicks)
-                closed = wigner_slice(conditioned, q_points)
-                for i, q in enumerate(q_points):
-                    brute = oracle.oracle_wigner(diag, q)
-                    worst.add(
-                        abs(float(closed[i]) - brute),
-                        nbar=nbar, eta=eta, detectors=detectors, clicks=clicks, q=q,
-                    )
-    checks.append(worst.result("wigner slices", wigner_tol))
+    for nbar, (detectors, clicks) in product(s.grid.nbars, ((1, 1), (2, 1), (2, 2))):
+        diag = s.herald_diags[(nbar, 0.9, detectors, clicks)]
+        closed = wigner_slice(herald_state(nbar, 0.9, detectors, clicks), q_points)
+        for value, q in zip(closed, q_points):
+            yield abs(float(value) - oracle.oracle_wigner(diag, q)), dict(
+                nbar=nbar, eta=0.9, detectors=detectors, clicks=clicks, q=q
+            )
 
-    # H0 receiver statistics against a plain thermal contraction.
-    worst = _Worst()
-    for nb in backgrounds:
+
+def _background_clicks(s: _Sweep):
+    """H0 receiver statistics against a plain thermal contraction."""
+    for nb in s.grid.backgrounds:
         if nb == 0.0:
             continue
-        channel = TargetChannel(0.5, nb)
-        diag = oracle.thermal_diag(nb, signal_truncation(nb))
-        for n_s in (1, 2):
-            receiver = ClickMultiplex(n_s, 0.9)
-            for k_s in range(n_s + 1):
-                closed = receiver_click_prob(receiver, k_s, background_state(channel))
-                brute = oracle.oracle_click_prob(n_s, k_s, 0.9, diag)
-                worst.add(
-                    abs(closed - brute), nbar_b=nb, receiver_detectors=n_s, receiver_clicks=k_s
-                )
-    checks.append(worst.result("background receiver clicks", closed_tol))
+        background = background_state(TargetChannel(0.5, nb))
+        diag = oracle.thermal_diag(nb, s.truncation(nb))
+        for n_s, k_s in _outcomes(2):
+            closed = receiver_click_prob(ClickMultiplex(n_s, 0.9), k_s, background)
+            brute = oracle.oracle_click_prob(n_s, k_s, 0.9, diag)
+            yield abs(closed - brute), dict(nbar_b=nb, receiver_detectors=n_s, receiver_clicks=k_s)
 
-    return VerifyReport(tuple(checks))
+
+# Report order, with each family's tolerance as a multiple of the closed-form
+# one: the end-to-end and Wigner families chain several closed forms.
+FAMILIES = (
+    ("herald photon distributions", 1.0, _herald_distributions),
+    ("thermal click probabilities", 1.0, _thermal_clicks),
+    ("channel thermal transform", 1.0, _channel_thermals),
+    ("displaced thermal moments", 1.0, _displaced_moments),
+    ("end-to-end receiver clicks", 10.0, _end_to_end_clicks),
+    ("wigner slices", 10.0, _wigner_slices),
+    ("background receiver clicks", 1.0, _background_clicks),
+)
+
+
+def _worst(name: str, tolerance: float, pairs) -> CheckResult:
+    """Reduce a family to its first case with the largest error.
+
+    A NaN error ranks above every number, so it becomes the maximum and fails
+    the family instead of being skipped by the comparison.
+    """
+    max_error, worst, cases = 0.0, None, 0
+    for error, case in pairs:
+        cases += 1
+        if worst is None or (not error <= max_error and not math.isnan(max_error)):
+            max_error, worst = error, case
+    return CheckResult(name, max_error, tolerance, cases, tuple((worst or {}).items()))
+
+
+def run_verification(
+    tolerance: float = CLOSED_FORM_TOL,
+    quick: bool = False,
+    n_max: int | None = None,
+    perturbation: float = 0.0,
+) -> VerifyReport:
+    """Run the equivalence sweep and return a report.
+
+    ``tolerance`` bounds the closed-form families; the chained end-to-end and
+    Wigner families get ten times it.  ``perturbation`` is added to one
+    closed-form click probability to prove the sweep actually detects drift
+    (sensitivity self-test).  ``n_max`` overrides the adaptive truncation
+    (small values exercise the truncation-insufficient path).
+    """
+    sweep = _Sweep(QUICK_GRID if quick else FULL_GRID, n_max, perturbation)
+    return VerifyReport(tuple(
+        _worst(name, scale * tolerance, family(sweep)) for name, scale, family in FAMILIES
+    ))

@@ -241,6 +241,13 @@ class TestVerifyCommand:
             in captured.err
         )
 
+    def test_one_tolerance_scales_the_chained_families(self, capsys):
+        assert run_cli(["verify", "--quick", "--tolerance", "1e-6"]) == 0
+        tolerances = [line.split("(tolerance ")[1].split(",")[0]
+                      for line in capsys.readouterr().out.splitlines()]
+        assert tolerances == ["1.0e-06"] * 4 + ["1.0e-05"] * 2 + ["1.0e-06"]
+        assert run_cli(["verify", "--quick", "--tolerance", "1e-20"]) == 3
+
     def test_truncation_insufficient_reported(self, capsys):
         assert run_cli(["verify", "--quick", "--n-max", "10"]) == 3
         err = capsys.readouterr().err
@@ -324,6 +331,8 @@ class TestBoundaryDefects:
         "tolerance_nan": (lambda tmp_path: ["verify", "--quick", "--tolerance", "nan"],
                           "--tolerance"),
         "n_max_negative": (lambda tmp_path: ["verify", "--quick", "--n-max", "-3"], "--n-max"),
+        # in range, but the coherent receiver's click sums lose completeness
+        "coherent_receiver_12": (_trajectories_row(receiver_detectors=12), "signals[1]: "),
     }
 
     @pytest.mark.parametrize("row", sorted(ROWS))
@@ -345,6 +354,7 @@ class TestBoundaryDefects:
         [
             {"eta": 1.5, "signals": ["coherent", {"kind": "quantum_heralded"}]},
             {"nbar": 1000.0, "signals": ["coherent", {"kind": "quantum_heralded_matched"}]},
+            {"receiver_detectors": 12},
         ],
     )
     def test_every_signal_checked_before_the_first_ensemble(

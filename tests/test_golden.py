@@ -5,8 +5,10 @@ The closed-form figure tables are regenerated with the exact invocations of
 A small ``qillum trajectories`` run is pinned by the sha256 of its CSV and
 sidecar, so any change to the Monte-Carlo draws, arithmetic or CSV formatting
 shows up here.  The stdout of ``qillum verify`` and ``qillum verify --quick``
-is pinned the same way; the full report's digest is also the benchmark's
-``verify_report``.
+is pinned the same way, and so is their stderr, whose worst-case lines depend
+on the first-max rule; the full report's digest is also the benchmark's
+``verify_report``.  The benchmark's tracer looks up its targets by name, so
+every name it lists must stay importable.
 """
 
 import hashlib
@@ -48,14 +50,22 @@ VERIFY_DIGESTS = {
     "full": "d31a9e7fb3fd1cf90b012350120e84d1acf016fe09bece6e3f6351dac38b25a5",
     "quick": "efaa60d6ee0e17867d5ba5949df36c346466b810ee0f270b0edac6ae275c7b42",
 }
+VERIFY_STDERR_DIGESTS = {
+    "full": "be783551cf2843241fb81e6463c7bac723e916e9cd3de1762cc5315ef604d833",
+    "quick": "89aafcfd7ad4680405c8f21ad1e10614adb619190c0635dc6402bd666bda8332",
+}
+
+
+def _load(path: Path):
+    """Import a script that is not part of a package, by its path."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_figure_tables_match_tracked_out(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "make_figure_data", ROOT / "scripts" / "make_figure_data.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load(ROOT / "scripts" / "make_figure_data.py")
 
     def run(*args):
         assert cli.main(list(args)) == 0
@@ -87,10 +97,19 @@ def test_trajectories_digests(tmp_path, monkeypatch, label):
 @pytest.mark.parametrize("sweep", sorted(VERIFY_DIGESTS))
 def test_verify_report_digest(capsys, sweep):
     assert cli.main(["verify"] + (["--quick"] if sweep == "quick" else [])) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == VERIFY_DIGESTS[sweep]
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == VERIFY_DIGESTS[sweep]
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == VERIFY_STDERR_DIGESTS[sweep]
 
 
 def test_full_verify_digest_is_the_benchmark_digest():
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
     assert VERIFY_DIGESTS["full"] == expected["verify_report"]
+
+
+def test_benchmark_tracer_targets_resolve():
+    tracer = _load(ROOT / "perfbench" / "tracer.py")
+    for layer, names in tracer.TARGETS.items():
+        module = importlib.import_module(f"qillum.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"qillum.{layer}.{name}"

@@ -280,7 +280,7 @@ class TestRunTrajectory:
             shots=shots,
         )
         tables = build_tables(config)
-        vector = run_trajectory(config, trial, tables)
+        vector = run_trajectory(config, trial)
         ctx = ShotContext(
             tables=tables, target_present=target_present, rng=trial_stream(config.seed, trial)
         )
