@@ -39,9 +39,7 @@ from .povm import (
 )
 from .states import (
     DisplacedThermal,
-    HeraldedState,
     SignedThermalMixture,
-    ThermalComponent,
     fano_factor,
     herald_state,
     mean_photon,

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 from .errors import UndefinedPosteriorError, UnsupportedStateError
 from .povm import ClickMultiplex, click_probability
-from .states import (
-    DisplacedThermal,
-    SignedThermalMixture,
-    StateModel,
-    ThermalComponent,
-    _unwrap,
-)
+from .states import DisplacedThermal, SignedThermalMixture, StateModel
 
 
 @dataclass(frozen=True)
@@ -50,15 +44,9 @@ def background_state(channel: TargetChannel) -> SignedThermalMixture:
 
 def apply_channel(channel: TargetChannel, signal) -> StateModel:
     """Return state for a present target: reflected signal plus background."""
-    signal = _unwrap(signal)
     kappa, nb = channel.reflectivity, channel.background_mean
     if isinstance(signal, SignedThermalMixture):
-        return SignedThermalMixture(
-            tuple(
-                ThermalComponent(c.weight, kappa * c.mean + nb)
-                for c in signal.components
-            )
-        )
+        return SignedThermalMixture(signal.weights, tuple(kappa * m + nb for m in signal.means))
     if isinstance(signal, DisplacedThermal):
         return DisplacedThermal(kappa * signal.coherent_mean, kappa * signal.thermal_mean + nb)
     raise UnsupportedStateError(f"channel undefined for {type(signal).__name__}")

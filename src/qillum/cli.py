@@ -29,7 +29,7 @@ from . import mc, verify
 from .channel import TargetChannel, apply_channel, background_state, receiver_click_prob
 from .errors import QillumError, TruncationError
 from .matching import MatchSpec, coherent_click_prob, matched_mean, thermal_click_prob
-from .povm import ClickMultiplex
+from .povm import MAX_ALTERNATING_TERMS, ClickMultiplex
 from .states import DisplacedThermal, herald_state, mean_photon, tmsv_marginal, wigner_slice
 
 ENV_THREADS = "QILLUM_THREADS"
@@ -92,9 +92,10 @@ def _number(value, allowed=lambda x: True, what="a number") -> float:
     return float(_require(numeric and allowed(value), value, what))
 
 
-def _integer(value, least=-math.inf) -> int:
-    ok = isinstance(value, int) and not isinstance(value, bool) and value >= least
-    return _require(ok, value, "an integer" if least == -math.inf else f"an integer >= {least}")
+def _integer(value, least=-math.inf, most=math.inf) -> int:
+    ok = isinstance(value, int) and not isinstance(value, bool) and least <= value <= most
+    what = "an integer" if least == -math.inf else f"an integer >= {least}"
+    return _require(ok, value, what if most == math.inf else f"an integer in [{least}, {most}]")
 
 
 def _items(value, read, what: str) -> list:
@@ -134,7 +135,9 @@ def _signal(entry) -> dict:
     detectors = _integer(entry.get("herald_detectors", 1))
     prefix = "quantum" if kind == "quantum_heralded" else "matched"
     label = entry.get("label", "coherent" if kind == "coherent" else f"{prefix}_n{detectors}")
-    _require(isinstance(label, str), label, "a string label")
+    # A label is a CSV header field, written unquoted.
+    _require(isinstance(label, str) and not set(label) & set(',"\r\n'), label,
+             "a string label without commas, quotes or line breaks")
     return {"kind": kind, "detectors": detectors, "label": label}
 
 
@@ -164,6 +167,9 @@ POSITIVE = Kind(partial(_number, allowed=lambda x: 0 < x < math.inf, what="finit
 INTEGER = Kind(_integer, {"type": int})
 NATURAL = Kind(partial(_integer, least=0), {"type": int})
 COUNT = Kind(partial(_integer, least=1), {"type": int})
+SEED = Kind(partial(_integer, least=0, most=2**64 - 1), {"type": int})
+# Every outcome of a multiplex must stay within the alternating click-sum cap.
+DETECTORS = Kind(partial(_integer, least=1, most=MAX_ALTERNATING_TERMS), {"type": int})
 BOOLEAN = Kind(lambda value: _require(isinstance(value, bool), value, "true or false"))
 SWITCH = BOOLEAN._replace(flag={"action": "store_true"})
 TEXT = Kind(str, {})
@@ -224,7 +230,7 @@ def cmd_herald_stats(v) -> int:
     for n, k in v.outcomes:
         heralded = [herald_state(nbar, v.eta, n, k) for nbar in v.nbar_grid]
         probabilities.append([h.herald_probability for h in heralded])
-        means.append([mean_photon(h) for h in heralded])
+        means.append([mean_photon(h.state) for h in heralded])
     _write_csv(v.out, header, [v.nbar_grid, *probabilities, *means])
     return 0
 
@@ -242,7 +248,7 @@ def cmd_click_prob(v) -> int:
             if sig["kind"] == "coherent":
                 signal = DisplacedThermal(nbar, 0.0)
             else:
-                signal = herald_state(nbar, v.eta, sig["detectors"], sig["clicks"])
+                signal = herald_state(nbar, v.eta, sig["detectors"], sig["clicks"]).state
             column.append(receiver_click_prob(receiver, 1, apply_channel(channel, signal)))
         columns.append(column)
     _write_csv(v.out, header, columns)
@@ -381,12 +387,12 @@ COMMANDS = {
         Param("nbar", None, MEAN),
         Param("eta", None, EFFICIENCY, 0.9),
         Param("eta_s", None, EFFICIENCY, 0.9),
-        Param("receiver_detectors", None, COUNT, 1),
+        Param("receiver_detectors", None, DETECTORS, 1),
         Param("kappa", None, REFLECTIVITY, 0.1),
         Param("nbar_b", None, BACKGROUND, 3.0),
         Param("shots", None, COUNT),
         Param("trials", None, COUNT),
-        Param("seed", "--seed", INTEGER, 0, "64-bit RNG seed override"),
+        Param("seed", "--seed", SEED, 0, "64-bit RNG seed override"),
         Param("target_present", None, BOOLEAN, True),
         Param("eta_e", None, EAVESDROPPER, 0.9),
         Param("thresholds", None, THRESHOLDS, [0.8, 0.9]),

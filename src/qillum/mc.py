@@ -26,7 +26,6 @@ from scipy.special import expit
 from .channel import TargetChannel, apply_channel, background_state
 from .errors import QillumError
 from .matching import MatchSpec, matched_mean
-from .numerics import CompensatedVectorSum
 from .povm import ClickMultiplex, _validate_outcome, click_distribution
 from .states import DisplacedThermal, herald_state, tmsv_marginal
 
@@ -135,6 +134,27 @@ class LikelihoodTables:
                     raise ValueError(f"{where} ends at {row[-1]!r}, not exactly 1.0")
 
 
+class CompensatedVectorSum:
+    """Neumaier-compensated elementwise accumulator for ndarray partial sums.
+
+    Used to reduce Monte-Carlo trial chunks in a fixed order so the ensemble
+    mean is independent of how many workers produced the chunks.
+    """
+
+    def __init__(self, size: int):
+        self._total = np.zeros(size)
+        self._comp = np.zeros(size)
+
+    def add(self, values: np.ndarray) -> None:
+        t = self._total + values
+        swap = np.abs(self._total) >= np.abs(values)
+        self._comp += np.where(swap, (self._total - t) + values, (values - t) + self._total)
+        self._total = t
+
+    def result(self) -> np.ndarray:
+        return self._total + self._comp
+
+
 def splitmix64(value: int) -> int:
     """One step of the SplitMix64 integer mixer (public-domain constants)."""
     z = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -200,7 +220,7 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
         for k in range(config.herald_detectors + 1):
             conditioned = herald_state(
                 probe_nbar, config.herald_efficiency, config.herald_detectors, k
-            )
+            ).state
             rows.append(click_distribution(receiver, apply_channel(channel, conditioned)))
         l1 = np.vstack(rows)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -32,41 +32,35 @@ _PHYSICALITY_TOL_PER_WEIGHT = 1e-15
 
 
 @dataclass(frozen=True)
-class ThermalComponent:
-    """One thermal term of a signed mixture: ``weight * varrho[mean]``."""
-
-    weight: float
-    mean: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.weight):
-            raise ValueError(f"component weight must be finite, got {self.weight}")
-        if not (math.isfinite(self.mean) and self.mean >= 0.0):
-            raise ValueError(f"thermal mean must be finite and nonnegative, got {self.mean}")
-
-
-@dataclass(frozen=True)
 class SignedThermalMixture:
-    """Affine combination of thermal states with weights summing to one.
+    """Affine combination ``sum_i weights[i] * varrho[means[i]]`` of thermal states.
 
-    Weights may be negative; the combination must still describe a valid
-    density matrix, which is spot-checked through the photon-number
-    distribution on construction.
+    Weights may be negative but must sum to one; the combination must still
+    describe a valid density matrix, which is spot-checked through the
+    photon-number distribution on construction.
     """
 
-    components: tuple[ThermalComponent, ...]
+    weights: tuple[float, ...]
+    means: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.components:
+        weights, means = self.weights, self.means
+        if not weights:
             raise ValueError("a mixture needs at least one component")
-        weights = self.weights
-        scale = float(np.sum(np.abs(weights)))
-        trace = math.fsum(weights.tolist())
+        if len(weights) != len(means):
+            raise ValueError(f"{len(weights)} weights but {len(means)} means")
+        for weight, mean in zip(weights, means):
+            if not math.isfinite(weight):
+                raise ValueError(f"component weight must be finite, got {weight}")
+            if not (math.isfinite(mean) and mean >= 0.0):
+                raise ValueError(f"thermal mean must be finite and nonnegative, got {mean}")
+        scale = math.fsum(map(abs, weights))
+        trace = math.fsum(weights)
         trace_tol = _TRACE_TOL_FLOOR + _TRACE_TOL_PER_WEIGHT * scale
         if abs(trace - 1.0) > trace_tol:
             raise ValueError(f"mixture trace {trace!r} deviates from 1 beyond {trace_tol}")
         tol = _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
-        probs = _mixture_distribution(weights, self.means, PHYSICALITY_CHECK_LEVELS)
+        probs = _mixture_distribution(weights, means, PHYSICALITY_CHECK_LEVELS)
         lowest = float(probs.min())  # NaN if any p_n is NaN, and then fails
         if not (lowest >= -tol):
             raise ValueError(
@@ -75,15 +69,7 @@ class SignedThermalMixture:
 
     @classmethod
     def thermal(cls, mean: float) -> "SignedThermalMixture":
-        return cls((ThermalComponent(1.0, float(mean)),))
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.components])
+        return cls((1.0,), (float(mean),))
 
 
 @dataclass(frozen=True)
@@ -102,22 +88,11 @@ class DisplacedThermal:
 StateModel = Union[SignedThermalMixture, DisplacedThermal]
 
 
-@dataclass(frozen=True)
-class HeraldedState:
+class HeraldedState(NamedTuple):
     """A conditioned signal state together with the probability of heralding it."""
 
     state: SignedThermalMixture
     herald_probability: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.herald_probability <= 1.0):
-            raise ValueError(f"herald probability {self.herald_probability} outside [0, 1]")
-
-
-def _unwrap(state) -> StateModel:
-    if isinstance(state, HeraldedState):
-        return state.state
-    return state
 
 
 def tmsv_marginal(nbar: float) -> SignedThermalMixture:
@@ -191,33 +166,28 @@ def herald_state(nbar: float, efficiency: float, detectors: int, clicks: int) ->
     probability = math.comb(detectors, clicks) * denom / (1.0 + nbar)
     probability = min(1.0, max(0.0, probability))
 
-    mixture = SignedThermalMixture(
-        tuple(ThermalComponent(w, m) for w, m in zip(weights, means))
-    )
-    return HeraldedState(state=mixture, herald_probability=probability)
+    return HeraldedState(SignedThermalMixture(tuple(weights), tuple(means)), probability)
 
 
 def mean_photon(state) -> float:
     """First moment of the photon number operator."""
-    st = _unwrap(state)
-    if isinstance(st, SignedThermalMixture):
-        return math.fsum(c.weight * c.mean for c in st.components)
-    if isinstance(st, DisplacedThermal):
-        return st.coherent_mean + st.thermal_mean
-    raise UnsupportedStateError(f"mean_photon undefined for {type(st).__name__}")
+    if isinstance(state, SignedThermalMixture):
+        return math.fsum(w * m for w, m in zip(state.weights, state.means))
+    if isinstance(state, DisplacedThermal):
+        return state.coherent_mean + state.thermal_mean
+    raise UnsupportedStateError(f"mean_photon undefined for {type(state).__name__}")
 
 
 def second_moment(state) -> float:
     """Second moment <n^2>; for a thermal component it is 2m^2 + m."""
-    st = _unwrap(state)
-    if isinstance(st, SignedThermalMixture):
-        return math.fsum(c.weight * (2.0 * c.mean**2 + c.mean) for c in st.components)
-    if isinstance(st, DisplacedThermal):
-        mu, m = st.coherent_mean, st.thermal_mean
+    if isinstance(state, SignedThermalMixture):
+        return math.fsum(w * (2.0 * m**2 + m) for w, m in zip(state.weights, state.means))
+    if isinstance(state, DisplacedThermal):
+        mu, m = state.coherent_mean, state.thermal_mean
         variance = mu * (1.0 + 2.0 * m) + m * (1.0 + m)
         mean = mu + m
         return variance + mean**2
-    raise UnsupportedStateError(f"second_moment undefined for {type(st).__name__}")
+    raise UnsupportedStateError(f"second_moment undefined for {type(state).__name__}")
 
 
 def fano_factor(state) -> float:
@@ -228,18 +198,18 @@ def fano_factor(state) -> float:
     return (second_moment(state) - mean**2) / mean
 
 
-def _mixture_distribution(weights: np.ndarray, means: np.ndarray, n_max: int) -> np.ndarray:
+def _mixture_distribution(weights, means, n_max: int) -> np.ndarray:
     """Longdouble p_0 .. p_{n_max} of sum_i w_i m_i^n / (1 + m_i)^(n+1).
 
     Near-degenerate heralds carry weights of magnitude ~1e7 whose signed sum
     must cancel to ~1e-12 absolute, hence extended precision.  Each row is a
     running product, 1/(1+m) times n factors m/(1+m); a vacuum row is [1, 0, ...].
     """
-    m = means.astype(np.longdouble)[:, None]
+    m = np.array(means, dtype=np.longdouble)[:, None]
     comp = np.repeat(m / (1.0 + m), n_max + 1, axis=1)
     comp[:, :1] = 1.0 / (1.0 + m)
     np.multiply.accumulate(comp, axis=1, out=comp)
-    return weights.astype(np.longdouble) @ comp
+    return np.array(weights, dtype=np.longdouble) @ comp
 
 
 def photon_number_distribution(state, n_max: int) -> np.ndarray:
@@ -250,15 +220,14 @@ def photon_number_distribution(state, n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    st = _unwrap(state)
-    if isinstance(st, DisplacedThermal):
+    if isinstance(state, DisplacedThermal):
         raise UnsupportedStateError(
             "displaced thermal photon distributions are computed by "
             "oracle.displaced_thermal_diag"
         )
-    if not isinstance(st, SignedThermalMixture):
-        raise UnsupportedStateError(f"no distribution for {type(st).__name__}")
-    return _mixture_distribution(st.weights, st.means, n_max).astype(float)
+    if not isinstance(state, SignedThermalMixture):
+        raise UnsupportedStateError(f"no distribution for {type(state).__name__}")
+    return _mixture_distribution(state.weights, state.means, n_max).astype(float)
 
 
 def wigner_slice(state, q_grid) -> np.ndarray:
@@ -268,10 +237,9 @@ def wigner_slice(state, q_grid) -> np.ndarray:
     mean m contributes w * exp(-q^2 / (2m + 1)) / (pi * (2m + 1)) and the full
     2-D integral of each component equals its weight.
     """
-    st = _unwrap(state)
-    if not isinstance(st, SignedThermalMixture):
+    if not isinstance(state, SignedThermalMixture):
         raise UnsupportedStateError("wigner_slice is defined for signed thermal mixtures")
     q = np.atleast_1d(np.asarray(q_grid, dtype=float))
-    widths = 2.0 * st.means + 1.0
+    widths = 2.0 * np.array(state.means) + 1.0
     gauss = np.exp(-np.square(q)[None, :] / widths[:, None])
-    return (st.weights / (np.pi * widths)) @ gauss
+    return (np.array(state.weights) / (np.pi * widths)) @ gauss

@@ -108,7 +108,7 @@ def _herald_distributions(s: _Sweep):
         diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, trunc)
         s.herald_diags[(nbar, eta, detectors, clicks)] = diag
         closed = photon_number_distribution(
-            herald_state(nbar, eta, detectors, clicks), min(60, trunc)
+            herald_state(nbar, eta, detectors, clicks).state, min(60, trunc)
         )
         error = float(np.abs(closed - diag.probs[: closed.size]).max())
         yield error, dict(nbar=nbar, eta=eta, detectors=detectors, clicks=clicks)
@@ -157,7 +157,7 @@ def _end_to_end_clicks(s: _Sweep):
     nbars = [nbar for nbar in s.grid.nbars if nbar <= 2.0]
     for nbar, eta, (detectors, clicks) in product(nbars, s.grid.etas, _outcomes(3)):
         diag = s.herald_diags[(nbar, eta, detectors, clicks)]
-        conditioned = herald_state(nbar, eta, detectors, clicks)
+        conditioned = herald_state(nbar, eta, detectors, clicks).state
         for kappa, nb in product(s.grid.kappas, s.grid.backgrounds):
             closed_state = apply_channel(TargetChannel(kappa, nb), conditioned)
             brute_out = oracle.oracle_beamsplitter(diag, kappa, nb)
@@ -175,7 +175,7 @@ def _wigner_slices(s: _Sweep):
     q_points = (0.0, 0.5, 1.0, 2.0)
     for nbar, (detectors, clicks) in product(s.grid.nbars, ((1, 1), (2, 1), (2, 2))):
         diag = s.herald_diags[(nbar, 0.9, detectors, clicks)]
-        closed = wigner_slice(herald_state(nbar, 0.9, detectors, clicks), q_points)
+        closed = wigner_slice(herald_state(nbar, 0.9, detectors, clicks).state, q_points)
         for value, q in zip(closed, q_points):
             yield abs(float(value) - oracle.oracle_wigner(diag, q)), dict(
                 nbar=nbar, eta=0.9, detectors=detectors, clicks=clicks, q=q

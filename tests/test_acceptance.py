@@ -189,7 +189,7 @@ def test_criterion_2_unit_efficiency_mean_boost():
     """Heralding one click at unit efficiency raises the mean by exactly one."""
     worst = 0.0
     for nbar in (0.01, 0.1, 1.0, 10.0):
-        boost = mean_photon(herald_state(nbar, 1.0, 1, 1)) - nbar
+        boost = mean_photon(herald_state(nbar, 1.0, 1, 1).state) - nbar
         worst = max(worst, abs(boost - 1.0))
     report(
         "2 mean boost identity",
@@ -319,7 +319,8 @@ def test_criterion_7b_fock_support():
     worst = 0.0
     for nbar in (0.5, 1.0, 2.0):
         for detectors, clicks in ((1, 1), (2, 2), (3, 2), (4, 4)):
-            p = photon_number_distribution(herald_state(nbar, 0.9, detectors, clicks), clicks - 1)
+            state = herald_state(nbar, 0.9, detectors, clicks).state
+            p = photon_number_distribution(state, clicks - 1)
             worst = max(worst, float(np.abs(p).max()))
     report("7b fock support", worst < 1e-12, f"max |p_(n<k)| = {worst:.2e}")
 
@@ -374,14 +375,14 @@ def test_criterion_7f_wigner_negativity_at_origin():
     origin = {}
     worst = 0.0
     for detectors, clicks in ((1, 1), (2, 1), (2, 2), (3, 3)):
-        value = float(wigner_slice(herald_state(1.0, 0.9, detectors, clicks), [0.0])[0])
+        value = float(wigner_slice(herald_state(1.0, 0.9, detectors, clicks).state, [0.0])[0])
         probs = oracle_herald_state(1.0, 0.9, detectors, clicks, 200).probs
         parity = math.fsum((probs * (-1.0) ** np.arange(probs.size)).tolist())
         worst = max(worst, abs(value - parity / math.pi))
         origin[(detectors, clicks)] = value
     odd_negative = all(value < 0.0 for (_, clicks), value in origin.items() if clicks % 2)
     q = np.linspace(0.0, 3.0, 301)
-    ring = wigner_slice(herald_state(1.0, 0.9, 2, 2), q)
+    ring = wigner_slice(herald_state(1.0, 0.9, 2, 2).state, q)
     q_min = float(q[np.argmin(ring)])
     report(
         "7f wigner negativity at origin",
@@ -394,7 +395,7 @@ def test_criterion_7f_wigner_negativity_at_origin():
 
 
 def test_criterion_7g_fano_factors():
-    sub = fano_factor(herald_state(0.1, 0.9, 2, 2))
+    sub = fano_factor(herald_state(0.1, 0.9, 2, 2).state)
     coherent = fano_factor(DisplacedThermal(1.3, 0.0))
     report(
         "7g fano factors",

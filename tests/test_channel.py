@@ -38,18 +38,18 @@ class TestTargetChannel:
     def test_background_state(self):
         for nb in (0.0, 3.0, 10.0):
             state = background_state(TargetChannel(0.5, nb))
-            assert len(state.components) == 1
-            assert state.components[0].mean == nb
+            assert len(state.weights) == len(state.means) == 1
+            assert state.means[0] == nb
 
 
 class TestApplyChannel:
     def test_thermal_affine_map(self):
         out = apply_channel(TargetChannel(0.1, 3.0), tmsv_marginal(1.0))
-        assert out.components[0].mean == pytest.approx(3.1, abs=1e-15)
+        assert out.means[0] == pytest.approx(3.1, abs=1e-15)
 
     def test_vacuum_signal_gives_background(self):
         out = apply_channel(TargetChannel(0.4, 2.0), tmsv_marginal(0.0))
-        assert out.components[0].mean == pytest.approx(2.0, abs=1e-15)
+        assert out.means[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_displaced_map(self):
         out = apply_channel(TargetChannel(0.3, 10.0), DisplacedThermal(1.0, 0.0))
@@ -59,7 +59,7 @@ class TestApplyChannel:
         signal = herald_state(1.0, 0.9, 2, 2).state
         out = apply_channel(TargetChannel(0.3, 10.0), signal)
         assert np.allclose(out.weights, signal.weights)
-        assert np.allclose(out.means, 0.3 * signal.means + 10.0)
+        assert np.allclose(out.means, 0.3 * np.array(signal.means) + 10.0)
 
     def test_mean_conservation(self):
         channels = [TargetChannel(k, nb) for k in (0.1, 0.3, 0.8) for nb in (0.0, 3.0, 10.0)]
@@ -105,7 +105,7 @@ class TestReceiverClickProb:
     def test_click_completeness_forces_h1_complement(self):
         # Pr_1(1 | H1) must equal 1 - Pr_1(0 | H1)
         ch = TargetChannel(0.3, 10.0)
-        h1 = apply_channel(ch, herald_state(1.0, 0.9, 2, 2))
+        h1 = apply_channel(ch, herald_state(1.0, 0.9, 2, 2).state)
         receiver = ClickMultiplex(1, 0.9)
         one = receiver_click_prob(receiver, 1, h1)
         zero = receiver_click_prob(receiver, 0, h1)
@@ -117,7 +117,7 @@ class TestReceiverClickProb:
         for nbar in (0.1, 0.5, 1.0, 5.0, 20.0):
             for kappa in (0.1, 0.8):
                 ch = TargetChannel(kappa, 10.0)
-                h1 = apply_channel(ch, herald_state(nbar, 0.9, 2, 2))
+                h1 = apply_channel(ch, herald_state(nbar, 0.9, 2, 2).state)
                 p1 = receiver_click_prob(receiver, 1, h1)
                 p0 = receiver_click_prob(receiver, 1, background_state(ch))
                 assert p1 > p0
@@ -128,7 +128,7 @@ class TestReceiverClickProb:
         receiver = ClickMultiplex(1, 0.9)
 
         def gap(nbar):
-            quantum = apply_channel(ch, herald_state(nbar, 0.9, 1, 1))
+            quantum = apply_channel(ch, herald_state(nbar, 0.9, 1, 1).state)
             coherent = apply_channel(ch, DisplacedThermal(nbar, 0.0))
             return receiver_click_prob(receiver, 1, coherent) - receiver_click_prob(
                 receiver, 1, quantum

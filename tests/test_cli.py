@@ -307,6 +307,15 @@ def _herald_stats_row(outcomes):
     return argv
 
 
+def _click_prob_row(signals):
+    def argv(tmp_path):
+        config = tmp_path / "click.json"
+        config.write_text(json.dumps({"signals": signals}))
+        return ["click-prob", "--grid", "1", "--config", str(config)]
+
+    return argv
+
+
 class TestBoundaryDefects:
     """Inputs the CLI once accepted, truncated or crashed on.
 
@@ -324,6 +333,18 @@ class TestBoundaryDefects:
         ),
         "seed_float": (_trajectories_row(seed=1.9), "seed"),
         "seed_bool": (_trajectories_row(seed=True), "seed"),
+        "seed_negative_flag": (lambda tmp_path: _trajectories_row()(tmp_path) + ["--seed", "-1"],
+                               "--seed: "),
+        "seed_beyond_64_bits": (_trajectories_row(seed=2**64), "seed: "),
+        "receiver_detectors_65": (_trajectories_row(receiver_detectors=65), "receiver_detectors: "),
+        "label_comma": (_trajectories_row(signals=[{"kind": "coherent", "label": "a,b"}]),
+                        "signals: "),
+        "label_quote": (_trajectories_row(signals=[{"kind": "coherent", "label": 'a"b'}]),
+                        "signals: "),
+        "label_newline": (_trajectories_row(signals=[{"kind": "coherent", "label": "a\nb"}]),
+                          "signals: "),
+        "click_prob_label_cr": (_click_prob_row([{"kind": "coherent", "label": "a\rb"}]),
+                                "signals: "),
         "threshold_above_one": (_trajectories_row(thresholds=[1.5]), "thresholds"),
         "thresholds_string": (_trajectories_row(thresholds="0.8"), "thresholds"),
         "outcomes_number": (_herald_stats_row(5), "outcomes"),

@@ -8,7 +8,8 @@ shows up here.  The stdout of ``qillum verify`` and ``qillum verify --quick``
 is pinned the same way, and so is their stderr, whose worst-case lines depend
 on the first-max rule; the full report's digest is also the benchmark's
 ``verify_report``.  The benchmark's tracer looks up its targets by name, so
-every name it lists must stay importable.
+every name it lists must stay importable, and its figure commands and digests
+must stay those of ``scripts/make_figure_data.py`` and the tracked ``out/*.csv``.
 """
 
 import hashlib
@@ -113,3 +114,29 @@ def test_benchmark_tracer_targets_resolve():
         module = importlib.import_module(f"qillum.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"qillum.{layer}.{name}"
+
+
+def test_benchmark_figure_contract(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up in sys.modules while the module executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    script = _load(ROOT / "scripts" / "make_figure_data.py")
+    issued = {}
+
+    def record(*args):
+        args = list(args)
+        out = args.index("--out")
+        issued[Path(args[out + 1]).name] = args[:out] + args[out + 2:]
+
+    monkeypatch.setattr(script, "cli", record)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["make_figure_data.py", "--skip-trajectories"])
+    script.main()
+    assert issued == workloads.FIGURE_COMMANDS
+
+    digests = workloads.EXPECTED["figure_tables"]
+    assert sorted(digests) == sorted(path.name for path in (ROOT / "out").glob("*.csv"))
+    for name, digest in digests.items():
+        assert hashlib.sha256((ROOT / "out" / name).read_bytes()).hexdigest() == digest, name

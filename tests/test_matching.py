@@ -110,9 +110,9 @@ class TestMatchedMean:
         for nbar_alpha in (0.2, 0.5, 1.0, 2.0, 5.0):
             matched = matched_mean(MatchSpec(nbar_alpha, 0.9))
             plain = receiver_click_prob(
-                receiver, 1, apply_channel(channel, herald_state(nbar_alpha, 0.9, 1, 1))
+                receiver, 1, apply_channel(channel, herald_state(nbar_alpha, 0.9, 1, 1).state)
             )
             boosted = receiver_click_prob(
-                receiver, 1, apply_channel(channel, herald_state(matched, 0.9, 1, 1))
+                receiver, 1, apply_channel(channel, herald_state(matched, 0.9, 1, 1).state)
             )
             assert boosted > plain

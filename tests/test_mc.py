@@ -144,7 +144,7 @@ class TestLikelihoodTables:
         for k in range(config.herald_detectors + 1):
             conditioned = herald_state(
                 config.nbar, config.herald_efficiency, config.herald_detectors, k
-            )
+            ).state
             h1 = apply_channel(channel, conditioned)
             for k_s in range(config.receiver_detectors + 1):
                 expected = receiver_click_prob(receiver, k_s, h1)

@@ -184,7 +184,7 @@ class TestOracleHeraldState:
 
     def test_distribution_matches_closed_form(self):
         diag = oracle.oracle_herald_state(1.0, 0.9, 2, 2, 160)
-        closed = photon_number_distribution(herald_state(1.0, 0.9, 2, 2), 80)
+        closed = photon_number_distribution(herald_state(1.0, 0.9, 2, 2).state, 80)
         assert np.abs(diag.probs[:81] - closed).max() < 1e-9
 
     def test_herald_probability_matches(self):
@@ -292,7 +292,7 @@ class TestOracleWigner:
 
     def test_herald_slice_matches_closed_form(self):
         diag = oracle.oracle_herald_state(1.0, 0.9, 2, 2, 200)
-        state = herald_state(1.0, 0.9, 2, 2)
+        state = herald_state(1.0, 0.9, 2, 2).state
         for q in (0.0, 0.5, 1.0, 2.0):
             closed = float(wigner_slice(state, [q])[0])
             brute = oracle.oracle_wigner(diag, q)
@@ -313,7 +313,7 @@ class TestEndToEnd:
                 diag = oracle.oracle_herald_state(
                     nbar, 0.9, detectors, clicks, oracle.choose_truncation(nbar)
                 )
-                conditioned = herald_state(nbar, 0.9, detectors, clicks)
+                conditioned = herald_state(nbar, 0.9, detectors, clicks).state
                 for kappa, nb in ((0.1, 3.0), (0.3, 10.0), (0.8, 0.0)):
                     channel = TargetChannel(kappa, nb)
                     closed_state = apply_channel(channel, conditioned)
