@@ -33,6 +33,7 @@ from .povm import MAX_ALTERNATING_TERMS, ClickMultiplex
 from .states import DisplacedThermal, herald_state, mean_photon, tmsv_marginal, wigner_slice
 
 ENV_THREADS = "QILLUM_THREADS"
+CSV_BLOCK_ROWS = 4096
 REQUIRED = object()
 
 
@@ -55,20 +56,30 @@ def _blame(*names):
 
 
 def _write_csv(path, header, columns) -> None:
-    """Write equal-length columns: integer columns as %d, all others as %.12g."""
+    """Write equal-length columns: integer columns as %d, all others as %.12g.
+
+    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, so the text
+    of a whole table is never held at once.
+    """
     columns = [np.asarray(column) for column in columns]
     integer = [column.dtype.kind in "iu" for column in columns]
     line = ",".join("%d" if is_int else "%.12g" for is_int in integer) + "\n"
-    values = [c.tolist() if i else c.astype(float).tolist() for c, i in zip(columns, integer)]
-    _emit(path, ",".join(header) + "\n" + "".join(line % row for row in zip(*values)), sys.stdout)
+    with _output(path, sys.stdout) as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            values = [c.tolist() if i else c.astype(float).tolist() for c, i in zip(block, integer)]
+            handle.write("".join(line % row for row in zip(*values)))
 
 
-def _emit(path, text: str, stream) -> None:
+@contextmanager
+def _output(path, stream):
+    """The file at ``path``, opened for writing, or ``stream`` when path is None."""
     if path is None:
-        stream.write(text)
+        yield stream
         return
     with open(path, "w", newline="") as handle:
-        handle.write(text)
+        yield handle
 
 
 def _load_config(path) -> dict:
@@ -303,10 +314,10 @@ def _build_trajectories(v) -> None:
 
 def cmd_trajectories(v) -> int:
     """Ensemble-averaged detection trajectories for one or more signal kinds."""
-    results = {
-        label: mc.average_trajectories(config, threads=v.threads, thresholds=v.thresholds)
-        for label, config in v.configs.items()
-    }
+    ensembles = mc.average_trajectories(
+        list(v.configs.values()), threads=v.threads, thresholds=v.thresholds
+    )
+    results = dict(zip(v.configs, ensembles))
     header = ["shot_index"] + [f"mean_posterior_{label}" for label in results]
     columns = [np.arange(1, v.shots + 1)] + [r.mean_posterior for r in results.values()]
     _write_csv(v.out, header, columns)
@@ -324,7 +335,8 @@ def cmd_trajectories(v) -> int:
         },
     }
     meta = None if v.out is None else str(v.out) + ".meta.json"
-    _emit(meta, json.dumps(sidecar, indent=2, sort_keys=True) + "\n", sys.stderr)
+    with _output(meta, sys.stderr) as handle:
+        handle.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return 0
 
 

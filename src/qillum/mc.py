@@ -10,7 +10,9 @@ identical to the direct Bayes update.
 Reproducibility contract: every trial draws from its own counter-based Philox
 stream keyed by an integer mix of (seed, trial_index), so a trajectory is a
 pure function of (config, trial_index) and ensembles reduce identically for
-any degree of parallelism.
+any degree of parallelism.  The signals of one run share seed, trials and
+shots, so they read the same per-trial uniforms: ``average_trajectories``
+draws each trial's block once and hands it to every signal.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -29,10 +31,17 @@ from .matching import MatchSpec, matched_mean
 from .povm import ClickMultiplex, _validate_outcome, click_distribution
 from .states import DisplacedThermal, herald_state, tmsv_marginal
 
-# Trials are reduced in fixed chunks: pairwise summation inside a chunk, then
-# compensated accumulation across chunks in index order.  Workers may compute
-# chunks in any order without changing the result.
+# Trials are reduced in fixed chunks: trial curves are added in index order
+# inside a chunk, then chunk sums are accumulated with compensation in chunk
+# index order.  Workers may compute chunks in any order without changing the
+# result.
 CHUNK_SIZE = 64
+
+# A likelihood row is a probability vector up to rounding.  A larger miss is
+# cancellation noise in the closed form, which pinning the cdf's last entry to
+# one would hide.  A probability error of 1e-9 moves fewer than one of the
+# 3.6e8 shots of a 12000-trial, 30000-shot ensemble.
+_ROW_SUM_TOL = 1e-9
 
 _LOG_RATIO_CLIP = 700.0
 
@@ -174,19 +183,25 @@ def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
 
 
 def click_cdf(multiplex: ClickMultiplex, state) -> np.ndarray:
-    """Cumulative click distribution, checked complete, final entry pinned to exactly one."""
-    return _pinned_cumsum(click_distribution(multiplex, state), check=True)
+    """Cumulative click distribution, checked complete, final entry pinned to exactly one.
+
+    A distribution whose sum misses one by more than 1e-12 of its total
+    magnitude is rejected.
+    """
+    dist = click_distribution(multiplex, state)
+    return _pinned_cumsum(dist, "click distribution", 1e-12 * max(1.0, float(np.abs(dist).sum())))
 
 
-def _pinned_cumsum(rows: np.ndarray, check: bool = False) -> np.ndarray:
+def _pinned_cumsum(rows: np.ndarray, name: str, tolerance: float = _ROW_SUM_TOL) -> np.ndarray:
     """Cumulative sums along the last axis, final entry pinned to one, all clipped at one.
 
-    With ``check``, a distribution whose unpinned sum misses one by more than
-    1e-12 of its total magnitude is rejected instead.
+    A row whose unpinned sum misses one by more than ``tolerance`` is rejected.
     """
     cdf = np.cumsum(rows, axis=-1)
-    if check and abs(cdf[-1] - 1.0) > 1e-12 * max(1.0, float(np.abs(rows).sum())):
-        raise ValueError(f"cumulative distribution ends at {cdf[-1]!r}, not 1")
+    for index, total in enumerate(np.atleast_1d(cdf[..., -1])):
+        if not abs(total - 1.0) <= tolerance:
+            where = f"{name} row {index}" if cdf.ndim == 2 else name
+            raise ValueError(f"{where} sums to {float(total)!r}, not 1 within {tolerance:.3g}")
     cdf[..., -1] = 1.0
     return np.minimum(cdf, 1.0)
 
@@ -236,21 +251,34 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
         l0=l0,
         l1=l1,
         log_ratio=log_ratio,
-        cdf_h0=_pinned_cumsum(l0),
-        cdf_h1=_pinned_cumsum(l1),
+        cdf_h0=_pinned_cumsum(l0, "l0"),
+        cdf_h1=_pinned_cumsum(l1, "l1"),
         probe_nbar=probe_nbar,
     )
 
 
-def run_trajectory(config: TrajectoryConfig, trial_index: int) -> np.ndarray:
+def _trial_draws(seed: int, trial_index: int, shots: int, heralded: bool) -> np.ndarray:
+    """One trial's uniforms: ``(shots, 2)`` when any signal is heralded, else ``(shots,)``.
+
+    Philox fills an array in stream order, so the first ``shots`` entries of
+    the raveled ``(shots, 2)`` block are bit for bit ``random(shots)``.
+    """
+    rng = trial_stream(seed, trial_index)
+    return rng.random((shots, 2)) if heralded else rng.random(shots)
+
+
+def run_trajectory(
+    config: TrajectoryConfig, trial_index: int, draws: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Posterior Pr(H1) after each of ``config.shots`` shots, for one trial.
 
     Deterministic given (config.seed, trial_index).  Starts from equal priors,
-    Pr(H1) = 1/2.  Heralded signals draw ``(shots, 2)`` uniforms (herald
-    outcome, then receiver outcome, per shot); coherent signals draw one per
-    shot.  The receiver outcome is sampled from the cdf of the physically
-    realized state: the H1 row of the sampled herald outcome when the target
-    is present, the background otherwise.
+    Pr(H1) = 1/2.  ``draws`` is the trial's ``_trial_draws`` block, drawn here
+    when not given.  Heralded signals read ``(shots, 2)`` uniforms (herald
+    outcome, then receiver outcome, per shot); coherent signals read the
+    first ``shots`` uniforms of the stream.  The receiver outcome is sampled
+    from the cdf of the physically realized state: the H1 row of the sampled
+    herald outcome when the target is present, the background otherwise.
 
     Each outcome is counted as the number of cdf entries below the draw, one
     1-D compare per entry except the last.  On a nondecreasing cdf whose last
@@ -261,16 +289,17 @@ def run_trajectory(config: TrajectoryConfig, trial_index: int) -> np.ndarray:
     log-odds prefix sums accumulated left to right.
     """
     tables = config.tables
-    rng = trial_stream(config.seed, trial_index)
     shots = config.shots
+    heralded = tables.herald_cdf is not None
+    if draws is None:
+        draws = _trial_draws(config.seed, trial_index, shots, heralded)
 
-    if tables.herald_cdf is not None:
-        draws = rng.random((shots, 2))
+    if heralded:
         herald_outcomes = sum(draws[:, 0] > edge for edge in tables.herald_cdf[:-1])
         receiver_draws = draws[:, 1]
     else:
         herald_outcomes = 0
-        receiver_draws = rng.random(shots)
+        receiver_draws = draws.ravel()[:shots]
 
     # One cdf row per herald outcome, or a single row (coherent probe, absent
     # target) whose edges are scalars.
@@ -288,72 +317,96 @@ def run_trajectory(config: TrajectoryConfig, trial_index: int) -> np.ndarray:
 
 def first_crossing(curve: np.ndarray, threshold: float) -> Optional[int]:
     """1-based index of the first shot where the curve reaches the threshold."""
-    hits = np.nonzero(curve >= threshold)[0]
-    if hits.size == 0:
-        return None
-    return int(hits[0]) + 1
+    hits = curve >= threshold
+    index = int(np.argmax(hits))
+    return index + 1 if hits[index] else None
 
 
-def _chunk_worker(config, thresholds, start, stop):
-    rows = np.empty((stop - start, config.shots))
-    crossings = {thr: [] for thr in thresholds}
-    for offset, trial in enumerate(range(start, stop)):
-        curve = run_trajectory(config, trial)
-        rows[offset] = curve
-        for thr in thresholds:
-            crossings[thr].append(first_crossing(curve, thr))
-    return np.sum(rows, axis=0), crossings
+def _chunk_worker(configs, thresholds, start, stop):
+    """Per-config curve sums and per-trial crossings of trials [start, stop).
+
+    Each trial's uniforms are drawn once and read by every config.  A sum
+    starts at zero and adds the curves in trial order.
+    """
+    seed, shots = configs[0].seed, configs[0].shots
+    heralded = any(config.tables.herald_cdf is not None for config in configs)
+    sums = [np.zeros(shots) for _ in configs]
+    crossings = [{thr: [] for thr in thresholds} for _ in configs]
+    for trial in range(start, stop):
+        draws = _trial_draws(seed, trial, shots, heralded)
+        for config, total, crossed in zip(configs, sums, crossings):
+            curve = run_trajectory(config, trial, draws)
+            total += curve
+            for thr in thresholds:
+                crossed[thr].append(first_crossing(curve, thr))
+    return sums, crossings
 
 
 def average_trajectories(
-    config: TrajectoryConfig,
+    configs: Sequence[TrajectoryConfig],
     threads: int = 1,
     thresholds: tuple[float, ...] = (0.8, 0.9),
-) -> TrajectoryResult:
-    """Ensemble mean of the posterior trajectory plus crossing statistics.
+) -> list[TrajectoryResult]:
+    """Ensemble mean of the posterior trajectory plus crossing statistics, per config.
 
-    Crossing shots are reported both for the ensemble-mean curve (the
-    headline estimator) and per trial (for dispersion).  The reduction order
-    is fixed by chunk index, so any thread count yields identical output.
+    The configs must share ``seed``, ``trials`` and ``shots``; each trial's
+    uniforms are drawn once and every config reads them, so a config's
+    result is the one it gets when run alone.  Crossing shots are reported
+    both for the ensemble-mean curve (the headline estimator) and per trial
+    (for dispersion).  The reduction order is fixed by chunk index, so any
+    thread count yields identical output.
     """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one trajectory config")
+    for name in ("seed", "trials", "shots"):
+        values = sorted({getattr(config, name) for config in configs})
+        if len(values) > 1:
+            raise ValueError(f"configs must share {name}, got {values}")
+    first = configs[0]
     thresholds = tuple(float(t) for t in thresholds)
     bounds = [
-        (start, min(start + CHUNK_SIZE, config.trials))
-        for start in range(0, config.trials, CHUNK_SIZE)
+        (start, min(start + CHUNK_SIZE, first.trials))
+        for start in range(0, first.trials, CHUNK_SIZE)
     ]
+
+    accumulators = [CompensatedVectorSum(first.shots) for _ in configs]
+    per_trial = [{thr: [] for thr in thresholds} for _ in configs]
+
+    def reduce(partials):
+        # Chunk results arrive in index order and are dropped once added.
+        for sums, crossings in partials:
+            for accumulator, total in zip(accumulators, sums):
+                accumulator.add(total)
+            for collected, crossed in zip(per_trial, crossings):
+                for thr in thresholds:
+                    collected[thr].extend(crossed[thr])
+
+    def worker(bound):
+        return _chunk_worker(configs, thresholds, *bound)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(
-                pool.map(
-                    lambda b: _chunk_worker(config, thresholds, b[0], b[1]),
-                    bounds,
-                )
-            )
+            reduce(pool.map(worker, bounds))
     else:
-        partials = [_chunk_worker(config, thresholds, a, b) for a, b in bounds]
+        reduce(map(worker, bounds))
 
-    accumulator = CompensatedVectorSum(config.shots)
-    per_trial = {thr: [] for thr in thresholds}
-    for partial_sum, crossings in partials:
-        accumulator.add(partial_sum)
-        for thr in thresholds:
-            per_trial[thr].extend(crossings[thr])
-    mean_posterior = accumulator.result() / config.trials
-    mean_crossings = {thr: first_crossing(mean_posterior, thr) for thr in thresholds}
-
-    metadata = {
-        "seed": config.seed,
-        "trials": config.trials,
-        "shots": config.shots,
-        "generator": "numpy.random.Philox (counter-based, 4x64)",
-        "stream_derivation": "key = splitmix64(splitmix64(seed) ^ (trial_index + 0x9E3779B97F4A7C15))",
-        "chunk_size": CHUNK_SIZE,
-        "probe_nbar": config.tables.probe_nbar,
-    }
-    return TrajectoryResult(
-        mean_posterior=mean_posterior,
-        mean_crossings=mean_crossings,
-        per_trial_crossings=per_trial,
-        rng_metadata=metadata,
-    )
+    results = []
+    for config, accumulator, crossings in zip(configs, accumulators, per_trial):
+        mean_posterior = accumulator.result() / config.trials
+        metadata = {
+            "seed": config.seed,
+            "trials": config.trials,
+            "shots": config.shots,
+            "generator": "numpy.random.Philox (counter-based, 4x64)",
+            "stream_derivation": "key = splitmix64(splitmix64(seed) ^ (trial_index + 0x9E3779B97F4A7C15))",
+            "chunk_size": CHUNK_SIZE,
+            "probe_nbar": config.tables.probe_nbar,
+        }
+        results.append(TrajectoryResult(
+            mean_posterior=mean_posterior,
+            mean_crossings={thr: first_crossing(mean_posterior, thr) for thr in thresholds},
+            per_trial_crossings=crossings,
+            rng_metadata=metadata,
+        ))
+    return results

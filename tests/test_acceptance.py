@@ -2,9 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.  The
 Monte-Carlo criteria share one ensemble cache (seed 7, 12000 trials of 30000
-shots each), built with one thread per core; the reproducibility contract
-makes it bit-identical to a one-thread build.  The module took 92 s on a
-2-core Xeon VM (164 s with one thread).
+shots each), built in one call with one thread per core; the reproducibility
+contract makes it bit-identical to a one-thread build.  The module took 63 s
+on a 2-core Xeon VM.
 
 Criterion 4 needs the default 12000 trials.  Its q2_present@0.9 reference
 (18092) sits 2.8% above the exact infinite-trial crossing (17590), so little of
@@ -108,7 +108,6 @@ def base_config(kind, herald_detectors, target_present):
 
 @pytest.fixture(scope="module")
 def ensembles():
-    cache = {}
     specs = {
         "q1_present": (SignalKind.QUANTUM_HERALDED, 1, True),
         "q2_present": (SignalKind.QUANTUM_HERALDED, 2, True),
@@ -120,11 +119,11 @@ def ensembles():
         "q4_absent": (SignalKind.QUANTUM_HERALDED, 4, False),
         "coherent_absent": (SignalKind.COHERENT, 1, False),
     }
-    for name, (kind, detectors, present) in specs.items():
-        cache[name] = average_trajectories(
-            base_config(kind, detectors, present), threads=os.cpu_count() or 1
-        )
-    return cache
+    # The nine ensembles share SEED, TRIALS and SHOTS, so one call draws each
+    # trial's uniforms once for all of them.
+    configs = [base_config(*spec) for spec in specs.values()]
+    results = average_trajectories(configs, threads=os.cpu_count() or 1)
+    return dict(zip(specs, results))
 
 
 def test_criterion_1_heralding_crossover():

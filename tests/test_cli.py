@@ -58,6 +58,20 @@ class TestHeraldStats:
         run_cli(["herald-stats", "--grid", "lin:0.1:5:40", "--out", str(b)])
         assert read(a) == read(b)
 
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_row_blocks_do_not_change_bytes(self, tmp_path, monkeypatch, capsys, to_stdout):
+        # 7 rows in blocks of 3: two full blocks and a short one
+        def write(name):
+            out = tmp_path / name
+            argv = ["herald-stats", "--grid", "lin:0.1:5:7"] + ([] if to_stdout else ["--out", str(out)])
+            assert run_cli(argv) == 0
+            return capsys.readouterr().out if to_stdout else read(out)
+
+        whole = write("whole.csv")
+        monkeypatch.setattr("qillum.cli.CSV_BLOCK_ROWS", 3)
+        assert write("blocks.csv") == whole
+        assert whole.count("\n") == 8
+
     def test_csv_format_contract(self, tmp_path):
         out = tmp_path / "stats.csv"
         run_cli(["herald-stats", "--grid", "0.123456789123456", "--out", str(out)])
@@ -354,6 +368,11 @@ class TestBoundaryDefects:
         "n_max_negative": (lambda tmp_path: ["verify", "--quick", "--n-max", "-3"], "--n-max"),
         # in range, but the coherent receiver's click sums lose completeness
         "coherent_receiver_12": (_trajectories_row(receiver_detectors=12), "signals[1]: "),
+        # in range, but the (6, 6) herald's likelihood row is cancellation noise
+        "herald_6_low_nbar": (
+            _trajectories_row(nbar=0.01, signals=[{"kind": "quantum_heralded", "herald_detectors": 6}]),
+            "signals[0]: l1 row ",
+        ),
     }
 
     @pytest.mark.parametrize("row", sorted(ROWS))

@@ -66,6 +66,9 @@ class TestTrajectoryConfig:
               "eavesdropper_efficiency": 0.0}, "eavesdropper efficiency"),
             ({"signal_kind": SignalKind.QUANTUM_HERALDED_MATCHED, "nbar": 1000.0},
              "matched mean overflows"),
+            # l1 rows that miss a sum of 1 by more than _ROW_SUM_TOL
+            ({"nbar": 0.01, "herald_detectors": 3}, "l1 row 3 sums to 0.99999999"),
+            ({"nbar": 0.01, "herald_detectors": 6}, "l1 row 3 sums to 1.00000000"),
         ],
     )
     def test_rejects_out_of_range_physics(self, overrides, message):
@@ -312,23 +315,28 @@ class TestRunTrajectory:
         assert np.all(curve > 0.0) and np.all(curve < 1.0)
 
 
+def run_alone(config, **kwargs):
+    (result,) = average_trajectories([config], **kwargs)
+    return result
+
+
 class TestAverageTrajectories:
     def test_single_trial_equals_run_trajectory(self):
         config = base_config(trials=1, shots=128)
-        result = average_trajectories(config)
-        assert np.allclose(result.mean_posterior, run_trajectory(config, 0), atol=1e-15)
+        result = run_alone(config)
+        assert np.array_equal(result.mean_posterior, run_trajectory(config, 0))
 
     def test_thread_count_invariance(self):
         config = base_config(trials=150, shots=96)
-        serial = average_trajectories(config, threads=1)
-        parallel = average_trajectories(config, threads=4)
+        serial = run_alone(config, threads=1)
+        parallel = run_alone(config, threads=4)
         assert np.array_equal(serial.mean_posterior, parallel.mean_posterior)
         assert serial.mean_crossings == parallel.mean_crossings
         assert serial.per_trial_crossings == parallel.per_trial_crossings
 
     def test_crossings_recorded(self):
         config = base_config(trials=32, shots=2000)
-        result = average_trajectories(config, thresholds=(0.6,))
+        result = run_alone(config, thresholds=(0.6,))
         assert set(result.per_trial_crossings) == {0.6}
         assert len(result.per_trial_crossings[0.6]) == config.trials
         for crossing in result.per_trial_crossings[0.6]:
@@ -339,15 +347,17 @@ class TestAverageTrajectories:
             assert np.all(result.mean_posterior[: mean_cross - 1] < 0.6)
 
     def test_metadata_records_provenance(self):
-        result = average_trajectories(base_config(trials=2, shots=8))
+        result = run_alone(base_config(trials=2, shots=8))
         meta = result.rng_metadata
         assert meta["seed"] == 20260808
         assert "Philox" in meta["generator"]
         assert "splitmix64" in meta["stream_derivation"]
 
     def test_present_target_drifts_up_absent_drifts_down(self):
-        up = average_trajectories(base_config(trials=160, shots=4000))
-        down = average_trajectories(base_config(trials=160, shots=4000, target_present=False))
+        up, down = average_trajectories([
+            base_config(trials=160, shots=4000),
+            base_config(trials=160, shots=4000, target_present=False),
+        ])
         assert up.mean_posterior[-1] > 0.55
         assert down.mean_posterior[-1] < 0.45
         # trend, smoothed over quarters to tolerate Monte-Carlo noise
@@ -356,8 +366,65 @@ class TestAverageTrajectories:
         assert all(a < b for a, b in zip(means, means[1:]))
 
     def test_coherent_absent_supermartingale_trend(self):
-        result = average_trajectories(
+        result = run_alone(
             base_config(signal_kind=SignalKind.COHERENT, target_present=False, trials=160, shots=4000)
         )
         assert result.mean_posterior[-1] < 0.5
         assert result.mean_posterior[3999] < result.mean_posterior[99]
+
+
+class TestSharedDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shots=st.integers(min_value=1, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        trial=st.integers(min_value=0, max_value=2**20),
+    )
+    def test_philox_prefix_identity(self, shots, seed, trial):
+        # a coherent signal reads the first shots uniforms of a heralded block
+        block = trial_stream(seed, trial).random((shots, 2))
+        assert np.array_equal(block.ravel()[:shots], trial_stream(seed, trial).random(shots))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        signals=st.lists(
+            st.tuples(
+                st.sampled_from(list(SignalKind)),
+                st.booleans(),
+                st.integers(min_value=1, max_value=4),
+                st.integers(min_value=1, max_value=3),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        shots=st.integers(min_value=1, max_value=48),
+    )
+    def test_together_equals_alone(self, signals, seed, shots):
+        # 130 trials make three chunks, the last one short
+        configs = [
+            base_config(signal_kind=kind, target_present=present, herald_detectors=herald,
+                        receiver_detectors=receiver, seed=seed, shots=shots, trials=130)
+            for kind, present, herald, receiver in signals
+        ]
+        thresholds = (0.5001, 0.52)
+        alone = [run_alone(config, thresholds=thresholds) for config in configs]
+        for threads in (1, 3):
+            together = average_trajectories(configs, threads=threads, thresholds=thresholds)
+            assert len(together) == len(configs)
+            for joint, single in zip(together, alone):
+                assert np.array_equal(joint.mean_posterior, single.mean_posterior)
+                assert joint.mean_crossings == single.mean_crossings
+                assert joint.per_trial_crossings == single.per_trial_crossings
+                assert joint.rng_metadata == single.rng_metadata
+
+    @pytest.mark.parametrize(
+        "overrides", [{"seed": 1}, {"trials": 9}, {"shots": 65}],
+    )
+    def test_mismatched_run_parameters_raise(self, overrides):
+        with pytest.raises(ValueError, match=f"share {next(iter(overrides))}"):
+            average_trajectories([base_config(), base_config(**overrides)])
+
+    def test_no_configs_raise(self):
+        with pytest.raises(ValueError, match="at least one"):
+            average_trajectories([])
