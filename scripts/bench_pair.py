@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Paired benchmark runs: a base commit against the working tree.
 
-    python3 scripts/bench_pair.py --workload NAME [--pairs K] [--base REV] [--seconds S] [--seed N]
+    python3 scripts/bench_pair.py --workload NAME [--pairs K] [--base REV]
 
 Exports the committed files of ``--base`` (default ``HEAD``, the parent of
 uncommitted work) into a temporary directory with ``git archive``, so no
 worktree is left registered in the repository, and copies the working
 tree's tracked and unignored files into another, so both sides run from
 fresh directories of the same layout.  Then runs
-``perfbench/run.py --workload NAME`` K times on each side, in pairs,
-alternating which side runs first.  Each side runs its own ``perfbench/``.
+``perfbench/run.py --workload NAME --trace 0`` K times on each side, in
+pairs, alternating which side runs first.  Each side runs its own
+``perfbench/`` with its default run length and seed, so every run checks
+the recorded output digests.
 
-Writes ``BENCH_<NAME>.json`` at the root of the working tree: every sample,
+Writes ``BENCH_<NAME>.json`` at the root of the working tree: the seconds
+and seed that ``run.py`` reports, every sample,
 each side's median and quartiles of every end-to-end metric that
 ``BENCHMARK.json`` declares, and how many pairs the working tree won (ties
 count for neither side).  Set ``TMPDIR`` to choose where the copy goes.
@@ -54,18 +57,20 @@ def snapshot(directory: Path) -> None:
             shutil.copy2(source, target)
 
 
-def bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+def bench(checkout: Path, workload: str) -> dict:
     """One ``perfbench/run.py`` run: its result line, or the failure it printed."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(seconds), "--seed", str(seed), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"perfbench/run.py failed in {checkout}:\n{proc.stderr[-2000:]}")
+    detail = json.loads(lines[-2])["detail"]
     result = json.loads(lines[-1])
     return {
+        "seconds": detail["seconds"],
+        "seed": detail["environment"]["seed"],
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -101,8 +106,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two samples)")
@@ -119,17 +122,22 @@ def main() -> int:
             first = ("base", "change") if pair % 2 == 0 else ("change", "base")
             order.append(list(first))
             for side in first:
-                sample = bench(sides[side], args.workload, args.seconds, args.seed)
+                sample = bench(sides[side], args.workload)
                 samples[side].append(sample)
                 wall = sample["metrics"]["wall_s"]
                 print(f"pair {pair + 1}/{args.pairs} {side}: wall_s {wall:.3f}", file=sys.stderr)
 
+    settings = {(s["seconds"], s["seed"]) for side in samples.values() for s in side}
+    if len(settings) != 1:
+        raise SystemExit(f"the two sides ran perfbench with different settings: {settings}")
+    (seconds, seed), = settings
     record = {
         "workload": args.workload,
         "base": base_sha,
         "change": "working tree",
-        "command": ["perfbench/run.py", "--workload", args.workload, "--seconds",
-                    str(args.seconds), "--seed", str(args.seed), "--trace", "0"],
+        "command": ["perfbench/run.py", "--workload", args.workload, "--trace", "0"],
+        "seconds": seconds,
+        "seed": seed,
         "pairs": args.pairs,
         "order": order,
         "machine": {"cpus": os.cpu_count(), "processor": platform.processor(),
