@@ -16,8 +16,20 @@ the recorded output digests.
 Writes ``BENCH_<NAME>.json`` at the root of the working tree: the seconds
 and seed that ``run.py`` reports, every sample,
 each side's median and quartiles of every end-to-end metric that
-``BENCHMARK.json`` declares, and how many pairs the working tree won (ties
-count for neither side).  Set ``TMPDIR`` to choose where the copy goes.
+``BENCHMARK.json`` declares, how many pairs the working tree won (ties
+count for neither side) and a verdict per metric:
+
+- ``gain``: the working tree won at least nine tenths of the pairs and its
+  median is better than the base's by more than the base's interquartile
+  range;
+- ``regression``: its median is worse than the base's by more than the
+  metric's ``bound``, a fraction of the base median;
+- ``unresolved``: neither, and the base's interquartile range is wider than
+  the bound, unless every run of the working tree reads better than every
+  run of the base;
+- ``within bound``: otherwise.
+
+Set ``TMPDIR`` to choose where the copy goes.
 """
 
 from __future__ import annotations
@@ -83,20 +95,36 @@ def quartiles(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(base: list, change: list, sign: int, bound: float, change_wins: int) -> str:
+    """The module docstring's rule for one metric; ``sign`` is +1 when higher is better."""
+    q = quartiles(base)
+    spread, median = q["q3"] - q["q1"], q["median"]
+    gap = sign * (statistics.median(change) - median)
+    if change_wins >= 0.9 * len(base) and gap > spread:
+        return "gain"
+    if -gap > bound * abs(median):
+        return "regression"
+    if spread > bound * abs(median) and min(sign * c for c in change) <= max(sign * b for b in base):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(samples: dict, end_to_end: list) -> dict:
     summary = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         base = [s["metrics"][name] for s in samples["base"]]
         change = [s["metrics"][name] for s in samples["change"]]
+        change_wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "bound": metric["bound"],
             "base": quartiles(base),
             "change": quartiles(change),
-            "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "change_wins": change_wins,
             "base_wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
+            "verdict": verdict(base, change, sign, metric["bound"], change_wins),
         }
     return summary
 

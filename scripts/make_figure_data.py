@@ -2,8 +2,8 @@
 """Regenerate every figure-style dataset as CSV under out/.
 
 Thin wrapper over the CLI so each dataset's exact invocation is on record.
-On one thread of a 2-core Xeon VM the two trajectory configs take about 13 s
-(4 ensembles) and 11 s (5 ensembles), 7.6 s and 6.6 s with --threads 2; pass
+On one thread of a 2-core Xeon VM the two trajectory configs take about 10 s
+(4 ensembles) and 9 s (5 ensembles), 6.4 s and 5.2 s with --threads 2; pass
 --skip-trajectories to produce only the closed-form datasets.
 """
 

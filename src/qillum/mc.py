@@ -12,7 +12,9 @@ stream keyed by an integer mix of (seed, trial_index), so a trajectory is a
 pure function of (config, trial_index) and ensembles reduce identically for
 any degree of parallelism.  The signals of one run share seed, trials and
 shots, so they read the same per-trial uniforms: ``average_trajectories``
-draws each trial's block once and hands it to every signal.
+draws each trial's block once and hands it to every signal as a
+``TrialDraws``: the coherent prefix and contiguous herald and receiver
+columns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -257,60 +259,89 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
     )
 
 
-def _trial_draws(seed: int, trial_index: int, shots: int, heralded: bool) -> np.ndarray:
-    """One trial's uniforms: ``(shots, 2)`` when any signal is heralded, else ``(shots,)``.
+class TrialDraws(NamedTuple):
+    """One trial's uniforms, as the signals of a run read them.
+
+    ``coherent`` is the first ``shots`` uniforms of the trial's stream;
+    ``herald`` and ``receiver`` are contiguous copies of the two columns of a
+    ``(shots, 2)`` block, or None when no signal of the run is heralded.
+    """
+
+    coherent: np.ndarray
+    herald: Optional[np.ndarray]
+    receiver: Optional[np.ndarray]
+
+
+def _trial_draws(seed: int, trial_index: int, shots: int, heralded: bool) -> TrialDraws:
+    """One trial's Philox block: ``random((shots, 2))`` when heralded, else ``random(shots)``.
 
     Philox fills an array in stream order, so the first ``shots`` entries of
     the raveled ``(shots, 2)`` block are bit for bit ``random(shots)``.
     """
     rng = trial_stream(seed, trial_index)
-    return rng.random((shots, 2)) if heralded else rng.random(shots)
+    if not heralded:
+        return TrialDraws(rng.random(shots), None, None)
+    block = rng.random((shots, 2))
+    return TrialDraws(
+        block.ravel()[:shots],
+        np.ascontiguousarray(block[:, 0]),
+        np.ascontiguousarray(block[:, 1]),
+    )
+
+
+def _counts(draws: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Per-draw count of the entries of ``cdf`` below it, as ``uint8``.
+
+    The last entry, exactly 1.0, is never below a draw and is skipped.  At
+    most 64 entries are counted, so the counts fit ``uint8``.
+    """
+    counts = np.zeros(draws.size, dtype=np.uint8)
+    for edge in cdf[:-1]:
+        counts += draws > edge
+    return counts
 
 
 def run_trajectory(
-    config: TrajectoryConfig, trial_index: int, draws: Optional[np.ndarray] = None
+    config: TrajectoryConfig, trial_index: int, draws: Optional[TrialDraws] = None
 ) -> np.ndarray:
     """Posterior Pr(H1) after each of ``config.shots`` shots, for one trial.
 
     Deterministic given (config.seed, trial_index).  Starts from equal priors,
-    Pr(H1) = 1/2.  ``draws`` is the trial's ``_trial_draws`` block, drawn here
-    when not given.  Heralded signals read ``(shots, 2)`` uniforms (herald
-    outcome, then receiver outcome, per shot); coherent signals read the
-    first ``shots`` uniforms of the stream.  The receiver outcome is sampled
-    from the cdf of the physically realized state: the H1 row of the sampled
+    Pr(H1) = 1/2.  ``draws`` is the trial's ``_trial_draws``, drawn here when
+    not given.  Heralded signals read ``(shots, 2)`` uniforms (herald outcome,
+    then receiver outcome, per shot); coherent signals read the first
+    ``shots`` uniforms of the stream.  The receiver outcome is sampled from
+    the cdf of the physically realized state: the H1 row of the sampled
     herald outcome when the target is present, the background otherwise.
 
     Each outcome is counted as the number of cdf entries below the draw, one
-    1-D compare per entry except the last.  On a nondecreasing cdf whose last
-    entry is 1.0 (``LikelihoodTables`` enforces both) that count equals
+    1-D compare per entry except the last, on a contiguous column; a present
+    target's receiver compares each draw with the edge of its own herald
+    outcome.  On a nondecreasing cdf whose last entry is 1.0
+    (``LikelihoodTables`` enforces both) a count equals
     ``searchsorted(cdf, draw, side="left")``, so the curve is bit for bit the
     one the scalar shot-by-shot reference ``run_shot`` in
     ``tests/scalar_reference.py`` produces: same draws, same increments, and
     log-odds prefix sums accumulated left to right.
     """
     tables = config.tables
-    shots = config.shots
-    heralded = tables.herald_cdf is not None
     if draws is None:
-        draws = _trial_draws(config.seed, trial_index, shots, heralded)
+        draws = _trial_draws(config.seed, trial_index, config.shots, tables.herald_cdf is not None)
 
-    if heralded:
-        herald_outcomes = sum(draws[:, 0] > edge for edge in tables.herald_cdf[:-1])
-        receiver_draws = draws[:, 1]
+    if tables.herald_cdf is None:
+        cdf = tables.cdf_h1[0] if config.target_present else tables.cdf_h0
+        index = _counts(draws.coherent, cdf).astype(np.intp)
     else:
-        herald_outcomes = 0
-        receiver_draws = draws.ravel()[:shots]
+        herald = _counts(draws.herald, tables.herald_cdf).astype(np.intp)
+        # intp before the multiply: uint8 times the row length wraps past 255.
+        index = herald * tables.log_ratio.shape[1]
+        if config.target_present:
+            for column in tables.cdf_h1[:, :-1].T:
+                index += draws.receiver > column.take(herald)
+        else:
+            index += _counts(draws.receiver, tables.cdf_h0)
 
-    # One cdf row per herald outcome, or a single row (coherent probe, absent
-    # target) whose edges are scalars.
-    cdf = tables.cdf_h1 if config.target_present else tables.cdf_h0[None, :]
-    receiver_clicks = sum(
-        receiver_draws > (column[0] if column.size == 1 else column[herald_outcomes])
-        for column in cdf[:, :-1].T
-    )
-
-    columns = tables.log_ratio.shape[1]
-    increments = tables.log_ratio.ravel()[herald_outcomes * columns + receiver_clicks]
+    increments = tables.log_ratio.ravel().take(index)
     log_odds = np.cumsum(increments, out=increments)
     return expit(log_odds, out=log_odds)
 

@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.  The
 Monte-Carlo criteria share one ensemble cache (seed 7, 12000 trials of 30000
 shots each), built in one call with one thread per core; the reproducibility
-contract makes it bit-identical to a one-thread build.  The module took 63 s
-on a 2-core Xeon VM.
+contract makes it bit-identical to a one-thread build.  The module took
+48-51 s on a 2-core Xeon VM.
 
 Criterion 4 needs the default 12000 trials.  Its q2_present@0.9 reference
 (18092) sits 2.8% above the exact infinite-trial crossing (17590), so little of

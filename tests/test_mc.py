@@ -23,6 +23,7 @@ from qillum.mc import (
     TrajectoryConfig,
     average_trajectories,
     build_tables,
+    first_crossing,
     run_trajectory,
     trial_stream,
 )
@@ -46,6 +47,16 @@ def base_config(**overrides):
     )
     base.update(overrides)
     return TrajectoryConfig(**base)
+
+
+def scalar_curve(config, trial):
+    """Pr(H1) after each shot of one trial, from the scalar reference run_shot."""
+    ctx = ShotContext(
+        tables=build_tables(config),
+        target_present=config.target_present,
+        rng=trial_stream(config.seed, trial),
+    )
+    return np.array([run_shot(ctx)[0] for _ in range(config.shots)])
 
 
 class TestTrajectoryConfig:
@@ -314,6 +325,17 @@ class TestRunTrajectory:
         curve = run_trajectory(base_config(shots=512), 7)
         assert np.all(curve > 0.0) and np.all(curve < 1.0)
 
+    @pytest.mark.parametrize("target_present", [True, False])
+    def test_flat_index_wider_than_uint8(self, target_present):
+        # the flat index h * 32 + k of herald outcome 8 is at least 256, past
+        # what the uint8 outcome counts can hold
+        config = base_config(nbar=4.0, herald_detectors=8, receiver_detectors=31,
+                             shots=2000, target_present=target_present)
+        herald_draws = trial_stream(config.seed, 0).random((config.shots, 2))[:, 0]
+        heralds = np.searchsorted(config.tables.herald_cdf, herald_draws, side="left")
+        assert heralds.max() == 8
+        assert np.array_equal(run_trajectory(config, 0), scalar_curve(config, 0))
+
 
 def run_alone(config, **kwargs):
     (result,) = average_trajectories([config], **kwargs)
@@ -417,6 +439,51 @@ class TestSharedDraws:
                 assert joint.mean_crossings == single.mean_crossings
                 assert joint.per_trial_crossings == single.per_trial_crossings
                 assert joint.rng_metadata == single.rng_metadata
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        probes=st.lists(
+            st.tuples(
+                st.sampled_from([SignalKind.QUANTUM_HERALDED,
+                                 SignalKind.QUANTUM_HERALDED_MATCHED]),
+                st.integers(min_value=1, max_value=4),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        receiver_detectors=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        shots=st.integers(min_value=1, max_value=48),
+    )
+    def test_shared_draws_equal_scalar_reference(
+        self, probes, receiver_detectors, seed, shots
+    ):
+        # Every probe runs present and absent, so two signals compare one
+        # herald column against one herald cdf; the absent coherent and
+        # heralded signals compare different columns against one background
+        # cdf.  Three trials make one chunk, whose sum is the ensemble mean
+        # times the trial count.
+        configs = [
+            base_config(signal_kind=kind, herald_detectors=herald,
+                        receiver_detectors=receiver_detectors, target_present=present,
+                        seed=seed, shots=shots, trials=3)
+            for kind, herald in [(SignalKind.COHERENT, 1), *probes]
+            for present in (True, False)
+        ]
+        thresholds = (0.5001, 0.52)
+        together = average_trajectories(configs, thresholds=thresholds)
+        for config, joint in zip(configs, together):
+            curves = [scalar_curve(config, trial) for trial in range(config.trials)]
+            total = np.zeros(shots)
+            for curve in curves:
+                total += curve
+            assert np.array_equal(joint.mean_posterior, total / config.trials)
+            assert joint.per_trial_crossings == {
+                thr: [first_crossing(curve, thr) for curve in curves] for thr in thresholds
+            }
+            alone = run_alone(config, thresholds=thresholds)
+            assert np.array_equal(joint.mean_posterior, alone.mean_posterior)
+            assert joint.per_trial_crossings == alone.per_trial_crossings
 
     @pytest.mark.parametrize(
         "overrides", [{"seed": 1}, {"trials": 9}, {"shots": 65}],
