@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import UndefinedPosteriorError, UnsupportedStateError
 from .povm import ClickMultiplex, click_probability
-from .states import DisplacedThermal, SignedThermalMixture, StateModel
+from .states import DisplacedThermal, SignedThermalMixture, StateModel, check_mean
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,7 @@ class TargetChannel:
             raise ValueError(
                 f"reflectivity must lie strictly in (0, 1), got {self.reflectivity}"
             )
-        if not (math.isfinite(self.background_mean) and self.background_mean >= 0.0):
-            raise ValueError(
-                f"background mean must be finite and nonnegative, got {self.background_mean}"
-            )
+        check_mean(self.background_mean, "background mean")
 
 
 def background_state(channel: TargetChannel) -> SignedThermalMixture:

@@ -5,8 +5,9 @@ Every figure-style dataset is emitted as CSV (header row, comma separated,
 inputs once, in ``COMMANDS``: flag, config key, JSON type and default.  A value
 comes from its flag, else the ``--config`` JSON document, else its default.
 Unknown keys and wrong JSON types are rejected, and physical ranges are
-enforced at parse time, before any work starts or any output file is opened.
-``--seed`` and ``--threads`` exist only on ``trajectories``.
+enforced at parse time, before any work starts or any output file is opened,
+by the library's own rules.  ``--seed`` and ``--threads`` exist only on
+``trajectories``.
 
 Exit codes: 0 success, 1 config or usage error, 2 I/O error, 3 verification failure.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -29,10 +29,10 @@ from . import mc, verify
 from .channel import TargetChannel, apply_channel, background_state, receiver_click_prob
 from .errors import QillumError, TruncationError
 from .matching import MatchSpec, coherent_click_prob, matched_mean, thermal_click_prob
-from .povm import MAX_ALTERNATING_TERMS, ClickMultiplex
-from .states import DisplacedThermal, herald_state, mean_photon, tmsv_marginal, wigner_slice
+from .povm import ClickMultiplex
+from .states import (DisplacedThermal, check_efficiency, check_mean, check_outcome, herald_state,
+                     mean_photon, tmsv_marginal, wigner_slice)
 
-ENV_THREADS = "QILLUM_THREADS"
 CSV_BLOCK_ROWS = 4096
 REQUIRED = object()
 
@@ -127,9 +127,17 @@ def _grid(value) -> list:
 
 
 def _outcome(pair) -> tuple:
-    """An [N, k] herald outcome: N >= 1 detectors and 0 <= k <= N clicks."""
+    """An [N, k] herald outcome, as ``check_outcome`` rules it."""
     n, k = map(_integer, _require(isinstance(pair, list) and len(pair) == 2, pair, "[N, k]"))
-    return _require(1 <= n and 0 <= k <= n, (n, k), "a herald outcome with 0 <= k <= N")
+    check_outcome(n, k)
+    return n, k
+
+
+def _detectors(value) -> int:
+    """A multiplex size N whose every outcome, up to N clicks, ``check_outcome`` allows."""
+    n = _integer(value)
+    check_outcome(n, n)
+    return n
 
 
 def _signal(entry) -> dict:
@@ -167,9 +175,9 @@ class Kind(NamedTuple):
     flag: dict = {"type": float}
 
 
-def _physical(build) -> Kind:
-    """A number whose range is the one ``build(value)`` enforces by raising ValueError."""
-    return Kind(partial(_number, allowed=lambda x: build(x) is not None))
+def _physical(rule) -> Kind:
+    """A number whose range is the one ``rule(value)`` enforces by raising ValueError."""
+    return Kind(partial(_number, allowed=lambda x: rule(x) is not None))
 
 
 NUMBER = Kind(_number)
@@ -179,20 +187,20 @@ INTEGER = Kind(_integer, {"type": int})
 NATURAL = Kind(partial(_integer, least=0), {"type": int})
 COUNT = Kind(partial(_integer, least=1), {"type": int})
 SEED = Kind(partial(_integer, least=0, most=2**64 - 1), {"type": int})
-# Every outcome of a multiplex must stay within the alternating click-sum cap.
-DETECTORS = Kind(partial(_integer, least=1, most=MAX_ALTERNATING_TERMS), {"type": int})
+DETECTORS = Kind(_detectors, {"type": int})
 BOOLEAN = Kind(lambda value: _require(isinstance(value, bool), value, "true or false"))
 SWITCH = BOOLEAN._replace(flag={"action": "store_true"})
 TEXT = Kind(str, {})
 GRID = Kind(_grid, {})
 THRESHOLDS = Kind(partial(_items, read=partial(_number, allowed=lambda x: 0 < x < 1,
                                                what="in (0, 1)"), what="numbers"))
-# Physical ranges belong to the library objects: each of these kinds builds
-# the object that owns its value, with in-range values for the other fields.
-MEAN = _physical(tmsv_marginal)
-EFFICIENCY = _physical(lambda eta: ClickMultiplex(1, eta))
+# Physical ranges belong to the library: means and efficiencies call its rule
+# functions; a range only one object owns is checked by building that object,
+# with in-range values for its other fields.
+MEAN = _physical(partial(check_mean, what="mean photon number"))
+EFFICIENCY = _physical(check_efficiency)
 REFLECTIVITY = _physical(lambda kappa: TargetChannel(kappa, 0.0))
-BACKGROUND = _physical(lambda nbar_b: TargetChannel(0.5, nbar_b))
+BACKGROUND = _physical(partial(check_mean, what="background mean"))
 EAVESDROPPER = _physical(lambda eta_e: MatchSpec(0.0, eta_e))
 
 
@@ -296,7 +304,7 @@ def cmd_wigner(v) -> int:
 
 
 def _build_trajectories(v) -> None:
-    """Build every signal's TrajectoryConfig, and fix the thread count, before any run."""
+    """Build every signal's TrajectoryConfig before any run."""
     v.configs = {}
     for index, sig in enumerate(v.signals):
         with _blame(f"{v.named['signals']}[{index}]"):
@@ -307,9 +315,6 @@ def _build_trajectories(v) -> None:
                 trials=v.trials, seed=v.seed, signal_kind=sig["kind"],
                 target_present=v.target_present, eavesdropper_efficiency=v.eta_e,
             )
-    if v.threads is None:
-        with _blame(ENV_THREADS):
-            v.threads = COUNT.read(int(os.environ.get(ENV_THREADS, "1")))
 
 
 def cmd_trajectories(v) -> int:
@@ -409,8 +414,7 @@ COMMANDS = {
         Param("eta_e", None, EAVESDROPPER, 0.9),
         Param("thresholds", None, THRESHOLDS, [0.8, 0.9]),
         Param("signals", None, Kind(partial(_signals, kinds=[k.value for k in mc.SignalKind]))),
-        Param("threads", "--threads", COUNT, None, f"worker threads (or ${ENV_THREADS})",
-              config=False),
+        Param("threads", "--threads", COUNT, 1, "worker threads", config=False),
         OUT,
     ), _build_trajectories),
     "verify": Command(cmd_verify, (

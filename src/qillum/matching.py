@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .states import check_efficiency, check_mean
+
 
 @dataclass(frozen=True)
 class MatchSpec:
@@ -19,10 +21,7 @@ class MatchSpec:
     eavesdropper_efficiency: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.coherent_mean) and self.coherent_mean >= 0.0):
-            raise ValueError(
-                f"coherent mean must be finite and nonnegative, got {self.coherent_mean}"
-            )
+        check_mean(self.coherent_mean, "coherent mean")
         if not (0.0 < self.eavesdropper_efficiency <= 1.0):
             raise ValueError(
                 "eavesdropper efficiency must lie in (0, 1], got "
@@ -42,19 +41,15 @@ def _matched(x: float, eta: float) -> float:
 
 def coherent_click_prob(coherent_mean: float, efficiency: float) -> float:
     """Single-click probability of a coherent beam: 1 - exp(-eta * nbar_alpha)."""
-    if not (math.isfinite(coherent_mean) and coherent_mean >= 0.0):
-        raise ValueError(f"coherent mean must be finite and nonnegative, got {coherent_mean}")
-    if not (0.0 <= efficiency <= 1.0):
-        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
+    check_mean(coherent_mean, "coherent mean")
+    check_efficiency(efficiency)
     return -math.expm1(-efficiency * coherent_mean)
 
 
 def thermal_click_prob(thermal_mean: float, efficiency: float) -> float:
     """Single-click probability of a thermal beam: eta*n / (1 + eta*n)."""
-    if not (math.isfinite(thermal_mean) and thermal_mean >= 0.0):
-        raise ValueError(f"thermal mean must be finite and nonnegative, got {thermal_mean}")
-    if not (0.0 <= efficiency <= 1.0):
-        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
+    check_mean(thermal_mean, "thermal mean")
+    check_efficiency(efficiency)
     x = efficiency * thermal_mean
     return x / (1.0 + x)
 

@@ -30,8 +30,8 @@ from scipy.special import expit
 from .channel import TargetChannel, apply_channel, background_state
 from .errors import QillumError
 from .matching import MatchSpec, matched_mean
-from .povm import ClickMultiplex, _validate_outcome, click_distribution
-from .states import DisplacedThermal, herald_state, tmsv_marginal
+from .povm import ClickMultiplex, click_distribution
+from .states import DisplacedThermal, check_outcome, herald_state, tmsv_marginal
 
 # Trials are reduced in fixed chunks: trial curves are added in index order
 # inside a chunk, then chunk sums are accumulated with compensation in chunk
@@ -71,7 +71,8 @@ class TrajectoryConfig:
     signal_kind: SignalKind
     target_present: bool
     eavesdropper_efficiency: float = 0.9
-    # Built at construction, so a config that constructs can run; every run reuses them.
+    # Built at construction, so a config that constructs can run; every run
+    # reuses them.  Building them also applies every physical range rule.
     tables: LikelihoodTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,16 +83,6 @@ class TrajectoryConfig:
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "signal_kind", SignalKind(self.signal_kind))
-        # The objects build_tables makes apply their own range rules; every
-        # field is checked whether or not this signal kind uses it.
-        tmsv_marginal(self.nbar)
-        TargetChannel(self.reflectivity, self.background_mean)
-        herald = ClickMultiplex(self.herald_detectors, self.herald_efficiency)
-        receiver = ClickMultiplex(self.receiver_detectors, self.receiver_efficiency)
-        for multiplex in (herald, receiver):
-            _validate_outcome(multiplex, multiplex.detector_count)
-        if self.signal_kind is SignalKind.QUANTUM_HERALDED_MATCHED:
-            MatchSpec(self.nbar, self.eavesdropper_efficiency)
         # In-range values can still give tables that lose completeness (a
         # coherent receiver from about 12 detectors on).
         try:
@@ -213,25 +204,30 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
 
     For matched runs the quantum probe runs at the click-matched mean while
     ``config.nbar`` keeps its role as the coherent reference mean.
+
+    Each object that owns a physical range is built once, for every signal
+    kind, so every field is checked whether or not the kind uses it.  The one
+    exception is ``MatchSpec``: its eavesdropper efficiency and overflow rules
+    concern the matched probe alone.
     """
+    if config.signal_kind is SignalKind.QUANTUM_HERALDED_MATCHED:
+        probe_nbar = matched_mean(MatchSpec(config.nbar, config.eavesdropper_efficiency))
+    else:
+        probe_nbar = config.nbar
+    idler = tmsv_marginal(probe_nbar)
     channel = TargetChannel(config.reflectivity, config.background_mean)
+    herald_mux = ClickMultiplex(config.herald_detectors, config.herald_efficiency)
     receiver = ClickMultiplex(config.receiver_detectors, config.receiver_efficiency)
+    for multiplex in (herald_mux, receiver):
+        check_outcome(multiplex.detector_count, multiplex.detector_count)
     l0 = click_distribution(receiver, background_state(channel))
 
     if config.signal_kind is SignalKind.COHERENT:
-        probe_nbar = config.nbar
         herald_cdf = None
         return_state = apply_channel(channel, DisplacedThermal(probe_nbar, 0.0))
         l1 = click_distribution(receiver, return_state)[None, :]
     else:
-        if config.signal_kind is SignalKind.QUANTUM_HERALDED_MATCHED:
-            probe_nbar = matched_mean(
-                MatchSpec(config.nbar, config.eavesdropper_efficiency)
-            )
-        else:
-            probe_nbar = config.nbar
-        herald_mux = ClickMultiplex(config.herald_detectors, config.herald_efficiency)
-        herald_cdf = click_cdf(herald_mux, tmsv_marginal(probe_nbar))
+        herald_cdf = click_cdf(herald_mux, idler)
         rows = []
         # The heralded state is used for every outcome, including k = 0.
         for k in range(config.herald_detectors + 1):

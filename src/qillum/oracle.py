@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .channel import TargetChannel
 from .errors import TruncationError
 from .povm import povm_fock_diagonal
+from .states import check_mean
 
 DEFAULT_TRUNCATION = 160
 DEFAULT_TRACE_TOL = 1e-10
@@ -69,21 +71,22 @@ class FockVector:
         return 1.0 - math.fsum(self.probs.tolist())
 
 
-def choose_truncation(mean: float, tail: float = _TAIL_TARGET, floor: int = DEFAULT_TRUNCATION) -> int:
-    """Smallest truncation keeping the thermal tail (m/(1+m))^n below ``tail``."""
+def choose_truncation(mean: float) -> int:
+    """Smallest truncation of at least ``DEFAULT_TRUNCATION`` keeping the thermal
+    tail (m/(1+m))^n below ``_TAIL_TARGET``.
+    """
     if not math.isfinite(mean):
         raise ValueError(f"mean must be finite, got {mean}")
     if mean <= 0.0:
-        return floor
+        return DEFAULT_TRUNCATION
     ratio = mean / (1.0 + mean)
-    needed = int(math.ceil(math.log(tail) / math.log(ratio))) + 2
-    return max(floor, needed)
+    needed = int(math.ceil(math.log(_TAIL_TARGET) / math.log(ratio))) + 2
+    return max(DEFAULT_TRUNCATION, needed)
 
 
 def thermal_diag(mean: float, n_max: int = DEFAULT_TRUNCATION, trace_tol: float = DEFAULT_TRACE_TOL) -> FockVector:
     """Bose-Einstein distribution truncated at n_max."""
-    if not (math.isfinite(mean) and mean >= 0.0):
-        raise ValueError(f"thermal mean must be finite and nonnegative, got {mean}")
+    check_mean(mean, "thermal mean")
     n = np.arange(n_max + 1)
     if mean == 0.0:
         probs = np.zeros(n_max + 1)
@@ -95,8 +98,7 @@ def thermal_diag(mean: float, n_max: int = DEFAULT_TRUNCATION, trace_tol: float 
 
 def poisson_diag(mean: float, n_max: int = DEFAULT_TRUNCATION, trace_tol: float = DEFAULT_TRACE_TOL) -> FockVector:
     """Poisson distribution (coherent-state photon statistics) truncated at n_max."""
-    if not (math.isfinite(mean) and mean >= 0.0):
-        raise ValueError(f"coherent mean must be finite and nonnegative, got {mean}")
+    check_mean(mean, "coherent mean")
     n = np.arange(n_max + 1)
     if mean == 0.0:
         probs = np.zeros(n_max + 1)
@@ -140,7 +142,6 @@ def oracle_herald_state(
     detectors: int,
     clicks: int,
     n_max: int = DEFAULT_TRUNCATION,
-    trace_tol: float = DEFAULT_TRACE_TOL,
 ) -> FockVector:
     """Heralded signal distribution by direct summation over the TMSV Schmidt weights.
 
@@ -148,7 +149,7 @@ def oracle_herald_state(
     idler POVM coefficient at n multiplies the joint weight at |n, n> and the
     normalized remainder is the conditioned signal distribution.
     """
-    schmidt = thermal_diag(nbar, n_max, trace_tol)
+    schmidt = thermal_diag(nbar, n_max)
     coeffs = _povm_coeffs(detectors, clicks, efficiency, n_max)
     unnorm = coeffs * schmidt.probs
     weight = math.fsum(unnorm.tolist())
@@ -156,7 +157,7 @@ def oracle_herald_state(
         raise TruncationError(
             f"herald weight {weight!r} is not positive; outcome unreachable or truncated away"
         )
-    return FockVector(unnorm / weight, trace_tol)
+    return FockVector(unnorm / weight)
 
 
 _kernel_cache: dict = {}
@@ -217,7 +218,6 @@ def displaced_thermal_diag(
     coherent_mean: float,
     thermal_mean: float,
     n_max: int = DEFAULT_TRUNCATION,
-    trace_tol: float = DEFAULT_TRACE_TOL,
 ) -> FockVector:
     """Photon distribution of a displaced thermal state, built through kernels.
 
@@ -225,14 +225,13 @@ def displaced_thermal_diag(
     the displaced thermal state (coherent part mu, thermal part m); both steps
     have exact Fock-diagonal kernels, so no quadrature is involved.
     """
-    if not (math.isfinite(thermal_mean) and thermal_mean >= 0.0):
-        raise ValueError(f"thermal mean must be finite and nonnegative, got {thermal_mean}")
+    check_mean(thermal_mean, "thermal mean")
     if thermal_mean == 0.0:
-        return poisson_diag(coherent_mean, n_max, trace_tol)
+        return poisson_diag(coherent_mean, n_max)
     gain = 1.0 + thermal_mean
     seed = poisson_diag(coherent_mean / gain, n_max, trace_tol=1.0)
     amp = _amplifier_kernel(gain, n_max, n_max)
-    return FockVector(amp @ seed.probs, trace_tol)
+    return FockVector(amp @ seed.probs)
 
 
 def oracle_beamsplitter(
@@ -254,10 +253,7 @@ def oracle_beamsplitter(
     ``full_matrix=True`` instead builds the literal two-mode unitary matrix
     elements (numerically heavier; intended for spot checks at n_max <= 40).
     """
-    if not (0.0 < reflectivity < 1.0):
-        raise ValueError(f"reflectivity must lie strictly in (0, 1), got {reflectivity}")
-    if not (math.isfinite(background_mean) and background_mean >= 0.0):
-        raise ValueError(f"background mean must be finite and nonnegative, got {background_mean}")
+    TargetChannel(reflectivity, background_mean)
     if n_max is None:
         out_mean = reflectivity * float(np.arange(signal.n_max + 1) @ signal.probs) + background_mean
         n_max = choose_truncation(out_mean)

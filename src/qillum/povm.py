@@ -22,7 +22,7 @@ from operator import mul
 import numpy as np
 
 from .errors import NumericalInstabilityError, UnsupportedStateError
-from .states import DisplacedThermal, SignedThermalMixture
+from .states import DisplacedThermal, SignedThermalMixture, check_efficiency, check_outcome
 
 __all__ = [
     "ClickMultiplex",
@@ -32,11 +32,6 @@ __all__ = [
     "poisson_limit_reference",
     "povm_fock_diagonal",
 ]
-
-# Outcome counts are capped at 64 alternating terms.  The cap does not make the
-# double-precision displaced-thermal sums stable: at eta 0.9 a coherent click
-# distribution already loses completeness from 12 or 13 detectors.
-MAX_ALTERNATING_TERMS = 64
 
 # A computed probability further than this outside [0, 1] means the
 # alternating sum lost too much precision to trust.
@@ -70,10 +65,8 @@ class ClickMultiplex:
     efficiency: float
 
     def __post_init__(self):
-        if self.detector_count < 1:
-            raise ValueError(f"need at least one detector, got {self.detector_count}")
-        if not (0.0 <= self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
+        check_outcome(self.detector_count, 0)  # any N >= 1: the cap is on clicks
+        check_efficiency(self.efficiency)
 
 
 def normal_ordered_moment(state, s: float) -> float:
@@ -90,18 +83,6 @@ def normal_ordered_moment(state, s: float) -> float:
         denom = 1.0 + s * state.thermal_mean
         return math.exp(-s * state.coherent_mean / denom) / denom
     raise UnsupportedStateError(f"no moment rule for {type(state).__name__}")
-
-
-def _validate_outcome(multiplex: ClickMultiplex, clicks: int) -> None:
-    if not (0 <= clicks <= multiplex.detector_count):
-        raise ValueError(
-            f"clicks must lie in [0, {multiplex.detector_count}], got {clicks}"
-        )
-    if clicks > MAX_ALTERNATING_TERMS:
-        raise ValueError(
-            f"click counts beyond {MAX_ALTERNATING_TERMS} exceed the stable "
-            f"alternating-sum range, got {clicks}"
-        )
 
 
 def _thermal_outcome_value(mean: float, detector_count: int, clicks: int, efficiency: float) -> float:
@@ -130,7 +111,7 @@ def _thermal_outcome_value(mean: float, detector_count: int, clicks: int, effici
 
 def click_probability(multiplex: ClickMultiplex, clicks: int, state) -> float:
     """Probability of exactly ``clicks`` simultaneous clicks on the multiplex."""
-    _validate_outcome(multiplex, clicks)
+    check_outcome(multiplex.detector_count, clicks)
     n, eta = multiplex.detector_count, multiplex.efficiency
     if isinstance(state, SignedThermalMixture):
         raw = math.fsum(
@@ -175,8 +156,7 @@ def poisson_limit_reference(clicks: int, efficiency: float, state) -> float:
     """
     if clicks < 0:
         raise ValueError(f"click count must be nonnegative, got {clicks}")
-    if not (0.0 <= efficiency <= 1.0):
-        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
+    check_efficiency(efficiency)
     if not isinstance(state, SignedThermalMixture):
         raise UnsupportedStateError(
             "poisson_limit_reference supports thermal mixtures only"
@@ -196,12 +176,8 @@ def povm_fock_diagonal(detector_count: int, clicks: int, efficiency: float, n_ma
     polynomial; physically, n photons cannot fire more than n detectors), so
     those entries are exactly zero.
     """
-    if detector_count < 1:
-        raise ValueError(f"need at least one detector, got {detector_count}")
-    if not (0 <= clicks <= detector_count):
-        raise ValueError(f"clicks must lie in [0, {detector_count}], got {clicks}")
-    if clicks > MAX_ALTERNATING_TERMS:
-        raise ValueError(f"click counts beyond {MAX_ALTERNATING_TERMS} are unstable")
+    check_outcome(detector_count, clicks)
+    check_efficiency(efficiency)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
 

@@ -190,12 +190,11 @@ class TestTrajectories:
         run_cli(["trajectories", "--config", str(config), "--out", str(b)])
         assert read(a) == read(b)
 
-    def test_threads_do_not_change_output(self, tmp_path, monkeypatch):
+    def test_threads_do_not_change_output(self, tmp_path):
         config = self.make_config(tmp_path, trials=70)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["trajectories", "--config", str(config), "--out", str(a), "--threads", "1"])
-        monkeypatch.setenv("QILLUM_THREADS", "3")
-        run_cli(["trajectories", "--config", str(config), "--out", str(b)])
+        run_cli(["trajectories", "--config", str(config), "--out", str(b), "--threads", "3"])
         assert read(a) == read(b)
 
     def test_single_row(self, tmp_path):
@@ -298,11 +297,6 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QILLUM_THREADS", "zero")
-        config = TestTrajectories().make_config(tmp_path)
-        assert run_cli(["trajectories", "--config", str(config)]) == 1
-
 
 def _trajectories_row(**overrides):
     def argv(tmp_path):
@@ -350,6 +344,8 @@ class TestBoundaryDefects:
         "seed_negative_flag": (lambda tmp_path: _trajectories_row()(tmp_path) + ["--seed", "-1"],
                                "--seed: "),
         "seed_beyond_64_bits": (_trajectories_row(seed=2**64), "seed: "),
+        "threads_zero": (lambda tmp_path: _trajectories_row()(tmp_path) + ["--threads", "0"],
+                         "--threads: "),
         "receiver_detectors_65": (_trajectories_row(receiver_detectors=65), "receiver_detectors: "),
         "label_comma": (_trajectories_row(signals=[{"kind": "coherent", "label": "a,b"}]),
                         "signals: "),
@@ -363,6 +359,14 @@ class TestBoundaryDefects:
         "thresholds_string": (_trajectories_row(thresholds="0.8"), "thresholds"),
         "outcomes_number": (_herald_stats_row(5), "outcomes"),
         "outcomes_short_pair": (_herald_stats_row([[1]]), "outcomes"),
+        # herald outcomes past the 64-term alternating-sum cap
+        "outcomes_past_term_cap": (_herald_stats_row([[70, 66]]), "outcomes: "),
+        "click_prob_signal_past_term_cap": (_click_prob_row(["70,66"]), "signals: "),
+        "wigner_herald_past_term_cap": (
+            lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1",
+                              "--detectors", "70", "--clicks", "66"],
+            "--nbar, --detectors, --clicks: ",
+        ),
         "tolerance_nan": (lambda tmp_path: ["verify", "--quick", "--tolerance", "nan"],
                           "--tolerance"),
         "n_max_negative": (lambda tmp_path: ["verify", "--quick", "--n-max", "-3"], "--n-max"),

@@ -84,8 +84,7 @@ def test_figure_tables_match_tracked_out(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("label", sorted(TRAJECTORY_DOCS))
-def test_trajectories_digests(tmp_path, monkeypatch, label):
-    monkeypatch.delenv(cli.ENV_THREADS, raising=False)
+def test_trajectories_digests(tmp_path, label):
     config = tmp_path / f"{label}.json"
     config.write_text(json.dumps(TRAJECTORY_DOCS[label]))
     out = tmp_path / f"{label}.csv"

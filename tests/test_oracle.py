@@ -75,6 +75,23 @@ class TestNonFiniteMeans:
             oracle.oracle_beamsplitter(oracle.thermal_diag(1.0), 0.3, background)
 
 
+class TestEfficiencyRange:
+    # an efficiency outside [0, 1] is an input error, not a numerical failure
+    @pytest.mark.parametrize("eta", [1.5, -0.1, math.nan])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda eta: povm_fock_diagonal(2, 1, eta, 10),
+            lambda eta: oracle.oracle_click_prob(2, 1, eta, oracle.thermal_diag(1.0)),
+            lambda eta: oracle.oracle_herald_state(1.0, eta, 2, 1),
+        ],
+        ids=["povm_fock_diagonal", "oracle_click_prob", "oracle_herald_state"],
+    )
+    def test_rejected_as_input_error(self, build, eta):
+        with pytest.raises(ValueError, match=r"efficiency must lie in \[0, 1\]"):
+            build(eta)
+
+
 def _cold(build, *args):
     """``build(*args)`` against empty oracle caches, leaving the real ones untouched."""
     with pytest.MonkeyPatch.context() as mp:

@@ -108,6 +108,20 @@ class TestHeraldState:
         assert h.herald_probability == pytest.approx(1.0, abs=1e-15)
         assert mean_photon(h.state) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.0, 1.5, 2, 1), "efficiency"),
+            ((1.0, 0.9, 0, 0), "at least one detector"),
+            ((1.0, 0.9, 2, 3), "clicks must lie in"),
+            # the closed form would return a "probability" of 1 from weights near 3e16
+            ((1.0, 0.9, 70, 66), "beyond 64"),
+        ],
+    )
+    def test_out_of_range_inputs_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            herald_state(*args)
+
     @pytest.mark.parametrize("name", STATE_FUNCTIONS)
     def test_state_functions_take_the_state_not_the_herald_pair(self, name):
         # a heralded result is (state, herald_probability); only its state is a state
