@@ -25,7 +25,6 @@ from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .channel import TargetChannel, apply_channel, background_state
 from .errors import QillumError
@@ -339,7 +338,24 @@ def run_trajectory(
 
     increments = tables.log_ratio.ravel().take(index)
     log_odds = np.cumsum(increments, out=increments)
-    return expit(log_odds, out=log_odds)
+    return _expit(log_odds)
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)), in place on a 1-D float array.
+
+    Bit for bit ``1 / (1 + math.exp(-v))`` per element, as scipy's ``expit``
+    computes it.  numpy's contiguous ``exp`` takes a SIMD path that differs
+    from libm in the last bit of about 2% of doubles; on a negative-stride
+    input it runs its scalar libm loop, so ``exp`` reads the reversed view
+    into a fresh buffer.  Running it in place on that view does not work:
+    numpy then flips both strides and takes the SIMD path again.
+    """
+    np.negative(x, out=x)
+    with np.errstate(over="ignore"):
+        e = np.exp(x[::-1])
+    e += 1.0
+    return np.divide(1.0, e[::-1], out=x)
 
 
 def first_crossing(curve: np.ndarray, threshold: float) -> Optional[int]:
@@ -347,6 +363,14 @@ def first_crossing(curve: np.ndarray, threshold: float) -> Optional[int]:
     hits = curve >= threshold
     index = int(np.argmax(hits))
     return index + 1 if hits[index] else None
+
+
+def check_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
+    """Crossing thresholds as floats, each at most once: crossings are keyed by value."""
+    values = tuple(float(t) for t in thresholds)
+    if len(set(values)) != len(values):
+        raise ValueError(f"thresholds must be distinct, got {list(values)}")
+    return values
 
 
 def _chunk_worker(configs, thresholds, start, stop):
@@ -380,7 +404,8 @@ def average_trajectories(
     uniforms are drawn once and every config reads them, so a config's
     result is the one it gets when run alone.  Crossing shots are reported
     both for the ensemble-mean curve (the headline estimator) and per trial
-    (for dispersion).  The reduction order is fixed by chunk index, so any
+    (for dispersion), keyed by threshold, so a repeated threshold is a
+    ``ValueError``.  The reduction order is fixed by chunk index, so any
     thread count yields identical output.
     """
     configs = list(configs)
@@ -391,7 +416,7 @@ def average_trajectories(
         if len(values) > 1:
             raise ValueError(f"configs must share {name}, got {values}")
     first = configs[0]
-    thresholds = tuple(float(t) for t in thresholds)
+    thresholds = check_thresholds(thresholds)
     bounds = [
         (start, min(start + CHUNK_SIZE, first.trials))
         for start in range(0, first.trials, CHUNK_SIZE)

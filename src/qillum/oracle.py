@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channel import TargetChannel
 from .errors import TruncationError
@@ -104,7 +103,7 @@ def poisson_diag(mean: float, n_max: int = DEFAULT_TRUNCATION, trace_tol: float 
         probs = np.zeros(n_max + 1)
         probs[0] = 1.0
     else:
-        probs = np.exp(n * math.log(mean) - mean - gammaln(n + 1))
+        probs = np.exp(n * math.log(mean) - mean - _log_factorial(n))
     return FockVector(probs, trace_tol)
 
 
@@ -115,6 +114,24 @@ def fock_diag(level: int, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
     probs = np.zeros(n_max + 1)
     probs[level] = 1.0
     return FockVector(probs)
+
+
+# log(n!) for 0 <= n < size, from math.lgamma; grown like the caches below,
+# never shrunk or rewritten.
+_log_factorials = np.zeros(1)
+
+
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    """log(n!) of an integer array, inf where n < 0 (the poles of lgamma(n + 1))."""
+    global _log_factorials
+    table = _log_factorials
+    top = int(n.max(initial=0))
+    if top >= table.size:
+        grown = [math.lgamma(k + 1.0) for k in range(table.size, top + 1)]
+        table = np.concatenate([table, grown])
+        table.setflags(write=False)
+        _log_factorials = table
+    return np.where(n >= 0, table.take(np.maximum(n, 0)), np.inf)
 
 
 _coeff_cache: dict = {}
@@ -178,7 +195,7 @@ def _loss_kernel(transmission: float, n_in: int) -> np.ndarray:
             kernel[0, :] = 1.0
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                log_binom = gammaln(nn + 1) - gammaln(j + 1) - gammaln(nn - j + 1)
+                log_binom = _log_factorial(nn) - _log_factorial(j) - _log_factorial(nn - j)
                 log_k = log_binom + j * math.log(transmission) + (nn - j) * math.log1p(-transmission)
                 kernel = np.where(j <= nn, np.exp(log_k), 0.0)
         kernel.setflags(write=False)
@@ -206,7 +223,7 @@ def _amplifier_kernel(gain: float, n_in: int, n_out: int) -> np.ndarray:
             kernel = np.eye(rows, cols)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                log_binom = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+                log_binom = _log_factorial(n) - _log_factorial(j) - _log_factorial(n - j)
                 log_k = log_binom - (j + 1) * math.log(gain) + (n - j) * math.log1p(-1.0 / gain)
                 kernel = np.where(n >= j, np.exp(log_k), 0.0)
         kernel.setflags(write=False)
@@ -288,7 +305,7 @@ def _beamsplitter_full_matrix(
     out = np.zeros(size)
     sqrt_k = math.sqrt(kappa)
     sqrt_r = math.sqrt(1.0 - kappa)
-    log_fact = gammaln(np.arange(size + 1) + 1.0)
+    log_fact = _log_factorial(np.arange(size + 1))
     for n_s in range(signal.n_max + 1):
         p_s = signal.probs[n_s]
         if p_s == 0.0:

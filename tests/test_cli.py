@@ -1,10 +1,16 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qillum
 from qillum import verify
 from qillum.cli import _build_parser, main
 
@@ -357,6 +363,8 @@ class TestBoundaryDefects:
                                 "signals: "),
         "threshold_above_one": (_trajectories_row(thresholds=[1.5]), "thresholds"),
         "thresholds_string": (_trajectories_row(thresholds="0.8"), "thresholds"),
+        # crossings are keyed by threshold; a repeat once multiplied them
+        "thresholds_repeated": (_trajectories_row(thresholds=[0.9, 0.9]), "thresholds: "),
         "outcomes_number": (_herald_stats_row(5), "outcomes"),
         "outcomes_short_pair": (_herald_stats_row([[1]]), "outcomes"),
         # herald outcomes past the 64-term alternating-sum cap
@@ -419,6 +427,27 @@ class TestBoundaryDefects:
         monkeypatch.setattr("qillum.cli.herald_state", broken)
         with pytest.raises(ValueError, match="internal fault"):
             run_cli(["herald-stats", "--grid", "1"])
+
+
+class TestRuntimeImports:
+    def test_commands_run_without_scipy(self, tmp_path):
+        # scipy is a test-only dependency: no command may import it, at
+        # start-up or lazily inside a run
+        config = TestTrajectories().make_config(tmp_path, shots=50, trials=2)
+        script = textwrap.dedent(f"""
+            import contextlib, io, sys
+            from qillum.cli import main
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["herald-stats", "--grid", "0.1,1,2", "--out", {str(tmp_path / "h.csv")!r}]) == 0
+                assert main(["verify", "--quick"]) == 0
+                assert main(["trajectories", "--config", {str(config)!r},
+                             "--out", {str(tmp_path / "t.csv")!r}]) == 0
+            print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).parent.parent))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestParser:

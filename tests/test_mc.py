@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qillum import (
     receiver_click_prob,
     tmsv_marginal,
 )
+from qillum import mc
 from qillum.mc import (
     SignalKind,
     TrajectoryConfig,
@@ -337,6 +339,48 @@ class TestRunTrajectory:
         assert np.array_equal(run_trajectory(config, 0), scalar_curve(config, 0))
 
 
+def _scalar_expit(v):
+    """1 / (1 + exp(-v)) with the scalar libm exp; its overflow is exp(-v) = inf."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+class TestExpit:
+    """``_expit`` equals the scalar libm formula bit for bit.
+
+    It relies on numpy running its scalar libm ``exp`` loop, not the SIMD
+    one, on a negative-stride input; these tests pin that numpy detail.
+    """
+
+    @staticmethod
+    def assert_bitwise(values):
+        x = np.array(values, dtype=float)
+        expected = np.array([_scalar_expit(v) for v in x.tolist()])
+        got = mc._expit(x)
+        assert got is x
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(-800.0, 800.0)
+            | st.sampled_from([0.0, -0.0, 709.8, -709.8, 745.2, -745.2, 800.0, -800.0]),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_equals_scalar_libm(self, values):
+        self.assert_bitwise(values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_equals_scalar_libm_dense(self):
+        # about 2% of these doubles take a different last bit on numpy's SIMD exp
+        self.assert_bitwise(np.random.default_rng(12).uniform(-750.0, 750.0, 100000))
+
+
 def run_alone(config, **kwargs):
     (result,) = average_trajectories([config], **kwargs)
     return result
@@ -367,6 +411,12 @@ class TestAverageTrajectories:
         if mean_cross is not None:
             assert result.mean_posterior[mean_cross - 1] >= 0.6
             assert np.all(result.mean_posterior[: mean_cross - 1] < 0.6)
+
+    def test_repeated_threshold_rejected(self):
+        # crossings are keyed by threshold, so a repeat would collect its
+        # per-trial crossings once per occurrence
+        with pytest.raises(ValueError, match=r"thresholds must be distinct, got \[0.9, 0.8, 0.9\]"):
+            run_alone(base_config(trials=3), thresholds=(0.9, 0.8, 0.9))
 
     def test_metadata_records_provenance(self):
         result = run_alone(base_config(trials=2, shots=8))

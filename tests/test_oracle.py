@@ -189,6 +189,39 @@ class TestCachePrefixInvariant:
         assert [c.max_error for c in warm.checks] == [c.max_error for c in cold.checks]
 
 
+class TestLogFactorial:
+    """The log-factorial table that stands in for lgamma(n + 1) at integers."""
+
+    def test_equals_lgamma_and_inf_below_zero(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_log_factorials", np.zeros(1))
+        n = np.arange(-5, 2001)
+        got = oracle._log_factorial(n)
+        assert np.all(got[n < 0] == np.inf)
+        assert got[n >= 0].tolist() == [math.lgamma(k + 1.0) for k in range(2001)]
+
+    def test_grows_and_never_shrinks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_log_factorials", np.zeros(1))
+        oracle._log_factorial(np.arange(301))
+        table = oracle._log_factorials
+        before = table.copy()
+        small = oracle._log_factorial(np.arange(-2, 51))
+        assert oracle._log_factorials is table
+        assert np.array_equal(table, before)
+        assert np.array_equal(small[2:], table[:51])
+        oracle._log_factorial(np.array([400]))
+        assert oracle._log_factorials.size == 401
+        assert np.array_equal(oracle._log_factorials[:301], before)
+        assert not oracle._log_factorials.flags.writeable
+
+    def test_loss_kernel_is_binomial(self):
+        t, size = 0.3, 200
+        kernel = _cold(oracle._loss_kernel, t, size)
+        for n in range(size + 1):
+            for j in range(size + 1):
+                expected = math.comb(n, j) * t**j * (1 - t) ** (n - j) if j <= n else 0.0
+                assert kernel[j, n] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestOracleHeraldState:
     def test_single_click_suppresses_vacuum(self):
         diag = oracle.oracle_herald_state(1.0, 0.95, 1, 1, 160)
