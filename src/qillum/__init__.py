@@ -24,9 +24,7 @@ from .matching import MatchSpec, coherent_click_prob, matched_mean, thermal_clic
 from .mc import (
     SignalKind,
     TrajectoryConfig,
-    TrajectoryResult,
     average_trajectories,
-    click_cdf,
     run_trajectory,
 )
 from .povm import (

@@ -48,10 +48,10 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _blame(*names):
-    """Report a ValueError raised inside as a ConfigError naming the inputs at fault."""
+    """Report a ValueError or QillumError inside as a ConfigError naming the inputs at fault."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, QillumError) as exc:
         raise ConfigError(f"{', '.join(names)}: {exc}") from exc
 
 
@@ -327,13 +327,12 @@ def cmd_trajectories(v) -> int:
     columns = [np.arange(1, v.shots + 1)] + [r.mean_posterior for r in results.values()]
     _write_csv(v.out, header, columns)
 
-    first = next(iter(results.values())).rng_metadata
     sidecar = {
         "seed": v.seed, "trials": v.trials, "shots": v.shots, "threads": v.threads,
-        "generator": first["generator"], "stream_derivation": first["stream_derivation"],
+        "generator": mc.GENERATOR, "stream_derivation": mc.STREAM_DERIVATION,
         "signals": {
             label: {
-                "probe_nbar": result.rng_metadata["probe_nbar"],
+                "probe_nbar": v.configs[label].tables.probe_nbar,
                 "mean_curve_crossings": {str(t): result.mean_crossings[t] for t in v.thresholds},
             }
             for label, result in results.items()

@@ -27,7 +27,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .channel import TargetChannel, apply_channel, background_state
-from .errors import QillumError
 from .matching import MatchSpec, matched_mean
 from .povm import ClickMultiplex, click_distribution
 from .states import DisplacedThermal, check_outcome, herald_state, tmsv_marginal
@@ -82,12 +81,7 @@ class TrajectoryConfig:
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "signal_kind", SignalKind(self.signal_kind))
-        # In-range values can still give tables that lose completeness (a
-        # coherent receiver from about 12 detectors on).
-        try:
-            object.__setattr__(self, "tables", build_tables(self))
-        except QillumError as exc:
-            raise ValueError(f"likelihood tables cannot be built: {exc}") from exc
+        object.__setattr__(self, "tables", build_tables(self))
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,6 @@ class TrajectoryResult:
     mean_posterior: np.ndarray
     mean_crossings: dict
     per_trial_crossings: dict
-    rng_metadata: dict
 
 
 @dataclass(frozen=True)
@@ -164,6 +157,11 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
+# What a run's trial streams are, as its provenance records them.
+GENERATOR = "numpy.random.Philox (counter-based, 4x64)"
+STREAM_DERIVATION = "key = splitmix64(splitmix64(seed) ^ (trial_index + 0x9E3779B97F4A7C15))"
+
+
 def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     """Independent, reproducible generator for one trial.
 
@@ -174,26 +172,16 @@ def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def click_cdf(multiplex: ClickMultiplex, state) -> np.ndarray:
-    """Cumulative click distribution, checked complete, final entry pinned to exactly one.
-
-    A distribution whose sum misses one by more than 1e-12 of its total
-    magnitude is rejected.
-    """
-    dist = click_distribution(multiplex, state)
-    return _pinned_cumsum(dist, "click distribution", 1e-12 * max(1.0, float(np.abs(dist).sum())))
-
-
-def _pinned_cumsum(rows: np.ndarray, name: str, tolerance: float = _ROW_SUM_TOL) -> np.ndarray:
+def _pinned_cumsum(rows: np.ndarray, name: str) -> np.ndarray:
     """Cumulative sums along the last axis, final entry pinned to one, all clipped at one.
 
-    A row whose unpinned sum misses one by more than ``tolerance`` is rejected.
+    A row whose unpinned sum misses one by more than ``_ROW_SUM_TOL`` is rejected.
     """
     cdf = np.cumsum(rows, axis=-1)
     for index, total in enumerate(np.atleast_1d(cdf[..., -1])):
-        if not abs(total - 1.0) <= tolerance:
+        if not abs(total - 1.0) <= _ROW_SUM_TOL:
             where = f"{name} row {index}" if cdf.ndim == 2 else name
-            raise ValueError(f"{where} sums to {float(total)!r}, not 1 within {tolerance:.3g}")
+            raise ValueError(f"{where} sums to {float(total)!r}, not 1 within {_ROW_SUM_TOL:.3g}")
     cdf[..., -1] = 1.0
     return np.minimum(cdf, 1.0)
 
@@ -226,7 +214,8 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
         return_state = apply_channel(channel, DisplacedThermal(probe_nbar, 0.0))
         l1 = click_distribution(receiver, return_state)[None, :]
     else:
-        herald_cdf = click_cdf(herald_mux, idler)
+        # click_distribution checks the herald row complete to 1e-12.
+        herald_cdf = _pinned_cumsum(click_distribution(herald_mux, idler), "herald_cdf")
         rows = []
         # The heralded state is used for every outcome, including k = 0.
         for k in range(config.herald_detectors + 1):
@@ -446,19 +435,9 @@ def average_trajectories(
     results = []
     for config, accumulator, crossings in zip(configs, accumulators, per_trial):
         mean_posterior = accumulator.result() / config.trials
-        metadata = {
-            "seed": config.seed,
-            "trials": config.trials,
-            "shots": config.shots,
-            "generator": "numpy.random.Philox (counter-based, 4x64)",
-            "stream_derivation": "key = splitmix64(splitmix64(seed) ^ (trial_index + 0x9E3779B97F4A7C15))",
-            "chunk_size": CHUNK_SIZE,
-            "probe_nbar": config.tables.probe_nbar,
-        }
         results.append(TrajectoryResult(
             mean_posterior=mean_posterior,
             mean_crossings={thr: first_crossing(mean_posterior, thr) for thr in thresholds},
             per_trial_crossings=crossings,
-            rng_metadata=metadata,
         ))
     return results

@@ -3,9 +3,11 @@
 Nothing here reuses the geometric-series shortcuts of the main pipeline: click
 probabilities are literal contractions of POVM Fock coefficients against
 explicit photon-number vectors, the target channel acts through discrete
-loss/amplifier kernels on those vectors (with a full two-mode unitary mode for
-spot checks), and Wigner values come from the Laguerre series.  Truncation
-adequacy is always self-reported through the trace deficit.
+loss/amplifier kernels on those vectors, and Wigner values come from the
+Laguerre series.  Every ``FockVector`` checks its trace deficit against the
+one tolerance ``TRACE_TOL``.  ``oracle_beamsplitter_unitary`` is a reference
+for spot checks of the kernel route: it returns the raw output array of the
+literal two-mode unitary, whose truncated background misses that tolerance.
 
 The POVM coefficients and the loss and amplifier kernels are cached by their
 physical parameters alone.  This relies on a prefix invariant: coefficient n,
@@ -19,7 +21,7 @@ dimension); every smaller request gets a leading-block view of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .povm import povm_fock_diagonal
 from .states import check_mean
 
 DEFAULT_TRUNCATION = 160
-DEFAULT_TRACE_TOL = 1e-10
+TRACE_TOL = 1e-10
 _TAIL_TARGET = 1e-13
 
 
@@ -39,11 +41,10 @@ class FockVector:
 
     Every entry must be finite, and the trace deficit (one minus the retained
     mass) is checked on construction; a vector that lost more than
-    ``trace_tol`` cannot back a comparison at the oracle's advertised accuracy.
+    ``TRACE_TOL`` cannot back a comparison at the oracle's advertised accuracy.
     """
 
     probs: np.ndarray
-    trace_tol: float = field(default=DEFAULT_TRACE_TOL)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -55,9 +56,9 @@ class FockVector:
         if float(probs.min()) < -1e-12:
             raise ValueError(f"negative probability {probs.min():.3e} in Fock vector")
         deficit = self.trace_deficit
-        if not deficit <= self.trace_tol:
+        if not deficit <= TRACE_TOL:
             raise TruncationError(
-                f"trace deficit {deficit:.3e} exceeds tolerance {self.trace_tol:.1e}; "
+                f"trace deficit {deficit:.3e} exceeds tolerance {TRACE_TOL:.1e}; "
                 f"increase n_max beyond {self.n_max}"
             )
 
@@ -83,28 +84,22 @@ def choose_truncation(mean: float) -> int:
     return max(DEFAULT_TRUNCATION, needed)
 
 
-def thermal_diag(mean: float, n_max: int = DEFAULT_TRUNCATION, trace_tol: float = DEFAULT_TRACE_TOL) -> FockVector:
+def thermal_diag(mean: float, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
     """Bose-Einstein distribution truncated at n_max."""
     check_mean(mean, "thermal mean")
-    n = np.arange(n_max + 1)
     if mean == 0.0:
-        probs = np.zeros(n_max + 1)
-        probs[0] = 1.0
-    else:
-        probs = np.exp(n * math.log(mean / (1.0 + mean))) / (1.0 + mean)
-    return FockVector(probs, trace_tol)
+        return fock_diag(0, n_max)
+    n = np.arange(n_max + 1)
+    return FockVector(np.exp(n * math.log(mean / (1.0 + mean))) / (1.0 + mean))
 
 
-def poisson_diag(mean: float, n_max: int = DEFAULT_TRUNCATION, trace_tol: float = DEFAULT_TRACE_TOL) -> FockVector:
+def poisson_diag(mean: float, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
     """Poisson distribution (coherent-state photon statistics) truncated at n_max."""
     check_mean(mean, "coherent mean")
-    n = np.arange(n_max + 1)
     if mean == 0.0:
-        probs = np.zeros(n_max + 1)
-        probs[0] = 1.0
-    else:
-        probs = np.exp(n * math.log(mean) - mean - _log_factorial(n))
-    return FockVector(probs, trace_tol)
+        return fock_diag(0, n_max)
+    n = np.arange(n_max + 1)
+    return FockVector(np.exp(n * math.log(mean) - mean - _log_factorial(n)))
 
 
 def fock_diag(level: int, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
@@ -240,67 +235,57 @@ def displaced_thermal_diag(
 
     Amplifying a coherent state of mean mu/(1+m) with gain 1+m yields exactly
     the displaced thermal state (coherent part mu, thermal part m); both steps
-    have exact Fock-diagonal kernels, so no quadrature is involved.
+    have exact Fock-diagonal kernels, so no quadrature is involved.  The
+    truncated amplifier block never adds mass, so the seed's trace deficit is
+    at most the output's: checking the seed rejects no output that passes.
     """
     check_mean(thermal_mean, "thermal mean")
     if thermal_mean == 0.0:
         return poisson_diag(coherent_mean, n_max)
     gain = 1.0 + thermal_mean
-    seed = poisson_diag(coherent_mean / gain, n_max, trace_tol=1.0)
+    seed = poisson_diag(coherent_mean / gain, n_max)
     amp = _amplifier_kernel(gain, n_max, n_max)
     return FockVector(amp @ seed.probs)
 
 
-def oracle_beamsplitter(
-    signal: FockVector,
-    reflectivity: float,
-    background_mean: float,
-    n_max: int | None = None,
-    trace_tol: float = DEFAULT_TRACE_TOL,
-    full_matrix: bool = False,
-) -> FockVector:
+def oracle_beamsplitter(signal: FockVector, reflectivity: float, background_mean: float) -> FockVector:
     """Return-mode photon distribution after target reflection into background.
 
     The beamsplitter with the rescaled background nbar_b/(1-kappa) acts on the
     signal as a thermal attenuator, which factors exactly into a pure-loss
     channel of transmission kappa/(1+nbar_b) followed by a quantum-limited
     amplifier of gain 1+nbar_b.  Both factors are positive discrete kernels on
-    photon distributions, valid for any phase-insensitive input.
-
-    ``full_matrix=True`` instead builds the literal two-mode unitary matrix
-    elements (numerically heavier; intended for spot checks at n_max <= 40).
+    photon distributions, valid for any phase-insensitive input.  The output
+    is truncated by ``choose_truncation`` at its mean.
     """
     TargetChannel(reflectivity, background_mean)
-    if n_max is None:
-        out_mean = reflectivity * float(np.arange(signal.n_max + 1) @ signal.probs) + background_mean
-        n_max = choose_truncation(out_mean)
-    if full_matrix:
-        return _beamsplitter_full_matrix(signal, reflectivity, background_mean, n_max, trace_tol)
+    out_mean = reflectivity * float(np.arange(signal.n_max + 1) @ signal.probs) + background_mean
     gain = 1.0 + background_mean
     loss = _loss_kernel(reflectivity / gain, signal.n_max)
-    amp = _amplifier_kernel(gain, signal.n_max, n_max)
-    return FockVector(amp @ (loss @ signal.probs), trace_tol)
+    amp = _amplifier_kernel(gain, signal.n_max, choose_truncation(out_mean))
+    return FockVector(amp @ (loss @ signal.probs))
 
 
-def _beamsplitter_full_matrix(
-    signal: FockVector,
-    reflectivity: float,
-    background_mean: float,
-    n_max: int,
-    trace_tol: float,
-) -> FockVector:
-    """Literal two-mode computation: U = exp(i theta (a_S^dag a_B + h.c.)).
+def oracle_beamsplitter_unitary(
+    signal: FockVector, reflectivity: float, background_mean: float
+) -> np.ndarray:
+    """Reference for ``oracle_beamsplitter``: the literal two-mode unitary
+    U = exp(i theta (a_S^dag a_B + h.c.)), for spot checks at n_max <= 40.
 
     For each Fock pair |n_S, n_B> the output-mode amplitudes follow from
     expanding (sqrt(k) b1 + sqrt(1-k) b2)^{n_S} (-sqrt(1-k) b1 + sqrt(k) b2)^{n_B},
     i.e. a polynomial convolution; the environment mode is traced out by
-    summing squared amplitudes at fixed output photon number.
+    summing squared amplitudes at fixed output photon number.  The rescaled
+    background is truncated at the signal's n_max, so the returned raw array
+    of entries 0 .. n_max falls short of unit trace by more than ``TRACE_TOL``.
     """
+    TargetChannel(reflectivity, background_mean)
     if signal.n_max > 40:
-        raise ValueError("full-matrix mode is meant for spot checks at n_max <= 40")
+        raise ValueError("the two-mode unitary is meant for spot checks at n_max <= 40")
     kappa = reflectivity
     scaled_bg = background_mean / (1.0 - kappa)
-    bg = thermal_diag(scaled_bg, signal.n_max, trace_tol=1.0)
+    bg = scaled_bg / (1.0 + scaled_bg)
+    bg_probs = bg ** np.arange(signal.n_max + 1) / (1.0 + scaled_bg)
     size = 2 * signal.n_max + 1
     out = np.zeros(size)
     sqrt_k = math.sqrt(kappa)
@@ -313,8 +298,7 @@ def _beamsplitter_full_matrix(
         poly_s = np.array(
             [math.comb(n_s, i) * sqrt_k**i * sqrt_r ** (n_s - i) for i in range(n_s + 1)]
         )
-        for n_b in range(bg.n_max + 1):
-            p_b = bg.probs[n_b]
+        for n_b, p_b in enumerate(bg_probs):
             if p_b < 1e-18:
                 continue
             jj = np.arange(n_b + 1)
@@ -329,7 +313,7 @@ def _beamsplitter_full_matrix(
             )
             amps = conv * np.exp(norm)
             out[: total + 1] += p_s * p_b * amps**2
-    return FockVector(out[: n_max + 1], trace_tol)
+    return out[: signal.n_max + 1]
 
 
 def oracle_wigner(diag: FockVector, q: float) -> float:

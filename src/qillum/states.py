@@ -89,9 +89,9 @@ class SignedThermalMixture:
             check_mean(mean, "thermal mean")
         scale = math.fsum(map(abs, weights))
         trace = math.fsum(weights)
-        trace_tol = _TRACE_TOL_FLOOR + _TRACE_TOL_PER_WEIGHT * scale
-        if abs(trace - 1.0) > trace_tol:
-            raise ValueError(f"mixture trace {trace!r} deviates from 1 beyond {trace_tol}")
+        trace_bound = _TRACE_TOL_FLOOR + _TRACE_TOL_PER_WEIGHT * scale
+        if abs(trace - 1.0) > trace_bound:
+            raise ValueError(f"mixture trace {trace!r} deviates from 1 beyond {trace_bound}")
         tol = _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
         probs = _mixture_distribution(weights, means, PHYSICALITY_CHECK_LEVELS)
         lowest = float(probs.min())  # NaN if any p_n is NaN, and then fails

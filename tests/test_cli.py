@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qillum
-from qillum import verify
+from qillum import MatchSpec, matched_mean, mc, verify
 from qillum.cli import _build_parser, main
 
 
@@ -179,15 +179,24 @@ class TestTrajectories:
         return path
 
     def test_runs_and_writes_sidecar(self, tmp_path):
-        config = self.make_config(tmp_path)
+        config = self.make_config(tmp_path, eta_e=0.8, signals=[
+            {"kind": "quantum_heralded", "herald_detectors": 1},
+            {"kind": "coherent"},
+            {"kind": "quantum_heralded_matched", "herald_detectors": 1},
+        ])
         out = tmp_path / "traj.csv"
         assert run_cli(["trajectories", "--config", str(config), "--out", str(out)]) == 0
         lines = read(out).strip().split("\n")
-        assert lines[0] == "shot_index,mean_posterior_quantum_n1,mean_posterior_coherent"
+        assert lines[0] == ("shot_index,mean_posterior_quantum_n1,mean_posterior_coherent,"
+                            "mean_posterior_matched_n1")
         assert len(lines) == 65
         meta = json.loads(read(str(out) + ".meta.json"))
         assert meta["seed"] == 11
+        assert meta["generator"] == mc.GENERATOR
+        assert meta["stream_derivation"] == mc.STREAM_DERIVATION
         assert "mean_curve_crossings" in meta["signals"]["quantum_n1"]
+        assert meta["signals"]["quantum_n1"]["probe_nbar"] == 1.0
+        assert meta["signals"]["matched_n1"]["probe_nbar"] == matched_mean(MatchSpec(1.0, 0.8))
 
     def test_reproducible_output(self, tmp_path):
         config = self.make_config(tmp_path)
@@ -374,6 +383,17 @@ class TestBoundaryDefects:
             lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1",
                               "--detectors", "70", "--clicks", "66"],
             "--nbar, --detectors, --clicks: ",
+        ),
+        # in range, but the herald outcome has probability zero
+        "wigner_herald_vacuum": (
+            lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "0",
+                              "--detectors", "2", "--clicks", "2"],
+            "--nbar, --detectors, --clicks: herald normalization vanished",
+        ),
+        "wigner_herald_blind_idler": (
+            lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1", "--eta", "0",
+                              "--detectors", "2", "--clicks", "1"],
+            "--nbar, --detectors, --clicks: herald normalization vanished",
         ),
         "tolerance_nan": (lambda tmp_path: ["verify", "--quick", "--tolerance", "nan"],
                           "--tolerance"),

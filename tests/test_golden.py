@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from qillum import cli
+from qillum.mc import SignalKind, TrajectoryConfig
+from qillum.verify import run_verification
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,6 +115,22 @@ def test_benchmark_tracer_targets_resolve():
         module = importlib.import_module(f"qillum.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"qillum.{layer}.{name}"
+
+
+def test_benchmark_trace_hooks_read_the_api():
+    # --trace 1 counts shots from each run_trajectory config and cases from
+    # the verify report.  Tracer.install() is not called: it patches module
+    # namespaces with no undo.
+    tracer = _load(ROOT / "perfbench" / "tracer.py").Tracer()
+    for kind in (SignalKind.QUANTUM_HERALDED, SignalKind.COHERENT):
+        config = TrajectoryConfig(
+            nbar=1.0, herald_efficiency=0.9, herald_detectors=2, receiver_efficiency=0.9,
+            receiver_detectors=2, reflectivity=0.1, background_mean=3.0, shots=10,
+            trials=1, seed=7, signal_kind=kind, target_present=True,
+        )
+        tracer._count_trajectory((config,), {}, None)
+    tracer._count_cases((), {}, run_verification(quick=True))
+    assert all(count > 0 for count in tracer.counts.values()), tracer.counts
 
 
 def test_benchmark_figure_contract(tmp_path, monkeypatch):

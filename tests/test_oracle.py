@@ -286,26 +286,20 @@ class TestOracleBeamsplitter:
             brute = oracle.oracle_click_prob(1, 0, eta, out)
             assert abs(closed - brute) < 1e-9
 
-    def test_full_matrix_agrees_with_kernels(self):
-        # the literal two-mode unitary validates the loss/amplifier route
+    def test_unitary_agrees_with_kernels(self):
+        # the literal two-mode unitary validates the loss/amplifier route on
+        # the unitary's entries 0 .. 36, a leading block of the kernel output
         signal = oracle.oracle_herald_state(0.8, 0.9, 2, 2, 36)
-        kernel = oracle.oracle_beamsplitter(signal, 0.4, 1.0, n_max=36, trace_tol=1e-4)
-        full = oracle.oracle_beamsplitter(
-            signal, 0.4, 1.0, n_max=36, trace_tol=1e-4, full_matrix=True
-        )
-        assert np.abs(kernel.probs - full.probs).max() < 1e-6
+        kernel = oracle.oracle_beamsplitter(signal, 0.4, 1.0)
+        unitary = oracle.oracle_beamsplitter_unitary(signal, 0.4, 1.0)
+        assert unitary.shape == (37,)
+        assert np.abs(kernel.probs[:37] - unitary).max() < 1e-6
 
-    def test_full_matrix_thermal_check(self):
-        signal = oracle.thermal_diag(0.5, 30, trace_tol=1e-4)
-        full = oracle.oracle_beamsplitter(
-            signal, 0.5, 0.5, n_max=30, trace_tol=1e-3, full_matrix=True
-        )
+    def test_unitary_thermal_check(self):
+        signal = oracle.thermal_diag(0.5, 30)
+        unitary = oracle.oracle_beamsplitter_unitary(signal, 0.5, 0.5)
         expected = photon_number_distribution(SignedThermalMixture.thermal(0.75), 30)
-        assert np.abs(full.probs - expected).max() < 1e-4
-
-    def test_truncation_reported(self):
-        with pytest.raises(TruncationError):
-            oracle.oracle_beamsplitter(oracle.thermal_diag(1.0, 160), 0.3, 10.0, n_max=20)
+        assert np.abs(unitary - expected).max() < 1e-4
 
 
 class TestDisplacedThermalDiag:

@@ -9,14 +9,17 @@ from qillum import (
     ClickMultiplex,
     DisplacedThermal,
     SignedThermalMixture,
+    TargetChannel,
+    apply_channel,
     click_distribution,
     click_probability,
     herald_state,
     normal_ordered_moment,
     poisson_limit_reference,
     povm_fock_diagonal,
+    tmsv_marginal,
 )
-from qillum.errors import UnsupportedStateError
+from qillum.errors import NumericalInstabilityError, UnsupportedStateError
 from qillum.povm import _thermal_outcome_value
 
 from fraction_reference import thermal_outcome_value
@@ -125,6 +128,33 @@ class TestClickDistribution:
     def test_completeness_property(self, detectors, eta, nbar):
         dist = click_distribution(ClickMultiplex(detectors, eta), SignedThermalMixture.thermal(nbar))
         assert abs(math.fsum(dist.tolist()) - 1.0) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        detectors=st.integers(min_value=1, max_value=64),
+        nbar=st.floats(min_value=1e-3, max_value=1e3),
+        eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    def test_herald_cumsum_ends_at_one(self, detectors, nbar, eta):
+        # mc.build_tables pins the herald cdf under the 1e-9 likelihood-row
+        # rule; the unpinned cumsum of every herald row must still end at 1
+        # to the 1e-12 that click_distribution checks with exact sums
+        dist = click_distribution(ClickMultiplex(detectors, eta), tmsv_marginal(nbar))
+        assert abs(np.cumsum(dist)[-1] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("through_channel", [False, True])
+    @pytest.mark.parametrize("mu, limit", [(1.0, 12), (0.09, 13), (3.0, 13)])
+    def test_coherent_completeness_limit(self, mu, limit, through_channel):
+        # the receiver sizes from which a coherent click distribution at eta
+        # 0.9 loses completeness in compensated double sums, as the README
+        # states them; a cancellation-free evaluator moves them
+        state = DisplacedThermal(mu, 0.0)
+        if through_channel:
+            state = apply_channel(TargetChannel(0.1, 3.0), state)
+        for detectors in range(1, limit):
+            click_distribution(ClickMultiplex(detectors, 0.9), state)
+        with pytest.raises(NumericalInstabilityError, match="completeness lost"):
+            click_distribution(ClickMultiplex(limit, 0.9), state)
 
 
 class TestPoissonLimit:
