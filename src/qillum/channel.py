@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .errors import UndefinedPosteriorError, UnsupportedStateError
 from .povm import ClickMultiplex, click_probability
-from .states import DisplacedThermal, SignedThermalMixture, StateModel, check_mean
+from .states import (DisplacedThermal, SignedThermalMixture, StateModel, check_mean,
+                     checked_mixtures)
 
 
 @dataclass(frozen=True)
@@ -41,12 +42,19 @@ def background_state(channel: TargetChannel) -> SignedThermalMixture:
 
 def apply_channel(channel: TargetChannel, signal) -> StateModel:
     """Return state for a present target: reflected signal plus background."""
-    kappa, nb = channel.reflectivity, channel.background_mean
     if isinstance(signal, SignedThermalMixture):
-        return SignedThermalMixture(signal.weights, tuple(kappa * m + nb for m in signal.means))
+        return channel_images(channel, [signal])[0]
     if isinstance(signal, DisplacedThermal):
+        kappa, nb = channel.reflectivity, channel.background_mean
         return DisplacedThermal(kappa * signal.coherent_mean, kappa * signal.thermal_mean + nb)
     raise UnsupportedStateError(f"channel undefined for {type(signal).__name__}")
+
+
+def channel_images(channel: TargetChannel, mixtures) -> list[SignedThermalMixture]:
+    """``apply_channel`` on each signed mixture of ``mixtures``, the images checked together."""
+    kappa, nb = channel.reflectivity, channel.background_mean
+    return checked_mixtures([mixture.weights for mixture in mixtures],
+                            [tuple(kappa * m + nb for m in mixture.means) for mixture in mixtures])
 
 
 def receiver_click_prob(receiver: ClickMultiplex, clicks: int, hyp_state) -> float:

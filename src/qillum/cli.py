@@ -26,12 +26,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import mc, verify
-from .channel import TargetChannel, apply_channel, background_state, receiver_click_prob
+from .channel import (TargetChannel, apply_channel, background_state, channel_images,
+                      receiver_click_prob)
 from .errors import QillumError, TruncationError
 from .matching import MatchSpec, coherent_click_prob, matched_mean, thermal_click_prob
 from .povm import ClickMultiplex
 from .states import (DisplacedThermal, check_efficiency, check_mean, check_outcome, herald_state,
-                     mean_photon, tmsv_marginal, wigner_slice)
+                     herald_states, mean_photon, tmsv_marginal, wigner_slice)
 
 CSV_BLOCK_ROWS = 4096
 REQUIRED = object()
@@ -247,7 +248,7 @@ def cmd_herald_stats(v) -> int:
     header = ["nbar"] + [f"pr_{name}" for name in names] + [f"mean_{name}" for name in names]
     probabilities, means = [], []
     for n, k in v.outcomes:
-        heralded = [herald_state(nbar, v.eta, n, k) for nbar in v.nbar_grid]
+        heralded = herald_states(v.nbar_grid, v.eta, n, k)
         probabilities.append([h.herald_probability for h in heralded])
         means.append([mean_photon(h.state) for h in heralded])
     _write_csv(v.out, header, [v.nbar_grid, *probabilities, *means])
@@ -262,14 +263,12 @@ def cmd_click_prob(v) -> int:
     header = ["nbar", "pr_h0"] + [f"pr_{s['label']}" for s in v.signals]
     columns = [v.nbar_grid, [pr_h0] * len(v.nbar_grid)]
     for sig in v.signals:
-        column = []
-        for nbar in v.nbar_grid:
-            if sig["kind"] == "coherent":
-                signal = DisplacedThermal(nbar, 0.0)
-            else:
-                signal = herald_state(nbar, v.eta, sig["detectors"], sig["clicks"]).state
-            column.append(receiver_click_prob(receiver, 1, apply_channel(channel, signal)))
-        columns.append(column)
+        if sig["kind"] == "coherent":
+            images = [apply_channel(channel, DisplacedThermal(nbar, 0.0)) for nbar in v.nbar_grid]
+        else:
+            heralded = herald_states(v.nbar_grid, v.eta, sig["detectors"], sig["clicks"])
+            images = channel_images(channel, [h.state for h in heralded])
+        columns.append([receiver_click_prob(receiver, 1, image) for image in images])
     _write_csv(v.out, header, columns)
     return 0
 
@@ -291,7 +290,7 @@ def cmd_match(v) -> int:
 
 
 def _build_wigner(v) -> None:
-    with _blame(v.named["nbar"], v.named["detectors"], v.named["clicks"]):
+    with _blame(v.named["nbar"], v.named["eta"], v.named["detectors"], v.named["clicks"]):
         v.model = (herald_state(v.nbar, v.eta, v.detectors, v.clicks).state
                    if v.state == "herald" else tmsv_marginal(v.nbar))
 

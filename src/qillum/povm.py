@@ -57,8 +57,10 @@ class ClickMultiplex:
     terms; detector counts beyond 64 are allowed so the large-N Poisson limit
     can be probed at small click numbers.  Thermal mixtures are summed
     exactly, but displaced-thermal sums are doubles: at efficiency 0.9 a
-    coherent ``click_distribution`` fails its completeness check from N = 12
-    (mean 1) or N = 13 (means 0.09 and 3).
+    coherent ``click_distribution`` first fails at N = 12 (mean 1) or N = 13
+    (means 0.09 and 3), and then at most but not all larger N: bare at mean
+    1 it fails at 12, 13 and 15 to 24, through ``TargetChannel(0.1, 3)`` at
+    mean 0.09 at 13 and 15 to 24.
     """
 
     detector_count: int

@@ -30,9 +30,15 @@ _TRACE_TOL_PER_WEIGHT = 1e-14
 _PHYSICALITY_TOL_FLOOR = 1e-12
 _PHYSICALITY_TOL_PER_WEIGHT = 1e-15
 
+# Mixtures of one grid column are scanned this many at a time.  A block's
+# longdouble running products are a (rows, components, levels) array, about
+# 1 MB for 64 five-component heralds; a whole 500-point column would be 8 MB.
+_CHECK_BLOCK_ROWS = 64
+
 # Outcome counts are capped at 64 alternating terms.  The cap does not make the
 # double-precision displaced-thermal sums stable: at eta 0.9 a coherent click
-# distribution already loses completeness from 12 or 13 detectors.
+# distribution already loses completeness at 12 or 13 detectors, and at most
+# sizes above.
 MAX_ALTERNATING_TERMS = 64
 
 
@@ -78,31 +84,86 @@ class SignedThermalMixture:
     means: tuple[float, ...]
 
     def __post_init__(self):
-        weights, means = self.weights, self.means
-        if not weights:
-            raise ValueError("a mixture needs at least one component")
-        if len(weights) != len(means):
-            raise ValueError(f"{len(weights)} weights but {len(means)} means")
-        for weight, mean in zip(weights, means):
-            if not math.isfinite(weight):
-                raise ValueError(f"component weight must be finite, got {weight}")
-            check_mean(mean, "thermal mean")
-        scale = math.fsum(map(abs, weights))
-        trace = math.fsum(weights)
-        trace_bound = _TRACE_TOL_FLOOR + _TRACE_TOL_PER_WEIGHT * scale
-        if abs(trace - 1.0) > trace_bound:
-            raise ValueError(f"mixture trace {trace!r} deviates from 1 beyond {trace_bound}")
-        tol = _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
-        probs = _mixture_distribution(weights, means, PHYSICALITY_CHECK_LEVELS)
-        lowest = float(probs.min())  # NaN if any p_n is NaN, and then fails
-        if not (lowest >= -tol):
-            raise ValueError(
-                f"mixture is unphysical: p_n reaches {lowest:.3e} (tolerance {tol:.1e})"
-            )
+        _check_mixtures([self.weights], [self.means])
 
     @classmethod
     def thermal(cls, mean: float) -> "SignedThermalMixture":
         return cls((1.0,), (float(mean),))
+
+
+def checked_mixtures(weight_rows, mean_rows) -> list[SignedThermalMixture]:
+    """One mixture per (weights, means) row, all checked together.
+
+    Each mixture is checked exactly as direct construction checks it, but the
+    physicality scan runs once per block of rows rather than once per mixture.
+    """
+    _check_mixtures(weight_rows, mean_rows)
+    mixtures = []
+    for weights, means in zip(weight_rows, mean_rows):
+        mixture = object.__new__(SignedThermalMixture)
+        object.__setattr__(mixture, "weights", tuple(weights))
+        object.__setattr__(mixture, "means", tuple(means))
+        mixtures.append(mixture)
+    return mixtures
+
+
+def _check_mixtures(weight_rows, mean_rows) -> None:
+    """Raise the ValueError the first invalid row would raise if built alone.
+
+    Every row gets the cheap checks in order (components, finite weights,
+    ``check_mean``, trace).  The rows before the first one that fails them
+    are then scanned for p_n >= -tolerance on levels 0 ..
+    PHYSICALITY_CHECK_LEVELS, in blocks of at most ``_CHECK_BLOCK_ROWS`` rows
+    with equal component counts.  A scanned row that fails comes first;
+    otherwise the cheap failure, if any, is raised.
+    """
+    tolerances, failure = [], None
+    for weights, means in zip(weight_rows, mean_rows):
+        try:
+            tolerances.append(_physicality_tolerance(weights, means))
+        except ValueError as exc:
+            failure = exc
+            break
+    start = 0
+    while start < len(tolerances):
+        size = len(weight_rows[start])
+        stop = start + 1
+        while (stop < min(len(tolerances), start + _CHECK_BLOCK_ROWS)
+               and len(weight_rows[stop]) == size):
+            stop += 1
+        lowest = _lowest_levels(weight_rows[start:stop], mean_rows[start:stop])
+        for value, tol in zip(lowest.tolist(), tolerances[start:stop]):
+            if not (value >= -tol):  # a NaN p_n fails too
+                raise ValueError(
+                    f"mixture is unphysical: p_n reaches {value:.3e} (tolerance {tol:.1e})"
+                )
+        start = stop
+    if failure is not None:
+        raise failure
+
+
+def _physicality_tolerance(weights, means) -> float:
+    """Check one row's components and trace; return its p_n tolerance."""
+    if not weights:
+        raise ValueError("a mixture needs at least one component")
+    if len(weights) != len(means):
+        raise ValueError(f"{len(weights)} weights but {len(means)} means")
+    for weight, mean in zip(weights, means):
+        if not math.isfinite(weight):
+            raise ValueError(f"component weight must be finite, got {weight}")
+        check_mean(mean, "thermal mean")
+    scale = math.fsum(map(abs, weights))
+    trace = math.fsum(weights)
+    trace_bound = _TRACE_TOL_FLOOR + _TRACE_TOL_PER_WEIGHT * scale
+    if abs(trace - 1.0) > trace_bound:
+        raise ValueError(f"mixture trace {trace!r} deviates from 1 beyond {trace_bound}")
+    return _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
+
+
+def _lowest_levels(weight_rows, mean_rows) -> np.ndarray:
+    """Each row's lowest p_n on levels 0 .. PHYSICALITY_CHECK_LEVELS, rounded to double."""
+    probs = _mixture_distribution(weight_rows, mean_rows, PHYSICALITY_CHECK_LEVELS)
+    return probs.min(axis=-1).astype(float)  # NaN if any p_n of the row is NaN
 
 
 @dataclass(frozen=True)
@@ -158,6 +219,30 @@ def herald_state(nbar: float, efficiency: float, detectors: int, clicks: int) ->
     ``Pr_{N,k} = C(N,k) * sum_of_terms / (1 + nbar)``, which equals the click
     probability of an N-multiplex observing the thermal idler directly.
     """
+    return herald_states([nbar], efficiency, detectors, clicks)[0]
+
+
+def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list[HeraldedState]:
+    """``herald_state`` at each mean of ``nbars``, with the mixtures checked together.
+
+    A failing grid raises the error its first failing mean raises alone.
+    """
+    rows, failure = [], None
+    for nbar in nbars:
+        try:
+            rows.append(_herald_row(nbar, efficiency, detectors, clicks))
+        except (ValueError, DegenerateHeraldingError) as exc:
+            failure = exc
+            break
+    mixtures = checked_mixtures([w for w, _, _ in rows], [m for _, m, _ in rows])
+    if failure is not None:
+        raise failure
+    return [HeraldedState(mixture, probability)
+            for mixture, (_, _, probability) in zip(mixtures, rows)]
+
+
+def _herald_row(nbar: float, efficiency: float, detectors: int, clicks: int):
+    """The weights, means and probability of one herald, before the physicality check."""
     check_mean(nbar, "mean photon number")
     check_efficiency(efficiency)
     check_outcome(detectors, clicks)
@@ -190,8 +275,7 @@ def herald_state(nbar: float, efficiency: float, detectors: int, clicks: int) ->
 
     probability = math.comb(detectors, clicks) * denom / (1.0 + nbar)
     probability = min(1.0, max(0.0, probability))
-
-    return HeraldedState(SignedThermalMixture(tuple(weights), tuple(means)), probability)
+    return tuple(weights), tuple(means), probability
 
 
 def mean_photon(state) -> float:
@@ -227,14 +311,17 @@ def _mixture_distribution(weights, means, n_max: int) -> np.ndarray:
     """Longdouble p_0 .. p_{n_max} of sum_i w_i m_i^n / (1 + m_i)^(n+1).
 
     Near-degenerate heralds carry weights of magnitude ~1e7 whose signed sum
-    must cancel to ~1e-12 absolute, hence extended precision.  Each row is a
-    running product, 1/(1+m) times n factors m/(1+m); a vacuum row is [1, 0, ...].
+    must cancel to ~1e-12 absolute, hence extended precision.  Each component
+    is a running product, 1/(1+m) times n factors m/(1+m); a vacuum component
+    is [1, 0, ...].  Leading axes of ``weights`` and ``means`` are rows of
+    mixtures with one component count, each computed as a row alone is.
     """
-    m = np.array(means, dtype=np.longdouble)[:, None]
-    comp = np.repeat(m / (1.0 + m), n_max + 1, axis=1)
-    comp[:, :1] = 1.0 / (1.0 + m)
-    np.multiply.accumulate(comp, axis=1, out=comp)
-    return np.array(weights, dtype=np.longdouble) @ comp
+    m = np.array(means, dtype=np.longdouble)[..., None]
+    comp = np.repeat(m / (1.0 + m), n_max + 1, axis=-1)
+    comp[..., :1] = 1.0 / (1.0 + m)
+    np.multiply.accumulate(comp, axis=-1, out=comp)
+    weights = np.array(weights, dtype=np.longdouble)
+    return (weights[..., None, :] @ comp)[..., 0, :]
 
 
 def photon_number_distribution(state, n_max: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from qillum import (
     receiver_click_prob,
     tmsv_marginal,
 )
+from qillum.channel import channel_images
 from qillum.errors import UndefinedPosteriorError
 
 
@@ -74,6 +75,13 @@ class TestApplyChannel:
             for signal in signals:
                 expected = ch.reflectivity * mean_photon(signal) + ch.background_mean
                 assert mean_photon(apply_channel(ch, signal)) == pytest.approx(expected, abs=1e-12)
+
+    def test_images_of_a_list_equal_single_images(self):
+        # mixtures of unequal component counts are scanned in separate blocks
+        channel = TargetChannel(0.1, 10.0)
+        signals = [tmsv_marginal(1.0), herald_state(1.0, 0.9, 4, 4).state,
+                   herald_state(2.0, 0.9, 4, 4).state, tmsv_marginal(3.0)]
+        assert channel_images(channel, signals) == [apply_channel(channel, s) for s in signals]
 
 
 class TestReceiverClickProb:

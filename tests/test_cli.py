@@ -382,18 +382,18 @@ class TestBoundaryDefects:
         "wigner_herald_past_term_cap": (
             lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1",
                               "--detectors", "70", "--clicks", "66"],
-            "--nbar, --detectors, --clicks: ",
+            "--nbar, --eta, --detectors, --clicks: ",
         ),
         # in range, but the herald outcome has probability zero
         "wigner_herald_vacuum": (
             lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "0",
                               "--detectors", "2", "--clicks", "2"],
-            "--nbar, --detectors, --clicks: herald normalization vanished",
+            "--nbar, --eta, --detectors, --clicks: herald normalization vanished",
         ),
         "wigner_herald_blind_idler": (
             lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1", "--eta", "0",
                               "--detectors", "2", "--clicks", "1"],
-            "--nbar, --detectors, --clicks: herald normalization vanished",
+            "--nbar, --eta, --detectors, --clicks: herald normalization vanished",
         ),
         "tolerance_nan": (lambda tmp_path: ["verify", "--quick", "--tolerance", "nan"],
                           "--tolerance"),
@@ -444,7 +444,7 @@ class TestBoundaryDefects:
         def broken(*args):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr("qillum.cli.herald_state", broken)
+        monkeypatch.setattr("qillum.cli.herald_states", broken)
         with pytest.raises(ValueError, match="internal fault"):
             run_cli(["herald-stats", "--grid", "1"])
 

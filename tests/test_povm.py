@@ -145,16 +145,31 @@ class TestClickDistribution:
     @pytest.mark.parametrize("through_channel", [False, True])
     @pytest.mark.parametrize("mu, limit", [(1.0, 12), (0.09, 13), (3.0, 13)])
     def test_coherent_completeness_limit(self, mu, limit, through_channel):
-        # the receiver sizes from which a coherent click distribution at eta
-        # 0.9 loses completeness in compensated double sums, as the README
-        # states them; a cancellation-free evaluator moves them
+        # the receiver sizes N <= 24 at which a coherent click distribution at
+        # eta 0.9 fails in compensated double sums, as the README states them:
+        # from ``limit`` on, but not at every larger N, first on completeness
+        # and, for bare coherent states at larger N, on a probability outside
+        # [0, 1]; a cancellation-free evaluator moves them
+        lost, outside = {
+            (1.0, False): ({12, 13, 15, 17}, {16, *range(18, 25)}),
+            (1.0, True): (set(range(12, 25)), set()),
+            (0.09, False): ({13, 14, 15}, set(range(16, 25))),
+            (0.09, True): ({13, *range(15, 25)}, set()),
+            (3.0, False): (set(range(13, 18)), set(range(18, 25))),
+            (3.0, True): (set(range(13, 25)), set()),
+        }[mu, through_channel]
+        assert min(lost | outside) == limit
         state = DisplacedThermal(mu, 0.0)
         if through_channel:
             state = apply_channel(TargetChannel(0.1, 3.0), state)
-        for detectors in range(1, limit):
-            click_distribution(ClickMultiplex(detectors, 0.9), state)
-        with pytest.raises(NumericalInstabilityError, match="completeness lost"):
-            click_distribution(ClickMultiplex(limit, 0.9), state)
+        for detectors in range(1, 25):
+            receiver = ClickMultiplex(detectors, 0.9)
+            if detectors in lost | outside:
+                message = "completeness lost" if detectors in lost else r"is outside \[0, 1\]"
+                with pytest.raises(NumericalInstabilityError, match=message):
+                    click_distribution(receiver, state)
+            else:
+                click_distribution(receiver, state)
 
 
 class TestPoissonLimit:

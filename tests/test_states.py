@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,10 @@ from qillum import (
 from qillum.errors import DegenerateHeraldingError, UnsupportedStateError
 from qillum.states import (
     PHYSICALITY_CHECK_LEVELS,
+    _lowest_levels,
     _mixture_distribution,
+    checked_mixtures,
+    herald_states,
     second_moment,
     squeezing_to_mean,
 )
@@ -362,13 +366,93 @@ class TestMixtureValidation:
                 herald_state(bad, 0.9, 2, 2)
 
     def test_non_finite_distribution_fails_check(self, monkeypatch):
-        # finite inputs cannot give a NaN p_n, so one is injected into the
-        # distribution the check reads; the check must reject it, not pass it
+        # finite inputs cannot give a NaN p_n, so one is injected at level 3
+        # of each row the check reads; the check must reject it, not pass it
         def with_nan(weights, means, n_max):
             probs = _mixture_distribution(weights, means, n_max)
-            probs[3] = np.nan
+            probs[..., 3] = np.nan
             return probs
 
         monkeypatch.setattr("qillum.states._mixture_distribution", with_nan)
         with pytest.raises(ValueError, match="unphysical"):
             SignedThermalMixture.thermal(1.0)
+
+    def test_rows_report_the_first_failing_row(self):
+        # the unphysical row fails only the scan, the next one a cheap check:
+        # the rows raise what the unphysical row raises alone
+        with pytest.raises(ValueError) as alone:
+            SignedThermalMixture((1.5, -0.5), (0.0, 1.0))
+        with pytest.raises(ValueError) as together:
+            checked_mixtures([(1.0,), (1.5, -0.5), (math.nan,)], [(1.0,), (0.0, 1.0), (1.0,)])
+        assert "unphysical" in str(alone.value)
+        assert str(together.value) == str(alone.value)
+
+    def test_rows_after_a_non_finite_mean_are_not_scanned(self):
+        # a non-finite mean never reaches the longdouble scan, where it would
+        # raise a RuntimeWarning (an error under this suite's settings)
+        with pytest.raises(ValueError, match="thermal mean must be finite"):
+            checked_mixtures([(1.0,), (1.0,), (1.5, -0.5)], [(1.0,), (math.inf,), (0.0, 1.0)])
+
+
+# The herald grids of scripts/make_figure_data.py: herald-stats, and the two
+# click-prob tables, which share one grid and efficiency.
+FIGURE_GRIDS = {
+    "herald_stats": (np.linspace(0.02, 10, 500).tolist(), 0.95),
+    "click_prob": (np.linspace(0.02, 20, 500).tolist(), 0.9),
+}
+FIGURE_OUTCOMES = [(1, 0), (1, 1), (2, 1), (2, 2), (4, 4)]
+
+
+def exact(heralded):
+    state = heralded.state
+    return [x.hex() for x in (*state.weights, *state.means, heralded.herald_probability)]
+
+
+class TestHeraldStates:
+    @pytest.mark.parametrize("figure", FIGURE_GRIDS)
+    def test_grid_equals_points(self, figure):
+        grid, eta = FIGURE_GRIDS[figure]
+        for detectors, clicks in FIGURE_OUTCOMES:
+            column = herald_states(grid, eta, detectors, clicks)
+            points = [herald_state(nbar, eta, detectors, clicks) for nbar in grid]
+            assert [exact(h) for h in column] == [exact(h) for h in points]
+
+    def test_batched_scan_equals_one_row(self):
+        rows = [((2.0, -1.0), (10.0, 10.5))]  # deep-tail negativity
+        for nbar, eta, detectors, clicks in herald_grid((0.01, 0.1, 1.0, 5.0, 20.0), 8):
+            try:
+                state = herald_state(nbar, eta, detectors, clicks).state
+            except DegenerateHeraldingError:
+                continue
+            rows.append((state.weights, state.means))
+        near_degenerate = herald_state(0.01, 0.9, 8, 8).state
+        assert (near_degenerate.weights, near_degenerate.means) in rows
+        for size in {len(weights) for weights, _ in rows}:
+            block = [row for row in rows if len(row[0]) == size]
+            weights, means = zip(*block)
+            batched = _lowest_levels(weights, means)
+            alone = [_lowest_levels([w], [m])[0] for w, m in block]
+            direct = [float(_mixture_distribution(w, m, PHYSICALITY_CHECK_LEVELS).min())
+                      for w, m in block]
+            assert batched.tobytes() == np.array(alone).tobytes() == np.array(direct).tobytes()
+
+    def test_grid_reports_the_first_failing_point(self):
+        with pytest.raises(DegenerateHeraldingError) as alone:
+            herald_state(0.0, 0.9, 2, 2)
+        with pytest.raises(DegenerateHeraldingError) as together:
+            herald_states([1.0, 0.0, math.nan], 0.9, 2, 2)
+        assert str(together.value) == str(alone.value)
+        with pytest.raises(ValueError, match="mean photon number must be finite"):
+            herald_states([1.0, math.nan, 0.0], 0.9, 2, 2)
+
+    def test_scan_memory_is_bounded(self):
+        # the scan holds one block of running products at a time; a whole
+        # 500-point column at once would take about 10 MB
+        grid, eta = FIGURE_GRIDS["herald_stats"]
+        tracemalloc.start()
+        try:
+            herald_states(grid, eta, 4, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
