@@ -29,6 +29,10 @@ count for neither side) and a verdict per metric:
   run of the base;
 - ``within bound``: otherwise.
 
+A verdict needs runs that did the same work.  If any run is not ``correct``,
+or a run of the working tree fails more operations than every base run, the
+script names those runs, writes nothing and exits non-zero.
+
 Set ``TMPDIR`` to choose where the copy goes.
 """
 
@@ -109,6 +113,16 @@ def verdict(base: list, change: list, sign: int, bound: float, change_wins: int)
     return "within bound"
 
 
+def untrusted(samples: dict) -> list:
+    """Each run that a verdict cannot rest on, with the reason."""
+    problems = [f"{side} run {i}: not correct, {s['failed']} of {s['attempted']} operations failed"
+                for side, runs in samples.items() for i, s in enumerate(runs, 1) if not s["correct"]]
+    most = max(s["failed"] for s in samples["base"])
+    problems += [f"change run {i}: {s['failed']} operations failed, the base at most {most}"
+                 for i, s in enumerate(samples["change"], 1) if s["failed"] > most]
+    return problems
+
+
 def summarize(samples: dict, end_to_end: list) -> dict:
     summary = {}
     for metric in end_to_end:
@@ -159,6 +173,9 @@ def main() -> int:
     if len(settings) != 1:
         raise SystemExit(f"the two sides ran perfbench with different settings: {settings}")
     (seconds, seed), = settings
+    problems = untrusted(samples)
+    if problems:
+        raise SystemExit("no verdict, these runs cannot be trusted:\n" + "\n".join(problems))
     record = {
         "workload": args.workload,
         "base": base_sha,

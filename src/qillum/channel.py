@@ -53,8 +53,8 @@ def apply_channel(channel: TargetChannel, signal) -> StateModel:
 def channel_images(channel: TargetChannel, mixtures) -> list[SignedThermalMixture]:
     """``apply_channel`` on each signed mixture of ``mixtures``, the images checked together."""
     kappa, nb = channel.reflectivity, channel.background_mean
-    return checked_mixtures([mixture.weights for mixture in mixtures],
-                            [tuple(kappa * m + nb for m in mixture.means) for mixture in mixtures])
+    return checked_mixtures((mixture.weights, tuple(kappa * m + nb for m in mixture.means))
+                            for mixture in mixtures)
 
 
 def receiver_click_prob(receiver: ClickMultiplex, clicks: int, hyp_state) -> float:

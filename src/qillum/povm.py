@@ -22,7 +22,8 @@ from operator import mul
 import numpy as np
 
 from .errors import NumericalInstabilityError, UnsupportedStateError
-from .states import DisplacedThermal, SignedThermalMixture, check_efficiency, check_outcome
+from .states import (DisplacedThermal, SignedThermalMixture, check_efficiency, check_outcome,
+                     clamp_probability)
 
 __all__ = [
     "ClickMultiplex",
@@ -32,22 +33,6 @@ __all__ = [
     "poisson_limit_reference",
     "povm_fock_diagonal",
 ]
-
-# A computed probability further than this outside [0, 1] means the
-# alternating sum lost too much precision to trust.
-_EXCURSION_TOL = 1e-10
-
-
-def clamp_probability(value: float) -> float:
-    """Clamp a computed probability onto [0, 1], raising on a larger excursion."""
-    if not math.isfinite(value):
-        raise NumericalInstabilityError(f"probability evaluated to {value}")
-    if value < -_EXCURSION_TOL or value > 1.0 + _EXCURSION_TOL:
-        raise NumericalInstabilityError(
-            f"probability {value!r} is outside [0, 1] by more than {_EXCURSION_TOL}"
-        )
-    return min(1.0, max(0.0, value))
-
 
 @dataclass(frozen=True)
 class ClickMultiplex:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DegenerateHeraldingError, UnsupportedStateError
+from .errors import DegenerateHeraldingError, NumericalInstabilityError, UnsupportedStateError
 
 # Physicality of a signed mixture is spot-checked on this many Fock levels;
 # beyond it thermal tails decay monotonically and need no check.
@@ -31,8 +31,9 @@ _PHYSICALITY_TOL_FLOOR = 1e-12
 _PHYSICALITY_TOL_PER_WEIGHT = 1e-15
 
 # Mixtures of one grid column are scanned this many at a time.  A block's
-# longdouble running products are a (rows, components, levels) array, about
-# 1 MB for 64 five-component heralds; a whole 500-point column would be 8 MB.
+# longdouble running products are a (rows, widest row's components, levels)
+# array, about 1 MB for 64 five-component heralds; a whole 500-point column
+# would be 8 MB.
 _CHECK_BLOCK_ROWS = 64
 
 # Outcome counts are capped at 64 alternating terms.  The cap does not make the
@@ -49,6 +50,22 @@ def check_mean(value: float, what: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{what} must be finite and nonnegative, got {value}")
     return value
+
+
+# A computed probability further than this outside [0, 1] means the
+# alternating sum lost too much precision to trust.
+_EXCURSION_TOL = 1e-10
+
+
+def clamp_probability(value: float) -> float:
+    """Clamp a computed probability onto [0, 1], raising on a larger excursion."""
+    if not math.isfinite(value):
+        raise NumericalInstabilityError(f"probability evaluated to {value}")
+    if value < -_EXCURSION_TOL or value > 1.0 + _EXCURSION_TOL:
+        raise NumericalInstabilityError(
+            f"probability {value!r} is outside [0, 1] by more than {_EXCURSION_TOL}"
+        )
+    return min(1.0, max(0.0, value))
 
 
 def check_efficiency(eta: float) -> float:
@@ -84,62 +101,34 @@ class SignedThermalMixture:
     means: tuple[float, ...]
 
     def __post_init__(self):
-        _check_mixtures([self.weights], [self.means])
+        checked_mixtures([(self.weights, self.means)])
 
     @classmethod
     def thermal(cls, mean: float) -> "SignedThermalMixture":
         return cls((1.0,), (float(mean),))
 
 
-def checked_mixtures(weight_rows, mean_rows) -> list[SignedThermalMixture]:
-    """One mixture per (weights, means) row, all checked together.
+def checked_mixtures(rows) -> list[SignedThermalMixture]:
+    """One mixture per ``(weights, means)`` pair of ``rows``, checked in one pass.
 
-    Each mixture is checked exactly as direct construction checks it, but the
-    physicality scan runs once per block of rows rather than once per mixture.
+    Each row gets the cheap checks in order (components, finite weights,
+    ``check_mean``, trace); every ``_CHECK_BLOCK_ROWS`` rows are then scanned
+    together for p_n >= -tolerance on levels 0 .. PHYSICALITY_CHECK_LEVELS.
+    ``rows`` may be a generator that raises.  When it or a cheap check raises,
+    the rows before are scanned first, so the error is the one the first
+    failing row raises alone.
     """
-    _check_mixtures(weight_rows, mean_rows)
-    mixtures = []
-    for weights, means in zip(weight_rows, mean_rows):
-        mixture = object.__new__(SignedThermalMixture)
-        object.__setattr__(mixture, "weights", tuple(weights))
-        object.__setattr__(mixture, "means", tuple(means))
-        mixtures.append(mixture)
-    return mixtures
-
-
-def _check_mixtures(weight_rows, mean_rows) -> None:
-    """Raise the ValueError the first invalid row would raise if built alone.
-
-    Every row gets the cheap checks in order (components, finite weights,
-    ``check_mean``, trace).  The rows before the first one that fails them
-    are then scanned for p_n >= -tolerance on levels 0 ..
-    PHYSICALITY_CHECK_LEVELS, in blocks of at most ``_CHECK_BLOCK_ROWS`` rows
-    with equal component counts.  A scanned row that fails comes first;
-    otherwise the cheap failure, if any, is raised.
-    """
-    tolerances, failure = [], None
-    for weights, means in zip(weight_rows, mean_rows):
-        try:
-            tolerances.append(_physicality_tolerance(weights, means))
-        except ValueError as exc:
-            failure = exc
-            break
-    start = 0
-    while start < len(tolerances):
-        size = len(weight_rows[start])
-        stop = start + 1
-        while (stop < min(len(tolerances), start + _CHECK_BLOCK_ROWS)
-               and len(weight_rows[stop]) == size):
-            stop += 1
-        lowest = _lowest_levels(weight_rows[start:stop], mean_rows[start:stop])
-        for value, tol in zip(lowest.tolist(), tolerances[start:stop]):
-            if not (value >= -tol):  # a NaN p_n fails too
-                raise ValueError(
-                    f"mixture is unphysical: p_n reaches {value:.3e} (tolerance {tol:.1e})"
-                )
-        start = stop
-    if failure is not None:
-        raise failure
+    mixtures, block = [], []
+    try:
+        for weights, means in rows:
+            block.append((tuple(weights), tuple(means), _physicality_tolerance(weights, means)))
+            if len(block) == _CHECK_BLOCK_ROWS:
+                full, block = block, []
+                mixtures += _scanned(full)
+    except Exception:
+        _scanned(block)
+        raise
+    return mixtures + _scanned(block)
 
 
 def _physicality_tolerance(weights, means) -> float:
@@ -160,10 +149,29 @@ def _physicality_tolerance(weights, means) -> float:
     return _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
 
 
-def _lowest_levels(weight_rows, mean_rows) -> np.ndarray:
-    """Each row's lowest p_n on levels 0 .. PHYSICALITY_CHECK_LEVELS, rounded to double."""
-    probs = _mixture_distribution(weight_rows, mean_rows, PHYSICALITY_CHECK_LEVELS)
-    return probs.min(axis=-1).astype(float)  # NaN if any p_n of the row is NaN
+def _scanned(block) -> list[SignedThermalMixture]:
+    """The mixtures of ``(weights, means, tolerance)`` rows whose p_n all pass the scan.
+
+    Rows are padded to the widest with weight-0, mean-0 components, whose
+    running product is [1, 0, ...]: each adds exactly zero to every p_n.
+    """
+    if not block:
+        return []
+    width = max(len(weights) for weights, _, _ in block)
+    padded = [(weights + (0.0,) * (width - len(weights)), means + (0.0,) * (width - len(means)))
+              for weights, means, _ in block]
+    probs = _mixture_distribution(*zip(*padded), PHYSICALITY_CHECK_LEVELS)
+    mixtures = []
+    for value, (weights, means, tol) in zip(probs.min(axis=-1).astype(float).tolist(), block):
+        if not (value >= -tol):  # a NaN p_n fails too
+            raise ValueError(
+                f"mixture is unphysical: p_n reaches {value:.3e} (tolerance {tol:.1e})"
+            )
+        mixture = object.__new__(SignedThermalMixture)
+        object.__setattr__(mixture, "weights", weights)
+        object.__setattr__(mixture, "means", means)
+        mixtures.append(mixture)
+    return mixtures
 
 
 @dataclass(frozen=True)
@@ -227,18 +235,17 @@ def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list
 
     A failing grid raises the error its first failing mean raises alone.
     """
-    rows, failure = [], None
-    for nbar in nbars:
-        try:
-            rows.append(_herald_row(nbar, efficiency, detectors, clicks))
-        except (ValueError, DegenerateHeraldingError) as exc:
-            failure = exc
-            break
-    mixtures = checked_mixtures([w for w, _, _ in rows], [m for _, m, _ in rows])
-    if failure is not None:
-        raise failure
+    probabilities = []
+
+    def rows():
+        for nbar in nbars:
+            weights, means, probability = _herald_row(nbar, efficiency, detectors, clicks)
+            probabilities.append(probability)
+            yield weights, means
+
+    mixtures = checked_mixtures(rows())
     return [HeraldedState(mixture, probability)
-            for mixture, (_, _, probability) in zip(mixtures, rows)]
+            for mixture, probability in zip(mixtures, probabilities)]
 
 
 def _herald_row(nbar: float, efficiency: float, detectors: int, clicks: int):
@@ -273,8 +280,7 @@ def _herald_row(nbar: float, efficiency: float, detectors: int, clicks: int):
             break
         weights[j] = adjusted
 
-    probability = math.comb(detectors, clicks) * denom / (1.0 + nbar)
-    probability = min(1.0, max(0.0, probability))
+    probability = clamp_probability(math.comb(detectors, clicks) * denom / (1.0 + nbar))
     return tuple(weights), tuple(means), probability
 
 
@@ -314,7 +320,7 @@ def _mixture_distribution(weights, means, n_max: int) -> np.ndarray:
     must cancel to ~1e-12 absolute, hence extended precision.  Each component
     is a running product, 1/(1+m) times n factors m/(1+m); a vacuum component
     is [1, 0, ...].  Leading axes of ``weights`` and ``means`` are rows of
-    mixtures with one component count, each computed as a row alone is.
+    mixtures, each computed as a row alone is.
     """
     m = np.array(means, dtype=np.longdouble)[..., None]
     comp = np.repeat(m / (1.0 + m), n_max + 1, axis=-1)

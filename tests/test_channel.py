@@ -77,7 +77,7 @@ class TestApplyChannel:
                 assert mean_photon(apply_channel(ch, signal)) == pytest.approx(expected, abs=1e-12)
 
     def test_images_of_a_list_equal_single_images(self):
-        # mixtures of unequal component counts are scanned in separate blocks
+        # mixtures of unequal component counts share one block, padded to the widest
         channel = TargetChannel(0.1, 10.0)
         signals = [tmsv_marginal(1.0), herald_state(1.0, 0.9, 4, 4).state,
                    herald_state(2.0, 0.9, 4, 4).state, tmsv_marginal(3.0)]

@@ -290,6 +290,19 @@ class TestExitCodes:
     def test_bad_grid_is_config_error(self):
         assert run_cli(["herald-stats", "--grid", "lin:1:2"]) == 1
 
+    def test_herald_probability_out_of_range_is_an_error(self, tmp_path, capsys):
+        # the (15, 8) herald at nbar 0.0156 was once written as probability 0
+        config = tmp_path / "stats.json"
+        config.write_text(json.dumps({"outcomes": [[15, 8]]}))
+        out = tmp_path / "out.csv"
+        argv = ["herald-stats", "--grid", "0.01,0.0156", "--eta", "0.9",
+                "--config", str(config), "--out", str(out)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: probability -1.0185911520184703e-10 is outside [0, 1]")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -394,6 +407,12 @@ class TestBoundaryDefects:
             lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1", "--eta", "0",
                               "--detectors", "2", "--clicks", "1"],
             "--nbar, --eta, --detectors, --clicks: herald normalization vanished",
+        ),
+        # in range, but the herald probability cancels to -1.1e-9
+        "wigner_herald_probability_out_of_range": (
+            lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "0.1", "--eta", "0.9",
+                              "--detectors", "20", "--clicks", "10"],
+            "--nbar, --eta, --detectors, --clicks: probability -1.1188383552962478e-09 is outside",
         ),
         "tolerance_nan": (lambda tmp_path: ["verify", "--quick", "--tolerance", "nan"],
                           "--tolerance"),

@@ -541,3 +541,9 @@ class TestSharedDraws:
     def test_no_configs_raise(self):
         with pytest.raises(ValueError, match="at least one"):
             average_trajectories([])
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_raises(self, threads):
+        # the CLI's --threads rule; such a count once ran serially
+        with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {threads}"):
+            average_trajectories([base_config()], threads=threads)

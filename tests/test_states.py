@@ -26,10 +26,9 @@ from qillum import (
     tmsv_marginal,
     wigner_slice,
 )
-from qillum.errors import DegenerateHeraldingError, UnsupportedStateError
+from qillum.errors import DegenerateHeraldingError, NumericalInstabilityError, UnsupportedStateError
 from qillum.states import (
     PHYSICALITY_CHECK_LEVELS,
-    _lowest_levels,
     _mixture_distribution,
     checked_mixtures,
     herald_states,
@@ -383,15 +382,28 @@ class TestMixtureValidation:
         with pytest.raises(ValueError) as alone:
             SignedThermalMixture((1.5, -0.5), (0.0, 1.0))
         with pytest.raises(ValueError) as together:
-            checked_mixtures([(1.0,), (1.5, -0.5), (math.nan,)], [(1.0,), (0.0, 1.0), (1.0,)])
+            checked_mixtures([((1.0,), (1.0,)), ((1.5, -0.5), (0.0, 1.0)), ((math.nan,), (1.0,))])
         assert "unphysical" in str(alone.value)
+        assert str(together.value) == str(alone.value)
+
+    def test_rows_scanned_before_a_raising_generator(self):
+        # the generator's own error comes after the unphysical row it yielded
+        def rows():
+            yield (1.0,), (1.0,)
+            yield (1.5, -0.5), (0.0, 1.0)
+            raise DegenerateHeraldingError("herald normalization vanished")
+
+        with pytest.raises(ValueError) as alone:
+            SignedThermalMixture((1.5, -0.5), (0.0, 1.0))
+        with pytest.raises(ValueError) as together:
+            checked_mixtures(rows())
         assert str(together.value) == str(alone.value)
 
     def test_rows_after_a_non_finite_mean_are_not_scanned(self):
         # a non-finite mean never reaches the longdouble scan, where it would
         # raise a RuntimeWarning (an error under this suite's settings)
         with pytest.raises(ValueError, match="thermal mean must be finite"):
-            checked_mixtures([(1.0,), (1.0,), (1.5, -0.5)], [(1.0,), (math.inf,), (0.0, 1.0)])
+            checked_mixtures([((1.0,), (1.0,)), ((1.0,), (math.inf,)), ((1.5, -0.5), (0.0, 1.0))])
 
 
 # The herald grids of scripts/make_figure_data.py: herald-stats, and the two
@@ -417,8 +429,11 @@ class TestHeraldStates:
             points = [herald_state(nbar, eta, detectors, clicks) for nbar in grid]
             assert [exact(h) for h in column] == [exact(h) for h in points]
 
-    def test_batched_scan_equals_one_row(self):
-        rows = [((2.0, -1.0), (10.0, 10.5))]  # deep-tail negativity
+    def test_batched_scan_equals_one_row(self, monkeypatch):
+        # blocks mix component counts 1 .. 9, padded to the widest row with
+        # (weight 0, mean 0) components; a padded row's p_n must equal the row
+        # computed alone.  The deep-tail mixture comes last and still fails.
+        rows = []
         for nbar, eta, detectors, clicks in herald_grid((0.01, 0.1, 1.0, 5.0, 20.0), 8):
             try:
                 state = herald_state(nbar, eta, detectors, clicks).state
@@ -427,14 +442,23 @@ class TestHeraldStates:
             rows.append((state.weights, state.means))
         near_degenerate = herald_state(0.01, 0.9, 8, 8).state
         assert (near_degenerate.weights, near_degenerate.means) in rows
-        for size in {len(weights) for weights, _ in rows}:
-            block = [row for row in rows if len(row[0]) == size]
-            weights, means = zip(*block)
-            batched = _lowest_levels(weights, means)
-            alone = [_lowest_levels([w], [m])[0] for w, m in block]
-            direct = [float(_mixture_distribution(w, m, PHYSICALITY_CHECK_LEVELS).min())
-                      for w, m in block]
-            assert batched.tobytes() == np.array(alone).tobytes() == np.array(direct).tobytes()
+        rows.append(((2.0, -1.0), (10.0, 10.5)))  # deep-tail negativity
+        blocks = []
+
+        def recorded(weights, means, n_max):
+            probs = _mixture_distribution(weights, means, n_max)
+            blocks.append(probs.astype(float))
+            return probs
+
+        monkeypatch.setattr("qillum.states._mixture_distribution", recorded)
+        with pytest.raises(ValueError, match="unphysical"):
+            checked_mixtures(rows)
+        monkeypatch.undo()
+        assert len(blocks) > 1 and len({len(w) for w, _ in rows[:len(blocks[0])]}) > 1
+        batched = np.concatenate(blocks)
+        alone = [_mixture_distribution(w, m, PHYSICALITY_CHECK_LEVELS).astype(float)
+                 for w, m in rows]
+        assert np.array_equal(batched, np.array(alone))
 
     def test_grid_reports_the_first_failing_point(self):
         with pytest.raises(DegenerateHeraldingError) as alone:
@@ -444,6 +468,15 @@ class TestHeraldStates:
         assert str(together.value) == str(alone.value)
         with pytest.raises(ValueError, match="mean photon number must be finite"):
             herald_states([1.0, math.nan, 0.0], 0.9, 2, 2)
+
+    def test_probability_out_of_range_raises(self):
+        # the (15, 8) herald's probability cancels to -1.0e-10 at nbar 0.0156;
+        # it was once clamped to 0 with a mean of 0.012 for an 8-click herald
+        with pytest.raises(NumericalInstabilityError,
+                           match=r"probability -1\.0185911520184703e-10 is outside \[0, 1\]"):
+            herald_states([0.01, 0.0156], 0.9, 15, 8)
+        with pytest.raises(NumericalInstabilityError, match="outside"):
+            herald_state(0.1, 0.9, 20, 10)
 
     def test_scan_memory_is_bounded(self):
         # the scan holds one block of running products at a time; a whole
