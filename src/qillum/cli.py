@@ -5,9 +5,10 @@ Every figure-style dataset is emitted as CSV (header row, comma separated,
 inputs once, in ``COMMANDS``: flag, config key, JSON type and default.  A value
 comes from its flag, else the ``--config`` JSON document, else its default.
 Unknown keys and wrong JSON types are rejected, and physical ranges are
-enforced at parse time, before any work starts or any output file is opened,
-by the library's own rules.  ``--seed`` and ``--threads`` exist only on
-``trajectories``.
+enforced by the library's own rules before any output file is opened: each
+value as it is read, and values that are checked together (a match spec, a
+herald state, a trajectory config) at the top of their command.  ``--seed``
+and ``--threads`` exist only on ``trajectories``.
 
 Exit codes: 0 success, 1 config or usage error, 2 I/O error, 3 verification failure.
 """
@@ -134,6 +135,12 @@ def _outcome(pair) -> tuple:
     return n, k
 
 
+def _outcomes(value) -> list:
+    """Distinct [N, k] herald outcomes: each names a pair of CSV columns."""
+    outcomes = _items(value, _outcome, "[N, k] pairs")
+    return _require(len(set(outcomes)) == len(outcomes), value, "distinct [N, k] pairs")
+
+
 def _detectors(value) -> int:
     """A multiplex size N whose every outcome, up to N clicks, ``check_outcome`` allows."""
     n = _integer(value)
@@ -221,7 +228,7 @@ OUT = Param("out", "--out", TEXT, None, "output CSV path (default: stdout)", con
 
 
 def _resolve(name: str, command, args) -> SimpleNamespace:
-    """Apply flag > config > default to every parameter, then the command's build step."""
+    """Apply flag > config > default to every parameter."""
     given = vars(args)
     document = _load_config(given.get("config"))
     for problem, keys in (
@@ -237,8 +244,6 @@ def _resolve(name: str, command, args) -> SimpleNamespace:
         values.named[p.key] = source
         with _blame(source):
             setattr(values, p.key, None if value is None else p.kind.read(value))
-    if command.build is not None:
-        command.build(values)
     return values
 
 
@@ -273,14 +278,11 @@ def cmd_click_prob(v) -> int:
     return 0
 
 
-def _build_match(v) -> None:
-    with _blame(v.named["nbar_alpha_grid"], v.named["eta_e"]):
-        v.specs = [MatchSpec(nbar_alpha, v.eta_e) for nbar_alpha in v.nbar_alpha_grid]
-
-
 def cmd_match(v) -> int:
     """Click-probability matching table over a coherent-mean grid."""
-    matched = [matched_mean(spec) for spec in v.specs]
+    with _blame(v.named["nbar_alpha_grid"], v.named["eta_e"]):
+        specs = [MatchSpec(nbar_alpha, v.eta_e) for nbar_alpha in v.nbar_alpha_grid]
+    matched = [matched_mean(spec) for spec in specs]
     coherent = [coherent_click_prob(nbar_alpha, v.eta_e) for nbar_alpha in v.nbar_alpha_grid]
     thermal = [thermal_click_prob(nbar, v.eta_e) for nbar in matched]
     header = ["nbar_alpha", "matched_nbar", "coherent_click", "matched_thermal_click", "residual"]
@@ -289,39 +291,32 @@ def cmd_match(v) -> int:
     return 0
 
 
-def _build_wigner(v) -> None:
-    with _blame(v.named["nbar"], v.named["eta"], v.named["detectors"], v.named["clicks"]):
-        v.model = (herald_state(v.nbar, v.eta, v.detectors, v.clicks).state
-                   if v.state == "herald" else tmsv_marginal(v.nbar))
-
-
 def cmd_wigner(v) -> int:
     """W(q, 0) slice of a thermal or heralded state."""
+    with _blame(v.named["nbar"], v.named["eta"], v.named["detectors"], v.named["clicks"]):
+        model = (herald_state(v.nbar, v.eta, v.detectors, v.clicks).state
+                 if v.state == "herald" else tmsv_marginal(v.nbar))
     q = np.linspace(v.q_min, v.q_max, v.q_points)
-    _write_csv(v.out, ["q", "w"], [q, wigner_slice(v.model, q)])
+    _write_csv(v.out, ["q", "w"], [q, wigner_slice(model, q)])
     return 0
 
 
-def _build_trajectories(v) -> None:
-    """Build every signal's TrajectoryConfig before any run."""
-    v.configs = {}
+def cmd_trajectories(v) -> int:
+    """Ensemble-averaged detection trajectories for one or more signal kinds."""
+    configs = {}  # every signal's config is built before any run
     for index, sig in enumerate(v.signals):
         with _blame(f"{v.named['signals']}[{index}]"):
-            v.configs[sig["label"]] = mc.TrajectoryConfig(
+            configs[sig["label"]] = mc.TrajectoryConfig(
                 nbar=v.nbar, herald_efficiency=v.eta, herald_detectors=sig["detectors"],
                 receiver_efficiency=v.eta_s, receiver_detectors=v.receiver_detectors,
                 reflectivity=v.kappa, background_mean=v.nbar_b, shots=v.shots,
                 trials=v.trials, seed=v.seed, signal_kind=sig["kind"],
                 target_present=v.target_present, eavesdropper_efficiency=v.eta_e,
             )
-
-
-def cmd_trajectories(v) -> int:
-    """Ensemble-averaged detection trajectories for one or more signal kinds."""
     ensembles = mc.average_trajectories(
-        list(v.configs.values()), threads=v.threads, thresholds=v.thresholds
+        list(configs.values()), threads=v.threads, thresholds=v.thresholds
     )
-    results = dict(zip(v.configs, ensembles))
+    results = dict(zip(configs, ensembles))
     header = ["shot_index"] + [f"mean_posterior_{label}" for label in results]
     columns = [np.arange(1, v.shots + 1)] + [r.mean_posterior for r in results.values()]
     _write_csv(v.out, header, columns)
@@ -331,7 +326,7 @@ def cmd_trajectories(v) -> int:
         "generator": mc.GENERATOR, "stream_derivation": mc.STREAM_DERIVATION,
         "signals": {
             label: {
-                "probe_nbar": v.configs[label].tables.probe_nbar,
+                "probe_nbar": configs[label].tables.probe_nbar,
                 "mean_curve_crossings": {str(t): result.mean_crossings[t] for t in v.thresholds},
             }
             for label, result in results.items()
@@ -360,7 +355,6 @@ def cmd_verify(v) -> int:
 class Command(NamedTuple):
     run: Callable  # its docstring is the subcommand's help
     params: tuple
-    build: Callable | None = None  # cross-parameter checks, after every value is read
     config: bool = True  # takes --config
 
 
@@ -368,8 +362,7 @@ COMMANDS = {
     "herald-stats": Command(cmd_herald_stats, (
         Param("nbar_grid", "--grid", GRID, [], GRID_HELP),
         Param("eta", "--eta", EFFICIENCY, 0.95, "herald detector efficiency"),
-        Param("outcomes", None, Kind(partial(_items, read=_outcome, what="[N, k] pairs")),
-              [[1, 0], [1, 1], [2, 1], [2, 2], [4, 4]]),
+        Param("outcomes", None, Kind(_outcomes), [[1, 0], [1, 1], [2, 1], [2, 2], [4, 4]]),
         OUT,
     )),
     "click-prob": Command(cmd_click_prob, (
@@ -386,7 +379,7 @@ COMMANDS = {
         Param("nbar_alpha_grid", "--grid", GRID, [], GRID_HELP),
         Param("eta_e", "--eta-e", EAVESDROPPER, 0.9, "eavesdropper efficiency"),
         OUT,
-    ), _build_match),
+    )),
     "wigner": Command(cmd_wigner, (
         Param("state", "--state", Kind(str, {"choices": ["thermal", "herald"]}), "thermal"),
         Param("nbar", "--nbar", MEAN, 0.0),
@@ -397,7 +390,7 @@ COMMANDS = {
         Param("q_max", "--q-max", FINITE, 4.0),
         Param("q_points", "--q-points", COUNT, 161),
         OUT,
-    ), _build_wigner, config=False),
+    ), config=False),
     "trajectories": Command(cmd_trajectories, (
         Param("nbar", None, MEAN),
         Param("eta", None, EFFICIENCY, 0.9),
@@ -414,7 +407,7 @@ COMMANDS = {
         Param("signals", None, Kind(partial(_signals, kinds=[k.value for k in mc.SignalKind]))),
         Param("threads", "--threads", COUNT, 1, "worker threads", config=False),
         OUT,
-    ), _build_trajectories),
+    )),
     "verify": Command(cmd_verify, (
         Param("tolerance", "--tolerance", POSITIVE, verify.CLOSED_FORM_TOL,
               "closed-form comparison tolerance (end-to-end and Wigner: 10x)"),

@@ -9,13 +9,11 @@ one tolerance ``TRACE_TOL``.  ``oracle_beamsplitter_unitary`` is a reference
 for spot checks of the kernel route: it returns the raw output array of the
 literal two-mode unitary, whose truncated background misses that tolerance.
 
-The POVM coefficients and the loss and amplifier kernels are cached by their
-physical parameters alone.  This relies on a prefix invariant: coefficient n,
-and kernel entry (row, column), depend only on that index and the parameters,
-never on the truncation, so the result at any size is the leading block of
-the result at a larger size.  Each key holds one read-only array that a
-larger request rebuilds and replaces (at the largest size seen per
-dimension); every smaller request gets a leading-block view of it.
+Every table the oracle reuses (log factorials, POVM coefficients, loss and
+amplifier kernels) sits behind ``_leading_block``, keyed by its physical
+parameters alone.  This relies on a prefix invariant: every entry depends
+only on its index and the parameters, never on the truncation, so the table
+at any size is the leading block of the table at a larger size.
 """
 
 from __future__ import annotations
@@ -111,35 +109,40 @@ def fock_diag(level: int, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
     return FockVector(probs)
 
 
-# log(n!) for 0 <= n < size, from math.lgamma; grown like the caches below,
-# never shrunk or rewritten.
-_log_factorials = np.zeros(1)
+# Key -> one read-only table, grown on each axis to the largest shape requested.
+_tables: dict = {}
+
+
+def _leading_block(key, shape: tuple, build) -> np.ndarray:
+    """The leading ``shape`` block of the table under ``key``.
+
+    ``build(*size)`` makes the whole table at ``size``; it runs only when a
+    request exceeds the stored table on some axis, and then at the largest
+    size seen on each axis, so the table is rebuilt and replaced, never shrunk.
+    """
+    table = _tables.get(key)
+    if table is None or any(want > have for want, have in zip(shape, table.shape)):
+        size = shape if table is None else tuple(map(max, shape, table.shape))
+        table = build(*size)
+        table.setflags(write=False)
+        _tables[key] = table
+    return table[tuple(slice(n) for n in shape)]
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
-    """log(n!) of an integer array, inf where n < 0 (the poles of lgamma(n + 1))."""
-    global _log_factorials
-    table = _log_factorials
-    top = int(n.max(initial=0))
-    if top >= table.size:
-        grown = [math.lgamma(k + 1.0) for k in range(table.size, top + 1)]
-        table = np.concatenate([table, grown])
-        table.setflags(write=False)
-        _log_factorials = table
+    """log(n!) of an integer array from ``math.lgamma``, inf where n < 0 (its poles)."""
+    table = _leading_block(
+        ("log_factorial",), (int(n.max(initial=0)) + 1,),
+        lambda size: np.array([math.lgamma(k + 1.0) for k in range(size)]),
+    )
     return np.where(n >= 0, table.take(np.maximum(n, 0)), np.inf)
 
 
-_coeff_cache: dict = {}
-
-
 def _povm_coeffs(detectors: int, clicks: int, efficiency: float, n_max: int) -> np.ndarray:
-    key = (detectors, clicks, float(efficiency))
-    coeffs = _coeff_cache.get(key)
-    if coeffs is None or not 0 <= n_max < coeffs.size:
-        coeffs = povm_fock_diagonal(detectors, clicks, efficiency, n_max)
-        coeffs.setflags(write=False)
-        _coeff_cache[key] = coeffs
-    return coeffs[: n_max + 1]
+    return _leading_block(
+        ("povm", detectors, clicks, float(efficiency)), (n_max + 1,),
+        lambda size: povm_fock_diagonal(detectors, clicks, efficiency, size - 1),
+    )
 
 
 def oracle_click_prob(detectors: int, clicks: int, efficiency: float, diag: FockVector) -> float:
@@ -172,30 +175,24 @@ def oracle_herald_state(
     return FockVector(unnorm / weight)
 
 
-_kernel_cache: dict = {}
-
-
 def _loss_kernel(transmission: float, n_in: int) -> np.ndarray:
     """Binomial-thinning kernel of the pure-loss channel: out j from in n."""
-    key = ("loss", float(transmission))
-    kernel = _kernel_cache.get(key)
-    if kernel is None or kernel.shape[0] <= n_in:
-        n = np.arange(n_in + 1)
-        j = n[:, None]  # output index
-        nn = n[None, :]
+
+    def build(rows, cols):
         if transmission == 1.0:
-            kernel = np.eye(n_in + 1)
-        elif transmission == 0.0:
-            kernel = np.zeros((n_in + 1, n_in + 1))
+            return np.eye(rows, cols)
+        if transmission == 0.0:
+            kernel = np.zeros((rows, cols))
             kernel[0, :] = 1.0
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_binom = _log_factorial(nn) - _log_factorial(j) - _log_factorial(nn - j)
-                log_k = log_binom + j * math.log(transmission) + (nn - j) * math.log1p(-transmission)
-                kernel = np.where(j <= nn, np.exp(log_k), 0.0)
-        kernel.setflags(write=False)
-        _kernel_cache[key] = kernel
-    return kernel[: n_in + 1, : n_in + 1]
+            return kernel
+        j = np.arange(rows)[:, None]  # output index
+        nn = np.arange(cols)[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_binom = _log_factorial(nn) - _log_factorial(j) - _log_factorial(nn - j)
+            log_k = log_binom + j * math.log(transmission) + (nn - j) * math.log1p(-transmission)
+            return np.where(j <= nn, np.exp(log_k), 0.0)
+
+    return _leading_block(("loss", float(transmission)), (n_in + 1, n_in + 1), build)
 
 
 def _amplifier_kernel(gain: float, n_in: int, n_out: int) -> np.ndarray:
@@ -206,24 +203,18 @@ def _amplifier_kernel(gain: float, n_in: int, n_out: int) -> np.ndarray:
     """
     if gain < 1.0:
         raise ValueError(f"amplifier gain must be >= 1, got {gain}")
-    key = ("amp", float(gain))
-    kernel = _kernel_cache.get(key)
-    if kernel is None or kernel.shape[0] <= n_out or kernel.shape[1] <= n_in:
-        rows, cols = n_out + 1, n_in + 1
-        if kernel is not None:
-            rows, cols = max(rows, kernel.shape[0]), max(cols, kernel.shape[1])
+
+    def build(rows, cols):
+        if gain == 1.0:
+            return np.eye(rows, cols)
         n = np.arange(rows)[:, None]
         j = np.arange(cols)[None, :]
-        if gain == 1.0:
-            kernel = np.eye(rows, cols)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_binom = _log_factorial(n) - _log_factorial(j) - _log_factorial(n - j)
-                log_k = log_binom - (j + 1) * math.log(gain) + (n - j) * math.log1p(-1.0 / gain)
-                kernel = np.where(n >= j, np.exp(log_k), 0.0)
-        kernel.setflags(write=False)
-        _kernel_cache[key] = kernel
-    return kernel[: n_out + 1, : n_in + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_binom = _log_factorial(n) - _log_factorial(j) - _log_factorial(n - j)
+            log_k = log_binom - (j + 1) * math.log(gain) + (n - j) * math.log1p(-1.0 / gain)
+            return np.where(n >= j, np.exp(log_k), 0.0)
+
+    return _leading_block(("amp", float(gain)), (n_out + 1, n_in + 1), build)
 
 
 def displaced_thermal_diag(

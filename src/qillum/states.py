@@ -201,11 +201,6 @@ def tmsv_marginal(nbar: float) -> SignedThermalMixture:
     return SignedThermalMixture.thermal(check_mean(nbar, "mean photon number"))
 
 
-def squeezing_to_mean(r: float) -> float:
-    """Convert a squeezing amplitude to the per-mode mean photon number sinh^2(r)."""
-    return math.sinh(r) ** 2
-
-
 def scaled_component_mean(nbar: float, efficiency: float, detectors: int, l: int) -> float:
     """Thermal mean of the l-th component of a heralded state.
 

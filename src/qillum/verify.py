@@ -9,7 +9,7 @@ and the CLI ``verify`` subcommand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -86,9 +86,6 @@ class _Sweep:
     grid: Grid
     n_max: int | None
     perturbation: float
-    # Oracle herald states by (nbar, eta, N, k), filled by the herald family
-    # and read by the end-to-end and Wigner families that run after it.
-    herald_diags: dict = field(default_factory=dict)
 
     def truncation(self, mean: float) -> int:
         return self.n_max if self.n_max is not None else oracle.choose_truncation(mean)
@@ -106,7 +103,6 @@ def _herald_distributions(s: _Sweep):
     ):
         trunc = s.truncation(nbar)
         diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, trunc)
-        s.herald_diags[(nbar, eta, detectors, clicks)] = diag
         closed = photon_number_distribution(
             herald_state(nbar, eta, detectors, clicks).state, min(60, trunc)
         )
@@ -156,7 +152,7 @@ def _end_to_end_clicks(s: _Sweep):
     """End-to-end receiver click probabilities: herald -> channel -> receiver."""
     nbars = [nbar for nbar in s.grid.nbars if nbar <= 2.0]
     for nbar, eta, (detectors, clicks) in product(nbars, s.grid.etas, _outcomes(3)):
-        diag = s.herald_diags[(nbar, eta, detectors, clicks)]
+        diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, s.truncation(nbar))
         conditioned = herald_state(nbar, eta, detectors, clicks).state
         for kappa, nb in product(s.grid.kappas, s.grid.backgrounds):
             closed_state = apply_channel(TargetChannel(kappa, nb), conditioned)
@@ -174,7 +170,7 @@ def _wigner_slices(s: _Sweep):
     """Wigner slices vs the Laguerre series."""
     q_points = (0.0, 0.5, 1.0, 2.0)
     for nbar, (detectors, clicks) in product(s.grid.nbars, ((1, 1), (2, 1), (2, 2))):
-        diag = s.herald_diags[(nbar, 0.9, detectors, clicks)]
+        diag = oracle.oracle_herald_state(nbar, 0.9, detectors, clicks, s.truncation(nbar))
         closed = wigner_slice(herald_state(nbar, 0.9, detectors, clicks).state, q_points)
         for value, q in zip(closed, q_points):
             yield abs(float(value) - oracle.oracle_wigner(diag, q)), dict(

@@ -389,6 +389,8 @@ class TestBoundaryDefects:
         "thresholds_repeated": (_trajectories_row(thresholds=[0.9, 0.9]), "thresholds: "),
         "outcomes_number": (_herald_stats_row(5), "outcomes"),
         "outcomes_short_pair": (_herald_stats_row([[1]]), "outcomes"),
+        # a repeat once wrote two pr_1_1 and two mean_1_1 columns
+        "outcomes_repeated": (_herald_stats_row([[1, 1], [1, 1]]), "outcomes: must be distinct"),
         # herald outcomes past the 64-term alternating-sum cap
         "outcomes_past_term_cap": (_herald_stats_row([[70, 66]]), "outcomes: "),
         "click_prob_signal_past_term_cap": (_click_prob_row(["70,66"]), "signals: "),

@@ -1,0 +1,106 @@
+"""Input guards across the library: each raises its own error type and message."""
+
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+from qillum import cli, oracle
+from qillum.channel import posterior
+from qillum.errors import NumericalInstabilityError, TruncationError
+from qillum.mc import TrajectoryConfig
+from qillum.povm import poisson_limit_reference, povm_fock_diagonal
+from qillum.states import SignedThermalMixture, clamp_probability, photon_number_distribution
+
+THERMAL = SignedThermalMixture.thermal(1.0)
+
+
+def _trajectory_config(**overrides):
+    base = dict(
+        nbar=1.0, herald_efficiency=0.9, herald_detectors=1, receiver_efficiency=0.9,
+        receiver_detectors=1, reflectivity=0.1, background_mean=3.0, shots=10, trials=2,
+        seed=0, signal_kind="coherent", target_present=True,
+    )
+    return TrajectoryConfig(**{**base, **overrides})
+
+
+def _resolve_trajectories(tmp_path, signals):
+    """Read a ``trajectories`` config document the way ``qillum trajectories`` does."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"nbar": 1.0, "shots": 10, "trials": 2, "signals": signals}))
+    args = cli._build_parser().parse_args(["trajectories", "--config", str(config)])
+    return cli._resolve("trajectories", cli.COMMANDS["trajectories"], args)
+
+
+GUARDS = {
+    "posterior_prior_above_one": (
+        lambda tmp_path: posterior(1.5, 0.5, 0.5),
+        ValueError, "prior_h1 must lie in [0, 1], got 1.5",
+    ),
+    # main prints this as "config error: signals: unknown signal keys: bogus"
+    "trajectories_unknown_signal_key": (
+        lambda tmp_path: _resolve_trajectories(tmp_path, [{"kind": "coherent", "bogus": 1}]),
+        cli.ConfigError, "signals: unknown signal keys: bogus",
+    ),
+    "trajectory_config_zero_shots": (
+        lambda tmp_path: _trajectory_config(shots=0),
+        ValueError, "need at least one shot, got 0",
+    ),
+    "trajectory_config_zero_trials": (
+        lambda tmp_path: _trajectory_config(trials=0),
+        ValueError, "need at least one trial, got 0",
+    ),
+    "trajectory_config_seed_beyond_64_bits": (
+        lambda tmp_path: _trajectory_config(seed=2**64),
+        ValueError, "seed must fit in 64 bits",
+    ),
+    "fock_vector_empty": (
+        lambda tmp_path: oracle.FockVector(np.array([])),
+        ValueError, "FockVector needs a nonempty 1-D probability array",
+    ),
+    "fock_diag_level_above_truncation": (
+        lambda tmp_path: oracle.fock_diag(5, 3),
+        ValueError, "level must lie in [0, 3], got 5",
+    ),
+    "oracle_herald_vacuum_click": (
+        lambda tmp_path: oracle.oracle_herald_state(0.0, 0.9, 2, 1),
+        TruncationError, "herald weight 0.0 is not positive",
+    ),
+    "oracle_unitary_past_n_max_40": (
+        lambda tmp_path: oracle.oracle_beamsplitter_unitary(oracle.fock_diag(0, 41), 0.5, 0.0),
+        ValueError, "the two-mode unitary is meant for spot checks at n_max <= 40",
+    ),
+    "poisson_limit_negative_clicks": (
+        lambda tmp_path: poisson_limit_reference(-1, 0.9, THERMAL),
+        ValueError, "click count must be nonnegative, got -1",
+    ),
+    "povm_fock_diagonal_negative_n_max": (
+        lambda tmp_path: povm_fock_diagonal(2, 1, 0.9, n_max=-1),
+        ValueError, "n_max must be nonnegative, got -1",
+    ),
+    "photon_number_distribution_negative_n_max": (
+        lambda tmp_path: photon_number_distribution(THERMAL, -1),
+        ValueError, "n_max must be nonnegative, got -1",
+    ),
+    "mixture_without_components": (
+        lambda tmp_path: SignedThermalMixture((), ()),
+        ValueError, "a mixture needs at least one component",
+    ),
+    "mixture_weights_and_means_differ_in_length": (
+        lambda tmp_path: SignedThermalMixture((1.0,), (0.0, 1.0)),
+        ValueError, "1 weights but 2 means",
+    ),
+    "clamp_probability_nan": (
+        lambda tmp_path: clamp_probability(math.nan),
+        NumericalInstabilityError, "probability evaluated to nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_guard_raises_its_error(guard, tmp_path):
+    call, error, message = GUARDS[guard]
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call(tmp_path)

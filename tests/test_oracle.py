@@ -18,7 +18,7 @@ from qillum import (
     receiver_click_prob,
     wigner_slice,
 )
-from qillum import oracle
+from qillum import oracle, verify
 from qillum.errors import TruncationError
 from qillum.povm import povm_fock_diagonal
 from qillum.verify import run_verification
@@ -95,8 +95,7 @@ class TestEfficiencyRange:
 def _cold(build, *args):
     """``build(*args)`` against empty oracle caches, leaving the real ones untouched."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_coeff_cache", {})
-        mp.setattr(oracle, "_kernel_cache", {})
+        mp.setattr(oracle, "_tables", {})
         return build(*args)
 
 
@@ -134,7 +133,7 @@ class TestCachePrefixInvariant:
     def test_povm_coefficients(self, detectors, data, efficiencies, requests):
         clicks = data.draw(st.integers(0, detectors))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_coeff_cache", {})
+            mp.setattr(oracle, "_tables", {})
             for which, n_max, _ in _ordered(*requests):
                 eta = efficiencies[which]
                 got = oracle._povm_coeffs(detectors, clicks, eta, n_max)
@@ -152,7 +151,7 @@ class TestCachePrefixInvariant:
     )
     def test_loss_kernel(self, transmissions, requests):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_kernel_cache", {})
+            mp.setattr(oracle, "_tables", {})
             for which, n_in, _ in _ordered(*requests):
                 block = oracle._loss_kernel(transmissions[which], n_in)
                 cold = _cold(oracle._loss_kernel, transmissions[which], n_in)
@@ -170,7 +169,7 @@ class TestCachePrefixInvariant:
     )
     def test_amplifier_kernel(self, gains, requests):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_kernel_cache", {})
+            mp.setattr(oracle, "_tables", {})
             for which, n_in, n_out in _ordered(*requests):
                 block = oracle._amplifier_kernel(gains[which], n_in, n_out)
                 cold = _cold(oracle._amplifier_kernel, gains[which], n_in, n_out)
@@ -180,8 +179,7 @@ class TestCachePrefixInvariant:
 
     def test_quick_report_same_cold_and_after_full_sweep(self):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_coeff_cache", {})
-            mp.setattr(oracle, "_kernel_cache", {})
+            mp.setattr(oracle, "_tables", {})
             cold = run_verification(quick=True)
             run_verification()
             warm = run_verification(quick=True)
@@ -189,29 +187,32 @@ class TestCachePrefixInvariant:
         assert [c.max_error for c in warm.checks] == [c.max_error for c in cold.checks]
 
 
+_LOG_FACTORIAL = ("log_factorial",)
+
+
 class TestLogFactorial:
     """The log-factorial table that stands in for lgamma(n + 1) at integers."""
 
     def test_equals_lgamma_and_inf_below_zero(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_log_factorials", np.zeros(1))
+        monkeypatch.setattr(oracle, "_tables", {})
         n = np.arange(-5, 2001)
         got = oracle._log_factorial(n)
         assert np.all(got[n < 0] == np.inf)
         assert got[n >= 0].tolist() == [math.lgamma(k + 1.0) for k in range(2001)]
 
     def test_grows_and_never_shrinks(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_log_factorials", np.zeros(1))
+        monkeypatch.setattr(oracle, "_tables", {})
         oracle._log_factorial(np.arange(301))
-        table = oracle._log_factorials
+        table = oracle._tables[_LOG_FACTORIAL]
         before = table.copy()
         small = oracle._log_factorial(np.arange(-2, 51))
-        assert oracle._log_factorials is table
+        assert oracle._tables[_LOG_FACTORIAL] is table
         assert np.array_equal(table, before)
         assert np.array_equal(small[2:], table[:51])
         oracle._log_factorial(np.array([400]))
-        assert oracle._log_factorials.size == 401
-        assert np.array_equal(oracle._log_factorials[:301], before)
-        assert not oracle._log_factorials.flags.writeable
+        assert oracle._tables[_LOG_FACTORIAL].size == 401
+        assert np.array_equal(oracle._tables[_LOG_FACTORIAL][:301], before)
+        assert not oracle._tables[_LOG_FACTORIAL].flags.writeable
 
     def test_loss_kernel_is_binomial(self):
         t, size = 0.3, 200
@@ -372,6 +373,15 @@ class TestEndToEnd:
     def test_verification_sweep_quick(self):
         report = run_verification(quick=True)
         assert report.passed, "\n".join(report.lines())
+
+    def test_each_family_runs_alone(self):
+        # in reverse report order, each on a fresh sweep: no family reads
+        # anything another family leaves behind
+        report = run_verification(quick=True)
+        for (name, scale, family), expected in reversed(list(zip(verify.FAMILIES, report.checks))):
+            sweep = verify._Sweep(verify.QUICK_GRID, None, 0.0)
+            alone = verify._worst(name, scale * verify.CLOSED_FORM_TOL, family(sweep))
+            assert alone == expected
 
     def test_verification_detects_perturbation(self):
         report = run_verification(quick=True, perturbation=1e-6)

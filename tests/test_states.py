@@ -33,7 +33,6 @@ from qillum.states import (
     checked_mixtures,
     herald_states,
     second_moment,
-    squeezing_to_mean,
 )
 
 from fraction_reference import mixture_distribution
@@ -77,11 +76,6 @@ class TestTmsvMarginal:
     def test_bose_einstein_ground_probability(self):
         p = photon_number_distribution(tmsv_marginal(1.0), 0)
         assert p[0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_squeezing_conversion(self):
-        nbar = squeezing_to_mean(1.0)
-        assert nbar == pytest.approx(math.sinh(1.0) ** 2, abs=1e-15)
-        assert nbar == pytest.approx(1.3810978455418157, abs=1e-12)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
