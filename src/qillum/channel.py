@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from .errors import UndefinedPosteriorError, UnsupportedStateError
 from .povm import ClickMultiplex, click_probability
-from .states import (DisplacedThermal, SignedThermalMixture, StateModel, check_mean,
-                     checked_mixtures)
+from .states import DisplacedThermal, SignedThermalMixture, check_mean, checked_mixtures
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ def background_state(channel: TargetChannel) -> SignedThermalMixture:
     return SignedThermalMixture.thermal(channel.background_mean)
 
 
-def apply_channel(channel: TargetChannel, signal) -> StateModel:
+def apply_channel(channel: TargetChannel, signal) -> SignedThermalMixture | DisplacedThermal:
     """Return state for a present target: reflected signal plus background."""
     if isinstance(signal, SignedThermalMixture):
         return channel_images(channel, [signal])[0]

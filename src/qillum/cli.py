@@ -136,8 +136,9 @@ def _outcome(pair) -> tuple:
 
 
 def _outcomes(value) -> list:
-    """Distinct [N, k] herald outcomes: each names a pair of CSV columns."""
+    """One or more distinct [N, k] herald outcomes: each names a pair of CSV columns."""
     outcomes = _items(value, _outcome, "[N, k] pairs")
+    _require(outcomes, value, "one or more [N, k] pairs")
     return _require(len(set(outcomes)) == len(outcomes), value, "distinct [N, k] pairs")
 
 
@@ -190,9 +191,7 @@ def _physical(rule) -> Kind:
 
 NUMBER = Kind(_number)
 FINITE = Kind(partial(_number, allowed=math.isfinite, what="finite"))
-POSITIVE = Kind(partial(_number, allowed=lambda x: 0 < x < math.inf, what="finite, > 0"))
 INTEGER = Kind(_integer, {"type": int})
-NATURAL = Kind(partial(_integer, least=0), {"type": int})
 COUNT = Kind(partial(_integer, least=1), {"type": int})
 SEED = Kind(partial(_integer, least=0, most=2**64 - 1), {"type": int})
 DETECTORS = Kind(_detectors, {"type": int})
@@ -341,7 +340,7 @@ def cmd_trajectories(v) -> int:
 def cmd_verify(v) -> int:
     """Oracle equivalence sweep; exit 0 only if every comparison passes."""
     try:
-        report = verify.run_verification(v.tolerance, v.quick, v.n_max, v.selftest_perturb)
+        report = verify.run_verification(v.quick, v.selftest_perturb)
     except TruncationError as exc:
         print(f"FAIL  truncation-insufficient: {exc}", file=sys.stderr)
         return 3
@@ -409,9 +408,6 @@ COMMANDS = {
         OUT,
     )),
     "verify": Command(cmd_verify, (
-        Param("tolerance", "--tolerance", POSITIVE, verify.CLOSED_FORM_TOL,
-              "closed-form comparison tolerance (end-to-end and Wigner: 10x)"),
-        Param("n_max", "--n-max", NATURAL, None, "override Fock truncation"),
         Param("quick", "--quick", SWITCH, False, "reduced grid"),
         Param("selftest_perturb", "--selftest-perturb", NUMBER, 0.0,
               "inject this offset into one closed form (sensitivity self-test)"),

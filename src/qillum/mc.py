@@ -19,6 +19,7 @@ columns.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,6 +75,12 @@ class TrajectoryConfig:
     tables: LikelihoodTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("shots", "trials", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.shots < 1:
             raise ValueError(f"need at least one shot, got {self.shots}")
         if self.trials < 1:

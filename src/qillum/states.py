@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,9 +186,6 @@ class DisplacedThermal:
         check_mean(self.thermal_mean, "thermal mean")
 
 
-StateModel = Union[SignedThermalMixture, DisplacedThermal]
-
-
 class HeraldedState(NamedTuple):
     """A conditioned signal state together with the probability of heralding it."""
 
@@ -201,23 +198,14 @@ def tmsv_marginal(nbar: float) -> SignedThermalMixture:
     return SignedThermalMixture.thermal(check_mean(nbar, "mean photon number"))
 
 
-def scaled_component_mean(nbar: float, efficiency: float, detectors: int, l: int) -> float:
-    """Thermal mean of the l-th component of a heralded state.
-
-    Measuring the idler with the no-click operator of strength
-    s = eta*(1 - l/N) reshapes the signal thermal mean to
-    (nbar - nbar*s) / (1 + nbar*s).
-    """
-    s = efficiency * (detectors - l) / detectors
-    return (nbar - nbar * s) / (1.0 + nbar * s)
-
-
 def herald_state(nbar: float, efficiency: float, detectors: int, clicks: int) -> HeraldedState:
     """Signal state conditioned on k clicks from an N-detector idler multiplex.
 
     The conditioned state is an exact signed mixture of ``clicks + 1`` thermal
-    states: component l has mean ``scaled_component_mean(nbar, eta, N, l)`` and
-    weight proportional to ``C(k, l) * (-1)^(k-l) * (1 + mean_l)``.  The
+    states.  Measuring the idler with the no-click operator of strength
+    s_l = eta*(1 - l/N) reshapes the signal thermal mean to
+    mean_l = (nbar - nbar*s_l) / (1 + nbar*s_l), and component l has that mean
+    and weight proportional to ``C(k, l) * (-1)^(k-l) * (1 + mean_l)``.  The
     normalization of those weights also fixes the heralding probability,
     ``Pr_{N,k} = C(N,k) * sum_of_terms / (1 + nbar)``, which equals the click
     probability of an N-multiplex observing the thermal idler directly.
@@ -249,7 +237,8 @@ def _herald_row(nbar: float, efficiency: float, detectors: int, clicks: int):
     check_efficiency(efficiency)
     check_outcome(detectors, clicks)
 
-    means = [scaled_component_mean(nbar, efficiency, detectors, l) for l in range(clicks + 1)]
+    scales = [efficiency * (detectors - l) / detectors for l in range(clicks + 1)]
+    means = [(nbar - nbar * s) / (1.0 + nbar * s) for s in scales]
     terms = [
         math.comb(clicks, l) * (-1) ** (clicks - l) * (1.0 + means[l])
         for l in range(clicks + 1)

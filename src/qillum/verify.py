@@ -81,14 +81,10 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class _Sweep:
-    """What the families read: the grid, the truncation override, the self-test offset."""
+    """What the families read: the grid and the self-test offset."""
 
     grid: Grid
-    n_max: int | None
     perturbation: float
-
-    def truncation(self, mean: float) -> int:
-        return self.n_max if self.n_max is not None else oracle.choose_truncation(mean)
 
 
 def _outcomes(max_detectors: int):
@@ -101,7 +97,7 @@ def _herald_distributions(s: _Sweep):
     for nbar, eta, (detectors, clicks) in product(
         s.grid.nbars, s.grid.etas, _outcomes(MAX_HERALD_DETECTORS)
     ):
-        trunc = s.truncation(nbar)
+        trunc = oracle.choose_truncation(nbar)
         diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, trunc)
         closed = photon_number_distribution(
             herald_state(nbar, eta, detectors, clicks).state, min(60, trunc)
@@ -114,7 +110,7 @@ def _thermal_clicks(s: _Sweep):
     """Thermal click probabilities vs Fock contraction; the self-test offset lands on the first."""
     offset = s.perturbation
     for nbar in s.grid.nbars:
-        diag = oracle.thermal_diag(nbar, s.truncation(nbar))
+        diag = oracle.thermal_diag(nbar, oracle.choose_truncation(nbar))
         thermal = SignedThermalMixture.thermal(nbar)
         for eta, (detectors, clicks) in product((0.5, 0.9), _outcomes(MAX_HERALD_DETECTORS)):
             closed = click_probability(ClickMultiplex(detectors, eta), clicks, thermal) + offset
@@ -126,7 +122,7 @@ def _thermal_clicks(s: _Sweep):
 def _channel_thermals(s: _Sweep):
     """Channel action on thermals vs loss/amplifier kernels."""
     for nbar in s.grid.nbars:
-        diag = oracle.thermal_diag(nbar, s.truncation(nbar))
+        diag = oracle.thermal_diag(nbar, oracle.choose_truncation(nbar))
         thermal = SignedThermalMixture.thermal(nbar)
         for kappa, nb in product(s.grid.kappas, s.grid.backgrounds):
             out = oracle.oracle_beamsplitter(diag, kappa, nb)
@@ -140,7 +136,7 @@ def _displaced_moments(s: _Sweep):
     for mu, kappa, nb in product((0.5, 1.0, 2.0), s.grid.kappas, s.grid.backgrounds):
         returned = apply_channel(TargetChannel(kappa, nb), DisplacedThermal(mu, 0.0))
         diag = oracle.displaced_thermal_diag(
-            returned.coherent_mean, returned.thermal_mean, s.truncation(mu + nb)
+            returned.coherent_mean, returned.thermal_mean, oracle.choose_truncation(mu + nb)
         )
         for eta in (0.5, 0.9):
             closed = normal_ordered_moment(returned, eta)
@@ -152,7 +148,8 @@ def _end_to_end_clicks(s: _Sweep):
     """End-to-end receiver click probabilities: herald -> channel -> receiver."""
     nbars = [nbar for nbar in s.grid.nbars if nbar <= 2.0]
     for nbar, eta, (detectors, clicks) in product(nbars, s.grid.etas, _outcomes(3)):
-        diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, s.truncation(nbar))
+        trunc = oracle.choose_truncation(nbar)
+        diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, trunc)
         conditioned = herald_state(nbar, eta, detectors, clicks).state
         for kappa, nb in product(s.grid.kappas, s.grid.backgrounds):
             closed_state = apply_channel(TargetChannel(kappa, nb), conditioned)
@@ -170,7 +167,8 @@ def _wigner_slices(s: _Sweep):
     """Wigner slices vs the Laguerre series."""
     q_points = (0.0, 0.5, 1.0, 2.0)
     for nbar, (detectors, clicks) in product(s.grid.nbars, ((1, 1), (2, 1), (2, 2))):
-        diag = oracle.oracle_herald_state(nbar, 0.9, detectors, clicks, s.truncation(nbar))
+        trunc = oracle.choose_truncation(nbar)
+        diag = oracle.oracle_herald_state(nbar, 0.9, detectors, clicks, trunc)
         closed = wigner_slice(herald_state(nbar, 0.9, detectors, clicks).state, q_points)
         for value, q in zip(closed, q_points):
             yield abs(float(value) - oracle.oracle_wigner(diag, q)), dict(
@@ -184,7 +182,7 @@ def _background_clicks(s: _Sweep):
         if nb == 0.0:
             continue
         background = background_state(TargetChannel(0.5, nb))
-        diag = oracle.thermal_diag(nb, s.truncation(nb))
+        diag = oracle.thermal_diag(nb, oracle.choose_truncation(nb))
         for n_s, k_s in _outcomes(2):
             closed = receiver_click_prob(ClickMultiplex(n_s, 0.9), k_s, background)
             brute = oracle.oracle_click_prob(n_s, k_s, 0.9, diag)
@@ -218,21 +216,16 @@ def _worst(name: str, tolerance: float, pairs) -> CheckResult:
     return CheckResult(name, max_error, tolerance, cases, tuple((worst or {}).items()))
 
 
-def run_verification(
-    tolerance: float = CLOSED_FORM_TOL,
-    quick: bool = False,
-    n_max: int | None = None,
-    perturbation: float = 0.0,
-) -> VerifyReport:
+def run_verification(quick: bool = False, perturbation: float = 0.0) -> VerifyReport:
     """Run the equivalence sweep and return a report.
 
-    ``tolerance`` bounds the closed-form families; the chained end-to-end and
-    Wigner families get ten times it.  ``perturbation`` is added to one
-    closed-form click probability to prove the sweep actually detects drift
-    (sensitivity self-test).  ``n_max`` overrides the adaptive truncation
-    (small values exercise the truncation-insufficient path).
+    ``CLOSED_FORM_TOL`` bounds the closed-form families; the chained
+    end-to-end and Wigner families get ten times it.  Every oracle vector is
+    truncated by ``oracle.choose_truncation`` at its mean.  ``perturbation``
+    is added to one closed-form click probability to prove the sweep actually
+    detects drift (sensitivity self-test).
     """
-    sweep = _Sweep(QUICK_GRID if quick else FULL_GRID, n_max, perturbation)
+    sweep = _Sweep(QUICK_GRID if quick else FULL_GRID, perturbation)
     return VerifyReport(tuple(
-        _worst(name, scale * tolerance, family(sweep)) for name, scale, family in FAMILIES
+        _worst(name, scale * CLOSED_FORM_TOL, family(sweep)) for name, scale, family in FAMILIES
     ))

@@ -81,6 +81,10 @@ class TestTrajectoryConfig:
             # l1 rows that miss a sum of 1 by more than _ROW_SUM_TOL
             ({"nbar": 0.01, "herald_detectors": 3}, "l1 row 3 sums to 0.99999999"),
             ({"nbar": 0.01, "herald_detectors": 6}, "l1 row 3 sums to 1.00000000"),
+            # non-integer counts once constructed and failed only at run time
+            ({"shots": 2.5}, "shots must be an integer, got 2.5"),
+            ({"trials": 1.5}, "trials must be an integer, got 1.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ],
     )
     def test_rejects_out_of_range_physics(self, overrides, message):

@@ -318,6 +318,10 @@ class TestDisplacedThermalDiag:
         diag = oracle.displaced_thermal_diag(1.0, 0.0, 60)
         expected = oracle.poisson_diag(1.0, 60)
         assert np.allclose(diag.probs, expected.probs, atol=1e-15)
+        # at mean 0 the Poisson distribution is the vacuum
+        vacuum = oracle.fock_diag(0, 60).probs
+        assert np.array_equal(oracle.poisson_diag(0.0, 60).probs, vacuum)
+        assert np.array_equal(oracle.displaced_thermal_diag(0.0, 0.0, 60).probs, vacuum)
 
 
 class TestOracleWigner:
@@ -379,7 +383,7 @@ class TestEndToEnd:
         # anything another family leaves behind
         report = run_verification(quick=True)
         for (name, scale, family), expected in reversed(list(zip(verify.FAMILIES, report.checks))):
-            sweep = verify._Sweep(verify.QUICK_GRID, None, 0.0)
+            sweep = verify._Sweep(verify.QUICK_GRID, 0.0)
             alone = verify._worst(name, scale * verify.CLOSED_FORM_TOL, family(sweep))
             assert alone == expected
 
