@@ -2,24 +2,28 @@
 """Regenerate every figure-style dataset as CSV under out/.
 
 Thin wrapper over the CLI so each dataset's exact invocation is on record.
-On one thread of a 2-core Xeon VM the two trajectory configs take about 10 s
-(4 ensembles) and 9 s (5 ensembles), 6.4 s and 5.2 s with --threads 2; pass
---skip-trajectories to produce only the closed-form datasets.
+Every command runs in this one process, so ``qillum`` must be importable
+(``PYTHONPATH=src``).  On one thread of a 2-core Xeon VM the two trajectory
+configs take about 10 s (4 ensembles) and 9 s (5 ensembles), 6.4 s and 5.2 s
+with --threads 2; pass --skip-trajectories to produce only the closed-form
+datasets, about 0.6 s.
 """
 
 import argparse
 import pathlib
-import subprocess
-import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
 OUT = HERE.parent / "out"
 
 
 def cli(*args):
-    cmd = [sys.executable, "-m", "qillum", *args]
-    print("+", " ".join(cmd))
-    subprocess.run(cmd, check=True)
+    """Run one ``qillum`` command in this process; exit with its code if it fails."""
+    from qillum.cli import main  # here, so loading this script does not need qillum
+
+    print("+ python -m qillum", " ".join(args))
+    code = main(list(args))
+    if code:
+        raise SystemExit(code)
 
 
 def main():

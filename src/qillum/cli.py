@@ -7,8 +7,9 @@ comes from its flag, else the ``--config`` JSON document, else its default.
 Unknown keys and wrong JSON types are rejected, and physical ranges are
 enforced by the library's own rules before any output file is opened: each
 value as it is read, and values that are checked together (a match spec, a
-herald state, a trajectory config) at the top of their command.  ``--seed``
-and ``--threads`` exist only on ``trajectories``.
+herald state, a trajectory config) at the top of their command.
+``--threads`` exists only on ``trajectories``, whose seed is the config key
+``seed`` alone.
 
 Exit codes: 0 success, 1 config or usage error, 2 I/O error, 3 verification failure.
 """
@@ -149,6 +150,12 @@ def _detectors(value) -> int:
     return n
 
 
+# The trajectories signal kinds: mc's two probes, and a heralded probe brightened
+# until a single-click eavesdropper of efficiency eta_e sees a coherent probe's
+# click rate, which cmd_trajectories runs as quantum_heralded at that mean.
+SIGNAL_KINDS = ("quantum_heralded", "coherent", "quantum_heralded_matched")
+
+
 def _signal(entry) -> dict:
     """'coherent', an 'N,k' herald outcome, or {kind, herald_detectors, label}."""
     if isinstance(entry, str) and entry.count(",") == 1:
@@ -159,7 +166,8 @@ def _signal(entry) -> dict:
     unknown = set(entry) - {"kind", "herald_detectors", "label"}
     if unknown:
         raise ValueError(f"unknown signal keys: {', '.join(sorted(unknown))}")
-    kind = mc.SignalKind(entry.get("kind")).value
+    kind = entry.get("kind")
+    _require(kind in SIGNAL_KINDS, kind, f"a signal kind, one of {', '.join(SIGNAL_KINDS)}")
     detectors = _integer(entry.get("herald_detectors", 1))
     prefix = "quantum" if kind == "quantum_heralded" else "matched"
     label = entry.get("label", "coherent" if kind == "coherent" else f"{prefix}_n{detectors}")
@@ -305,12 +313,15 @@ def cmd_trajectories(v) -> int:
     configs = {}  # every signal's config is built before any run
     for index, sig in enumerate(v.signals):
         with _blame(f"{v.named['signals']}[{index}]"):
+            kind, nbar = sig["kind"], v.nbar
+            if kind == "quantum_heralded_matched":
+                kind, nbar = "quantum_heralded", matched_mean(MatchSpec(v.nbar, v.eta_e))
             configs[sig["label"]] = mc.TrajectoryConfig(
-                nbar=v.nbar, herald_efficiency=v.eta, herald_detectors=sig["detectors"],
+                nbar=nbar, herald_efficiency=v.eta, herald_detectors=sig["detectors"],
                 receiver_efficiency=v.eta_s, receiver_detectors=v.receiver_detectors,
                 reflectivity=v.kappa, background_mean=v.nbar_b, shots=v.shots,
-                trials=v.trials, seed=v.seed, signal_kind=sig["kind"],
-                target_present=v.target_present, eavesdropper_efficiency=v.eta_e,
+                trials=v.trials, seed=v.seed, signal_kind=kind,
+                target_present=v.target_present,
             )
     ensembles = mc.average_trajectories(
         list(configs.values()), threads=v.threads, thresholds=v.thresholds
@@ -325,7 +336,7 @@ def cmd_trajectories(v) -> int:
         "generator": mc.GENERATOR, "stream_derivation": mc.STREAM_DERIVATION,
         "signals": {
             label: {
-                "probe_nbar": configs[label].tables.probe_nbar,
+                "probe_nbar": configs[label].nbar,
                 "mean_curve_crossings": {str(t): result.mean_crossings[t] for t in v.thresholds},
             }
             for label, result in results.items()
@@ -399,11 +410,11 @@ COMMANDS = {
         Param("nbar_b", None, BACKGROUND, 3.0),
         Param("shots", None, COUNT),
         Param("trials", None, COUNT),
-        Param("seed", "--seed", SEED, 0, "64-bit RNG seed override"),
+        Param("seed", None, SEED, 0),
         Param("target_present", None, BOOLEAN, True),
         Param("eta_e", None, EAVESDROPPER, 0.9),
         Param("thresholds", None, THRESHOLDS, [0.8, 0.9]),
-        Param("signals", None, Kind(partial(_signals, kinds=[k.value for k in mc.SignalKind]))),
+        Param("signals", None, Kind(partial(_signals, kinds=SIGNAL_KINDS))),
         Param("threads", "--threads", COUNT, 1, "worker threads", config=False),
         OUT,
     )),

@@ -19,18 +19,17 @@ columns.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .channel import TargetChannel, apply_channel, background_state
-from .matching import MatchSpec, matched_mean
 from .povm import ClickMultiplex, click_distribution
-from .states import DisplacedThermal, check_outcome, herald_state, tmsv_marginal
+from .states import DisplacedThermal, check_integer, check_outcome, herald_state, tmsv_marginal
 
 # Trials are reduced in fixed chunks: trial curves are added in index order
 # inside a chunk, then chunk sums are accumulated with compensation in chunk
@@ -50,7 +49,6 @@ _LOG_RATIO_CLIP = 700.0
 class SignalKind(str, Enum):
     QUANTUM_HERALDED = "quantum_heralded"
     COHERENT = "coherent"
-    QUANTUM_HERALDED_MATCHED = "quantum_heralded_matched"
 
 
 @dataclass(frozen=True)
@@ -69,24 +67,21 @@ class TrajectoryConfig:
     seed: int
     signal_kind: SignalKind
     target_present: bool
-    eavesdropper_efficiency: float = 0.9
     # Built at construction, so a config that constructs can run; every run
     # reuses them.  Building them also applies every physical range rule.
     tables: LikelihoodTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("shots", "trials", "seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            check_integer(getattr(self, name), name)
         if self.shots < 1:
             raise ValueError(f"need at least one shot, got {self.shots}")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
+        if not isinstance(self.target_present, bool):
+            raise ValueError(f"target_present must be a bool, got {self.target_present!r}")
         object.__setattr__(self, "signal_kind", SignalKind(self.signal_kind))
         object.__setattr__(self, "tables", build_tables(self))
 
@@ -116,7 +111,6 @@ class LikelihoodTables:
     log_ratio: np.ndarray
     cdf_h0: np.ndarray
     cdf_h1: np.ndarray
-    probe_nbar: float
 
     def __post_init__(self):
         # run_trajectory counts the cdf entries below each draw; that count is
@@ -196,19 +190,11 @@ def _pinned_cumsum(rows: np.ndarray, name: str) -> np.ndarray:
 def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
     """Precompute herald and receiver statistics for a configuration.
 
-    For matched runs the quantum probe runs at the click-matched mean while
-    ``config.nbar`` keeps its role as the coherent reference mean.
-
-    Each object that owns a physical range is built once, for every signal
-    kind, so every field is checked whether or not the kind uses it.  The one
-    exception is ``MatchSpec``: its eavesdropper efficiency and overflow rules
-    concern the matched probe alone.
+    Both signal kinds run their probe at ``config.nbar``.  Each object that
+    owns a physical range is built once, for every signal kind, so every
+    field is checked whether or not the kind uses it.
     """
-    if config.signal_kind is SignalKind.QUANTUM_HERALDED_MATCHED:
-        probe_nbar = matched_mean(MatchSpec(config.nbar, config.eavesdropper_efficiency))
-    else:
-        probe_nbar = config.nbar
-    idler = tmsv_marginal(probe_nbar)
+    idler = tmsv_marginal(config.nbar)
     channel = TargetChannel(config.reflectivity, config.background_mean)
     herald_mux = ClickMultiplex(config.herald_detectors, config.herald_efficiency)
     receiver = ClickMultiplex(config.receiver_detectors, config.receiver_efficiency)
@@ -218,7 +204,7 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
 
     if config.signal_kind is SignalKind.COHERENT:
         herald_cdf = None
-        return_state = apply_channel(channel, DisplacedThermal(probe_nbar, 0.0))
+        return_state = apply_channel(channel, DisplacedThermal(config.nbar, 0.0))
         l1 = click_distribution(receiver, return_state)[None, :]
     else:
         # click_distribution checks the herald row complete to 1e-12.
@@ -227,7 +213,7 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
         # The heralded state is used for every outcome, including k = 0.
         for k in range(config.herald_detectors + 1):
             conditioned = herald_state(
-                probe_nbar, config.herald_efficiency, config.herald_detectors, k
+                config.nbar, config.herald_efficiency, config.herald_detectors, k
             ).state
             rows.append(click_distribution(receiver, apply_channel(channel, conditioned)))
         l1 = np.vstack(rows)
@@ -246,7 +232,6 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
         log_ratio=log_ratio,
         cdf_h0=_pinned_cumsum(l0, "l0"),
         cdf_h1=_pinned_cumsum(l1, "l1"),
-        probe_nbar=probe_nbar,
     )
 
 
@@ -401,8 +386,9 @@ def average_trajectories(
     result is the one it gets when run alone.  Crossing shots are reported
     both for the ensemble-mean curve (the headline estimator) and per trial
     (for dispersion), keyed by threshold, so a repeated threshold is a
-    ``ValueError``.  The reduction order is fixed by chunk index, so any
-    thread count yields identical output.
+    ``ValueError``.  Chunks run on a pool of ``threads`` worker threads and
+    are reduced in chunk index order, so any thread count yields identical
+    output.
     """
     configs = list(configs)
     if not configs:
@@ -415,31 +401,20 @@ def average_trajectories(
             raise ValueError(f"configs must share {name}, got {values}")
     first = configs[0]
     thresholds = check_thresholds(thresholds)
-    bounds = [
-        (start, min(start + CHUNK_SIZE, first.trials))
-        for start in range(0, first.trials, CHUNK_SIZE)
-    ]
+    starts = range(0, first.trials, CHUNK_SIZE)
+    stops = [min(start + CHUNK_SIZE, first.trials) for start in starts]
 
     accumulators = [CompensatedVectorSum(first.shots) for _ in configs]
     per_trial = [{thr: [] for thr in thresholds} for _ in configs]
 
-    def reduce(partials):
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         # Chunk results arrive in index order and are dropped once added.
-        for sums, crossings in partials:
+        for sums, crossings in pool.map(partial(_chunk_worker, configs, thresholds), starts, stops):
             for accumulator, total in zip(accumulators, sums):
                 accumulator.add(total)
             for collected, crossed in zip(per_trial, crossings):
                 for thr in thresholds:
                     collected[thr].extend(crossed[thr])
-
-    def worker(bound):
-        return _chunk_worker(configs, thresholds, *bound)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reduce(pool.map(worker, bounds))
-    else:
-        reduce(map(worker, bounds))
 
     results = []
     for config, accumulator, crossings in zip(configs, accumulators, per_trial):

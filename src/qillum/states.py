@@ -11,6 +11,7 @@ rotationally symmetric Wigner function characterize them completely.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,8 +76,18 @@ def check_efficiency(eta: float) -> float:
     return eta
 
 
+def check_integer(value, what: str) -> None:
+    """A count: any value ``operator.index`` accepts."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_outcome(detectors: int, clicks: int) -> None:
-    """An outcome of an N-detector multiplex: N >= 1 and 0 <= k <= min(N, 64)."""
+    """An outcome of an N-detector multiplex: integers N >= 1 and 0 <= k <= min(N, 64)."""
+    check_integer(detectors, "detector count")
+    check_integer(clicks, "click count")
     if detectors < 1:
         raise ValueError(f"need at least one detector, got {detectors}")
     if not (0 <= clicks <= detectors):

@@ -89,9 +89,9 @@ def report(criterion, passed, detail):
     assert passed, line
 
 
-def base_config(kind, herald_detectors, target_present):
+def base_config(kind, herald_detectors, target_present, nbar=1.0):
     return TrajectoryConfig(
-        nbar=1.0,
+        nbar=nbar,
         herald_efficiency=0.9,
         herald_detectors=herald_detectors,
         receiver_efficiency=0.9,
@@ -113,7 +113,9 @@ def ensembles():
         "q2_present": (SignalKind.QUANTUM_HERALDED, 2, True),
         "q4_present": (SignalKind.QUANTUM_HERALDED, 4, True),
         "coherent_present": (SignalKind.COHERENT, 1, True),
-        "matched_q1_present": (SignalKind.QUANTUM_HERALDED_MATCHED, 1, True),
+        # the heralded probe brightened to the coherent probe's single-click rate
+        "matched_q1_present": (SignalKind.QUANTUM_HERALDED, 1, True,
+                               matched_mean(MatchSpec(1.0, 0.9))),
         "q1_absent": (SignalKind.QUANTUM_HERALDED, 1, False),
         "q2_absent": (SignalKind.QUANTUM_HERALDED, 2, False),
         "q4_absent": (SignalKind.QUANTUM_HERALDED, 4, False),

@@ -15,6 +15,9 @@ from qillum import MatchSpec, matched_mean, mc, verify
 from qillum.cli import _build_parser, main
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
 def run_cli(args):
     return main(args)
 
@@ -232,6 +235,31 @@ class TestTrajectories:
     def test_missing_config(self):
         assert run_cli(["trajectories"]) == 1
 
+    @pytest.mark.parametrize("name", ["trajectories_run.json", "matched_trajectories_run.json"])
+    def test_checked_in_run_configs_build(self, name, monkeypatch):
+        # a matched signal runs as a heralded probe at the click-matched mean
+        class Captured(Exception):
+            pass
+
+        def capture(configs, **kwargs):
+            captured.extend(configs)
+            raise Captured
+
+        captured = []
+        monkeypatch.setattr("qillum.mc.average_trajectories", capture)
+        with pytest.raises(Captured):
+            run_cli(["trajectories", "--config", str(SCRIPTS / name)])
+        signals = json.loads((SCRIPTS / name).read_text())["signals"]
+        assert len(captured) == len(signals)
+        for signal, config in zip(signals, captured):
+            if signal["kind"] == "quantum_heralded_matched":
+                assert config.signal_kind is mc.SignalKind.QUANTUM_HERALDED
+                assert config.nbar == matched_mean(MatchSpec(1.0, 0.9))
+            else:
+                assert config.signal_kind.value == signal["kind"]
+                assert config.nbar == 1.0
+            assert config.herald_detectors == signal.get("herald_detectors", 1)
+
 
 class TestVerifyCommand:
     def test_quick_sweep_passes(self, capsys):
@@ -370,12 +398,13 @@ class TestBoundaryDefects:
         ),
         "seed_float": (_trajectories_row(seed=1.9), "seed"),
         "seed_bool": (_trajectories_row(seed=True), "seed"),
-        "seed_negative_flag": (lambda tmp_path: _trajectories_row()(tmp_path) + ["--seed", "-1"],
-                               "--seed: "),
+        "seed_negative": (_trajectories_row(seed=-1), "seed: "),
         "seed_beyond_64_bits": (_trajectories_row(seed=2**64), "seed: "),
         "threads_zero": (lambda tmp_path: _trajectories_row()(tmp_path) + ["--threads", "0"],
                          "--threads: "),
         "receiver_detectors_65": (_trajectories_row(receiver_detectors=65), "receiver_detectors: "),
+        "signal_kind_unknown": (_trajectories_row(signals=[{"kind": "bogus"}]),
+                                "signals: must be a signal kind, one of quantum_heralded, "),
         "label_comma": (_trajectories_row(signals=[{"kind": "coherent", "label": "a,b"}]),
                         "signals: "),
         "label_quote": (_trajectories_row(signals=[{"kind": "coherent", "label": 'a"b'}]),
@@ -498,7 +527,7 @@ class TestParser:
         "match": {"--config", "--out", "--grid", "--eta-e"},
         "wigner": {"--out", "--state", "--nbar", "--eta", "--detectors", "--clicks",
                    "--q-min", "--q-max", "--q-points"},
-        "trajectories": {"--config", "--out", "--seed", "--threads"},
+        "trajectories": {"--config", "--out", "--threads"},
         "verify": {"--quick", "--selftest-perturb"},
     }
 
@@ -510,7 +539,7 @@ class TestParser:
             for name, sub in subcommands.choices.items()
         }
         assert flags == self.FLAGS
-        assert sum(map(len, flags.values())) == 30
+        assert sum(map(len, flags.values())) == 29
 
     @pytest.mark.parametrize(
         "argv",
@@ -521,6 +550,7 @@ class TestParser:
             ["verify", "--out", "report.txt"],
             ["verify", "--tolerance", "1e-6"],
             ["verify", "--n-max", "10"],
+            ["trajectories", "--seed", "1"],
             ["wigner", "--state", "squeezed"],
             ["herald-stats", "--eta", "high"],
             ["no-such-command"],

@@ -10,9 +10,12 @@ import pytest
 from qillum import cli, oracle
 from qillum.channel import posterior
 from qillum.errors import NumericalInstabilityError, TruncationError
+from qillum.matching import MatchSpec
 from qillum.mc import TrajectoryConfig
-from qillum.povm import poisson_limit_reference, povm_fock_diagonal
-from qillum.states import SignedThermalMixture, clamp_probability, photon_number_distribution
+from qillum.povm import (ClickMultiplex, click_probability, poisson_limit_reference,
+                         povm_fock_diagonal)
+from qillum.states import (SignedThermalMixture, clamp_probability, herald_state,
+                           photon_number_distribution)
 
 THERMAL = SignedThermalMixture.thermal(1.0)
 
@@ -91,6 +94,31 @@ GUARDS = {
     "mixture_weights_and_means_differ_in_length": (
         lambda tmp_path: SignedThermalMixture((1.0,), (0.0, 1.0)),
         ValueError, "1 weights but 2 means",
+    ),
+    "match_spec_blind_eavesdropper": (
+        lambda tmp_path: MatchSpec(1.0, 0.0),
+        ValueError, "eavesdropper efficiency must lie in (0, 1], got 0.0",
+    ),
+    # non-integer counts once constructed, then failed with a bare TypeError
+    "click_multiplex_fractional_detectors": (
+        lambda tmp_path: ClickMultiplex(2.5, 0.9),
+        ValueError, "detector count must be an integer, got 2.5",
+    ),
+    "herald_state_fractional_detectors": (
+        lambda tmp_path: herald_state(1.0, 0.9, 2.5, 1),
+        ValueError, "detector count must be an integer, got 2.5",
+    ),
+    "herald_state_float_clicks": (
+        lambda tmp_path: herald_state(1.0, 0.9, 2, 1.0),
+        ValueError, "click count must be an integer, got 1.0",
+    ),
+    "click_probability_fractional_clicks": (
+        lambda tmp_path: click_probability(ClickMultiplex(2, 0.9), 1.5, THERMAL),
+        ValueError, "click count must be an integer, got 1.5",
+    ),
+    "povm_fock_diagonal_float_detectors": (
+        lambda tmp_path: povm_fock_diagonal(2.0, 1, 0.9, 5),
+        ValueError, "detector count must be an integer, got 2.0",
     ),
     "clamp_probability_nan": (
         lambda tmp_path: clamp_probability(math.nan),

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from qillum import (
     ClickMultiplex,
+    MatchSpec,
     SignedThermalMixture,
     TargetChannel,
     apply_channel,
     background_state,
     click_distribution,
     herald_state,
+    matched_mean,
     posterior,
     receiver_click_prob,
     tmsv_marginal,
@@ -74,10 +76,10 @@ class TestTrajectoryConfig:
             ({"reflectivity": 0.0}, "reflectivity"),
             ({"reflectivity": 1.0}, "reflectivity"),
             ({"background_mean": float("inf")}, "background mean"),
-            ({"signal_kind": SignalKind.QUANTUM_HERALDED_MATCHED,
-              "eavesdropper_efficiency": 0.0}, "eavesdropper efficiency"),
-            ({"signal_kind": SignalKind.QUANTUM_HERALDED_MATCHED, "nbar": 1000.0},
-             "matched mean overflows"),
+            # a truthy string once ran as a present target
+            ({"target_present": "false"}, "target_present must be a bool, got 'false'"),
+            # a fractional multiplex size once failed mid-build with a bare TypeError
+            ({"herald_detectors": 2.5}, "detector count must be an integer, got 2.5"),
             # l1 rows that miss a sum of 1 by more than _ROW_SUM_TOL
             ({"nbar": 0.01, "herald_detectors": 3}, "l1 row 3 sums to 0.99999999"),
             ({"nbar": 0.01, "herald_detectors": 6}, "l1 row 3 sums to 1.00000000"),
@@ -192,15 +194,6 @@ class TestLikelihoodTables:
         for k in range(5):
             expected = herald_state(config.nbar, 0.9, 4, k).herald_probability
             assert abs(probs[k] - expected) < 1e-12
-
-    def test_matched_tables_use_matched_mean(self):
-        from qillum import MatchSpec, matched_mean
-
-        config = base_config(signal_kind=SignalKind.QUANTUM_HERALDED_MATCHED)
-        tables = build_tables(config)
-        assert tables.probe_nbar == pytest.approx(
-            matched_mean(MatchSpec(1.0, 0.9)), abs=1e-14
-        )
 
     def test_rejects_decreasing_cdf_row(self):
         tables = build_tables(base_config(herald_detectors=2, receiver_detectors=2))
@@ -494,8 +487,8 @@ class TestSharedDraws:
     @given(
         probes=st.lists(
             st.tuples(
-                st.sampled_from([SignalKind.QUANTUM_HERALDED,
-                                 SignalKind.QUANTUM_HERALDED_MATCHED]),
+                st.just(SignalKind.QUANTUM_HERALDED),
+                st.sampled_from([1.0, matched_mean(MatchSpec(1.0, 0.9))]),
                 st.integers(min_value=1, max_value=4),
             ),
             min_size=1,
@@ -514,10 +507,10 @@ class TestSharedDraws:
         # cdf.  Three trials make one chunk, whose sum is the ensemble mean
         # times the trial count.
         configs = [
-            base_config(signal_kind=kind, herald_detectors=herald,
+            base_config(signal_kind=kind, nbar=nbar, herald_detectors=herald,
                         receiver_detectors=receiver_detectors, target_present=present,
                         seed=seed, shots=shots, trials=3)
-            for kind, herald in [(SignalKind.COHERENT, 1), *probes]
+            for kind, nbar, herald in [(SignalKind.COHERENT, 1.0, 1), *probes]
             for present in (True, False)
         ]
         thresholds = (0.5001, 0.52)
