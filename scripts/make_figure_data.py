@@ -26,10 +26,18 @@ def cli(*args):
         raise SystemExit(code)
 
 
+def thread_count(text: str) -> int:
+    """A --threads value, checked before the first command overwrites its table."""
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--skip-trajectories", action="store_true")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=thread_count, default=1)
     args = parser.parse_args()
 
     OUT.mkdir(exist_ok=True)

@@ -207,8 +207,7 @@ BOOLEAN = Kind(lambda value: _require(isinstance(value, bool), value, "true or f
 SWITCH = BOOLEAN._replace(flag={"action": "store_true"})
 TEXT = Kind(str, {})
 GRID = Kind(_grid, {})
-THRESHOLDS = Kind(lambda value: mc.check_thresholds(_items(
-    value, partial(_number, allowed=lambda x: 0 < x < 1, what="in (0, 1)"), "numbers")))
+THRESHOLDS = Kind(lambda value: mc.check_thresholds(_items(value, _number, "numbers")))
 # Physical ranges belong to the library: means and efficiencies call its rule
 # functions; a range only one object owns is checked by building that object,
 # with in-range values for its other fields.

@@ -99,34 +99,34 @@ class TrajectoryResult:
 class LikelihoodTables:
     """Per-herald-outcome receiver likelihoods, precomputed before the shot loop.
 
-    Row k of ``l1`` is the receiver click distribution under H1 given herald
-    outcome k (a single row for coherent signals); ``l0`` is the herald-
-    independent background distribution.  ``log_ratio[k, k_S]`` is the log-odds
-    increment for observing k_S receiver clicks after heralding k.
+    A table is three distributions: ``herald``, the herald outcome
+    distribution (None for a coherent probe); row k of ``l1``, the receiver
+    click distribution under H1 given herald outcome k (a single row for a
+    coherent probe); and ``l0``, the herald-independent background
+    distribution.  The rest is derived from them: the pinned cdfs
+    ``herald_cdf``, ``cdf_h0`` and ``cdf_h1``, and ``log_ratio[k, k_S]``, the
+    log-odds increment for observing k_S receiver clicks after heralding k.
     """
 
-    herald_cdf: Optional[np.ndarray]
+    herald: Optional[np.ndarray]
     l0: np.ndarray
     l1: np.ndarray
-    log_ratio: np.ndarray
-    cdf_h0: np.ndarray
-    cdf_h1: np.ndarray
+    herald_cdf: Optional[np.ndarray] = field(init=False)
+    cdf_h0: np.ndarray = field(init=False)
+    cdf_h1: np.ndarray = field(init=False)
+    log_ratio: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # run_trajectory counts the cdf entries below each draw; that count is
-        # the sampled outcome only for a nondecreasing row ending at 1.0.
-        for name in ("herald_cdf", "cdf_h0", "cdf_h1"):
-            cdf = getattr(self, name)
-            if cdf is None:
-                continue
-            for index, row in enumerate(np.atleast_2d(cdf)):
-                where = f"{name} row {index}" if np.ndim(cdf) == 2 else name
-                if not np.all(np.isfinite(row)):
-                    raise ValueError(f"{where} has a non-finite entry: {row}")
-                if np.any(np.diff(row) < 0.0):
-                    raise ValueError(f"{where} decreases: {row}")
-                if row[-1] != 1.0:
-                    raise ValueError(f"{where} ends at {row[-1]!r}, not exactly 1.0")
+        # Both logs read values clipped at 1e-300, so equal likelihoods give exactly 0.0.
+        log_l0, log_l1 = (np.log(np.clip(rows, 1e-300, None)) for rows in (self.l0, self.l1))
+        derived = dict(
+            herald_cdf=None if self.herald is None else _pinned_cumsum(self.herald, "herald"),
+            cdf_h0=_pinned_cumsum(self.l0, "l0"),
+            cdf_h1=_pinned_cumsum(self.l1, "l1"),
+            log_ratio=np.clip(log_l1 - log_l0, -_LOG_RATIO_CLIP, _LOG_RATIO_CLIP),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 class CompensatedVectorSum:
@@ -176,12 +176,15 @@ def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
 def _pinned_cumsum(rows: np.ndarray, name: str) -> np.ndarray:
     """Cumulative sums along the last axis, final entry pinned to one, all clipped at one.
 
-    A row whose unpinned sum misses one by more than ``_ROW_SUM_TOL`` is rejected.
+    A row with a negative or non-finite entry, or an unpinned sum off one by more
+    than ``_ROW_SUM_TOL``, is rejected: a kept cdf is nondecreasing and ends at 1.0.
     """
     cdf = np.cumsum(rows, axis=-1)
-    for index, total in enumerate(np.atleast_1d(cdf[..., -1])):
+    for index, (row, total) in enumerate(zip(np.atleast_2d(rows), np.atleast_1d(cdf[..., -1]))):
+        where = f"{name} row {index}" if cdf.ndim == 2 else name
+        if not (np.isfinite(row).all() and (row >= 0.0).all()):
+            raise ValueError(f"{where} has a negative or non-finite entry: {row}")
         if not abs(total - 1.0) <= _ROW_SUM_TOL:
-            where = f"{name} row {index}" if cdf.ndim == 2 else name
             raise ValueError(f"{where} sums to {float(total)!r}, not 1 within {_ROW_SUM_TOL:.3g}")
     cdf[..., -1] = 1.0
     return np.minimum(cdf, 1.0)
@@ -203,36 +206,20 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
     l0 = click_distribution(receiver, background_state(channel))
 
     if config.signal_kind is SignalKind.COHERENT:
-        herald_cdf = None
+        herald = None
         return_state = apply_channel(channel, DisplacedThermal(config.nbar, 0.0))
         l1 = click_distribution(receiver, return_state)[None, :]
     else:
         # click_distribution checks the herald row complete to 1e-12.
-        herald_cdf = _pinned_cumsum(click_distribution(herald_mux, idler), "herald_cdf")
-        rows = []
+        herald = click_distribution(herald_mux, idler)
         # The heralded state is used for every outcome, including k = 0.
-        for k in range(config.herald_detectors + 1):
-            conditioned = herald_state(
-                config.nbar, config.herald_efficiency, config.herald_detectors, k
-            ).state
-            rows.append(click_distribution(receiver, apply_channel(channel, conditioned)))
-        l1 = np.vstack(rows)
-
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(np.clip(l1, 1e-300, None)) - np.log(
-            np.clip(l0, 1e-300, None)
-        )[None, :]
-    log_ratio = np.where(l1 == l0[None, :], 0.0, log_ratio)
-    log_ratio = np.clip(log_ratio, -_LOG_RATIO_CLIP, _LOG_RATIO_CLIP)
-
-    return LikelihoodTables(
-        herald_cdf=herald_cdf,
-        l0=l0,
-        l1=l1,
-        log_ratio=log_ratio,
-        cdf_h0=_pinned_cumsum(l0, "l0"),
-        cdf_h1=_pinned_cumsum(l1, "l1"),
-    )
+        conditioned = (
+            herald_state(config.nbar, config.herald_efficiency, config.herald_detectors, k).state
+            for k in range(config.herald_detectors + 1)
+        )
+        l1 = np.vstack([click_distribution(receiver, apply_channel(channel, state))
+                        for state in conditioned])
+    return LikelihoodTables(herald, l0, l1)
 
 
 class TrialDraws(NamedTuple):
@@ -347,8 +334,10 @@ def first_crossing(curve: np.ndarray, threshold: float) -> Optional[int]:
 
 
 def check_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
-    """Crossing thresholds as floats, each at most once: crossings are keyed by value."""
+    """Distinct crossing thresholds in (0, 1) as floats: crossings are keyed by value."""
     values = tuple(float(t) for t in thresholds)
+    if not all(0.0 < t < 1.0 for t in values):
+        raise ValueError(f"thresholds must lie in (0, 1), got {list(values)}")
     if len(set(values)) != len(values):
         raise ValueError(f"thresholds must be distinct, got {list(values)}")
     return values

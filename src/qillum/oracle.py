@@ -26,7 +26,7 @@ import numpy as np
 from .channel import TargetChannel
 from .errors import TruncationError
 from .povm import povm_fock_diagonal
-from .states import check_mean
+from .states import check_count, check_efficiency, check_mean, check_outcome
 
 DEFAULT_TRUNCATION = 160
 TRACE_TOL = 1e-10
@@ -73,9 +73,7 @@ def choose_truncation(mean: float) -> int:
     """Smallest truncation of at least ``DEFAULT_TRUNCATION`` keeping the thermal
     tail (m/(1+m))^n below ``_TAIL_TARGET``.
     """
-    if not math.isfinite(mean):
-        raise ValueError(f"mean must be finite, got {mean}")
-    if mean <= 0.0:
+    if check_mean(mean, "mean") == 0.0:
         return DEFAULT_TRUNCATION
     ratio = mean / (1.0 + mean)
     needed = int(math.ceil(math.log(_TAIL_TARGET) / math.log(ratio))) + 2
@@ -85,6 +83,7 @@ def choose_truncation(mean: float) -> int:
 def thermal_diag(mean: float, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
     """Bose-Einstein distribution truncated at n_max."""
     check_mean(mean, "thermal mean")
+    check_count(n_max, "n_max")
     if mean == 0.0:
         return fock_diag(0, n_max)
     n = np.arange(n_max + 1)
@@ -94,6 +93,7 @@ def thermal_diag(mean: float, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
 def poisson_diag(mean: float, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
     """Poisson distribution (coherent-state photon statistics) truncated at n_max."""
     check_mean(mean, "coherent mean")
+    check_count(n_max, "n_max")
     if mean == 0.0:
         return fock_diag(0, n_max)
     n = np.arange(n_max + 1)
@@ -102,7 +102,7 @@ def poisson_diag(mean: float, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
 
 def fock_diag(level: int, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
     """Number state |level><level| as a diagonal vector."""
-    if not (0 <= level <= n_max):
+    if check_count(level, "level") > check_count(n_max, "n_max"):
         raise ValueError(f"level must lie in [0, {n_max}], got {level}")
     probs = np.zeros(n_max + 1)
     probs[level] = 1.0
@@ -139,6 +139,9 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
 
 
 def _povm_coeffs(detectors: int, clicks: int, efficiency: float, n_max: int) -> np.ndarray:
+    # The key cannot tell 2.0 from 2, so the inputs are checked on every call, not on a miss.
+    check_outcome(detectors, clicks)
+    check_efficiency(efficiency)
     return _leading_block(
         ("povm", detectors, clicks, float(efficiency)), (n_max + 1,),
         lambda size: povm_fock_diagonal(detectors, clicks, efficiency, size - 1),
@@ -253,7 +256,8 @@ def oracle_beamsplitter(signal: FockVector, reflectivity: float, background_mean
     out_mean = reflectivity * float(np.arange(signal.n_max + 1) @ signal.probs) + background_mean
     gain = 1.0 + background_mean
     loss = _loss_kernel(reflectivity / gain, signal.n_max)
-    amp = _amplifier_kernel(gain, signal.n_max, choose_truncation(out_mean))
+    # A FockVector may hold entries down to -1e-12, so its mean may dip below zero.
+    amp = _amplifier_kernel(gain, signal.n_max, choose_truncation(max(out_mean, 0.0)))
     return FockVector(amp @ (loss @ signal.probs))
 
 

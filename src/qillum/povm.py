@@ -22,8 +22,8 @@ from operator import mul
 import numpy as np
 
 from .errors import NumericalInstabilityError, UnsupportedStateError
-from .states import (DisplacedThermal, SignedThermalMixture, check_efficiency, check_outcome,
-                     clamp_probability)
+from .states import (DisplacedThermal, SignedThermalMixture, check_count, check_efficiency,
+                     check_outcome, clamp_probability)
 
 __all__ = [
     "ClickMultiplex",
@@ -141,8 +141,7 @@ def poisson_limit_reference(clicks: int, efficiency: float, state) -> float:
     (eta m)^k / (1 + eta m)^(k+1).  Used as the convergence target when
     checking that finite multiplexes become Poissonian.
     """
-    if clicks < 0:
-        raise ValueError(f"click count must be nonnegative, got {clicks}")
+    check_count(clicks, "click count")
     check_efficiency(efficiency)
     if not isinstance(state, SignedThermalMixture):
         raise UnsupportedStateError(
@@ -165,8 +164,7 @@ def povm_fock_diagonal(detector_count: int, clicks: int, efficiency: float, n_ma
     """
     check_outcome(detector_count, clicks)
     check_efficiency(efficiency)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    check_count(n_max, "n_max")
 
     prefactor = math.comb(detector_count, clicks)
     signs = [(-1) ** (clicks - l) * math.comb(clicks, l) for l in range(clicks + 1)]

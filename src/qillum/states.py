@@ -84,6 +84,14 @@ def check_integer(value, what: str) -> None:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def check_count(value, what: str) -> int:
+    """A nonnegative integer: a truncation level or a click count."""
+    check_integer(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def check_outcome(detectors: int, clicks: int) -> None:
     """An outcome of an N-detector multiplex: integers N >= 1 and 0 <= k <= min(N, 64)."""
     check_integer(detectors, "detector count")
@@ -331,8 +339,7 @@ def photon_number_distribution(state, n_max: int) -> np.ndarray:
     Only signed thermal mixtures have a closed form here; displaced thermal
     distributions live in the oracle's Fock construction.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    check_count(n_max, "n_max")
     if isinstance(state, DisplacedThermal):
         raise UnsupportedStateError(
             "displaced thermal photon distributions are computed by "

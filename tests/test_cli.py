@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -518,6 +519,23 @@ class TestRuntimeImports:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout == "[]\n"
+
+
+class TestFigureScript:
+    def test_bad_thread_count_runs_no_command(self, monkeypatch, capsys):
+        # --threads 0 once rewrote all seven tables before the trajectories run failed
+        path = SCRIPTS / "make_figure_data.py"
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        calls = []
+        monkeypatch.setattr(script, "cli", lambda *args: calls.append(args))
+        monkeypatch.setattr(sys, "argv", [path.name, "--threads", "0"])
+        with pytest.raises(SystemExit) as exited:
+            script.main()
+        assert exited.value.code != 0
+        assert calls == []
+        assert "--threads: must be at least 1, got 0" in capsys.readouterr().err
 
 
 class TestParser:

@@ -120,6 +120,52 @@ GUARDS = {
         lambda tmp_path: povm_fock_diagonal(2.0, 1, 0.9, 5),
         ValueError, "detector count must be an integer, got 2.0",
     ),
+    # truncation levels and counts follow one rule, states.check_count; these
+    # once truncated silently, raised a bare TypeError or IndexError, or passed
+    "thermal_diag_fractional_n_max": (
+        lambda tmp_path: oracle.thermal_diag(1.0, 160.5),
+        ValueError, "n_max must be an integer, got 160.5",
+    ),
+    "thermal_diag_negative_n_max": (
+        lambda tmp_path: oracle.thermal_diag(1.0, -1),
+        ValueError, "n_max must be nonnegative, got -1",
+    ),
+    "photon_number_distribution_fractional_n_max": (
+        lambda tmp_path: photon_number_distribution(THERMAL, 10.5),
+        ValueError, "n_max must be an integer, got 10.5",
+    ),
+    "poisson_diag_fractional_n_max": (
+        lambda tmp_path: oracle.poisson_diag(1.0, 10.5),
+        ValueError, "n_max must be an integer, got 10.5",
+    ),
+    "oracle_herald_state_fractional_n_max": (
+        lambda tmp_path: oracle.oracle_herald_state(1.0, 0.9, 2, 1, 160.5),
+        ValueError, "n_max must be an integer, got 160.5",
+    ),
+    "displaced_thermal_diag_fractional_n_max": (
+        lambda tmp_path: oracle.displaced_thermal_diag(1.0, 1.0, 10.5),
+        ValueError, "n_max must be an integer, got 10.5",
+    ),
+    "povm_fock_diagonal_fractional_n_max": (
+        lambda tmp_path: povm_fock_diagonal(2, 1, 0.9, 10.5),
+        ValueError, "n_max must be an integer, got 10.5",
+    ),
+    "fock_diag_fractional_level": (
+        lambda tmp_path: oracle.fock_diag(1.5, 10),
+        ValueError, "level must be an integer, got 1.5",
+    ),
+    "fock_diag_fractional_n_max": (
+        lambda tmp_path: oracle.fock_diag(0, 10.5),
+        ValueError, "n_max must be an integer, got 10.5",
+    ),
+    "poisson_limit_fractional_clicks": (
+        lambda tmp_path: poisson_limit_reference(1.5, 0.9, THERMAL),
+        ValueError, "click count must be an integer, got 1.5",
+    ),
+    "choose_truncation_negative_mean": (
+        lambda tmp_path: oracle.choose_truncation(-1.0),
+        ValueError, "mean must be finite and nonnegative, got -1.0",
+    ),
     "clamp_probability_nan": (
         lambda tmp_path: clamp_probability(math.nan),
         NumericalInstabilityError, "probability evaluated to nan",

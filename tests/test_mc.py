@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from qillum import (
     apply_channel,
     background_state,
     click_distribution,
+    click_probability,
     herald_state,
     matched_mean,
     posterior,
@@ -22,6 +22,7 @@ from qillum import (
 )
 from qillum import mc
 from qillum.mc import (
+    LikelihoodTables,
     SignalKind,
     TrajectoryConfig,
     average_trajectories,
@@ -190,35 +191,60 @@ class TestLikelihoodTables:
     def test_herald_cdf_matches_herald_probabilities(self):
         config = base_config(herald_detectors=4)
         tables = build_tables(config)
-        probs = np.diff(np.concatenate([[0.0], tables.herald_cdf]))
+        herald_mux = ClickMultiplex(4, 0.9)
         for k in range(5):
-            expected = herald_state(config.nbar, 0.9, 4, k).herald_probability
-            assert abs(probs[k] - expected) < 1e-12
+            assert tables.herald[k] == click_probability(herald_mux, k, tmsv_marginal(config.nbar))
+        assert np.array_equal(tables.herald_cdf, mc._pinned_cumsum(tables.herald, "herald"))
 
     def test_rejects_decreasing_cdf_row(self):
+        # a negative entry is what would make a derived cdf row decrease
         tables = build_tables(base_config(herald_detectors=2, receiver_detectors=2))
-        cdf_h1 = tables.cdf_h1.copy()
-        cdf_h1[1] = [0.6, 0.5, 1.0]
-        with pytest.raises(ValueError, match="cdf_h1 row 1 decreases"):
-            dataclasses.replace(tables, cdf_h1=cdf_h1)
+        l1 = tables.l1.copy()
+        l1[1] = [0.6, -0.1, 0.5]
+        with pytest.raises(ValueError, match="^l1 row 1 has a negative or non-finite entry"):
+            LikelihoodTables(tables.herald, tables.l0, l1)
 
     def test_rejects_cdf_not_ending_at_one(self):
+        # a distribution whose sum misses one is rejected, not pinned
         tables = build_tables(base_config(herald_detectors=2))
-        herald_cdf = tables.herald_cdf.copy()
-        herald_cdf[-1] = 1.0 - 1e-9
-        with pytest.raises(ValueError, match="herald_cdf ends at"):
-            dataclasses.replace(tables, herald_cdf=herald_cdf)
-        cdf_h0 = tables.cdf_h0.copy()
-        cdf_h0[-1] = 1.0 - 1e-9
-        with pytest.raises(ValueError, match="cdf_h0 ends at"):
-            dataclasses.replace(tables, cdf_h0=cdf_h0)
+        with pytest.raises(ValueError, match="^herald sums to"):
+            LikelihoodTables(tables.herald * (1.0 - 1e-6), tables.l0, tables.l1)
+        with pytest.raises(ValueError, match="^l0 sums to"):
+            LikelihoodTables(tables.herald, tables.l0 * (1.0 - 1e-6), tables.l1)
 
     def test_rejects_non_finite_cdf(self):
         tables = build_tables(base_config())
-        cdf_h1 = tables.cdf_h1.copy()
-        cdf_h1[0, 0] = np.nan
-        with pytest.raises(ValueError, match="cdf_h1 row 0 has a non-finite entry"):
-            dataclasses.replace(tables, cdf_h1=cdf_h1)
+        for name, where in (("herald", "herald"), ("l0", "l0"), ("l1", "l1 row 0")):
+            fields = {key: getattr(tables, key).copy() for key in ("herald", "l0", "l1")}
+            fields[name].flat[0] = np.nan
+            with pytest.raises(ValueError, match=f"^{where} has a negative or non-finite entry"):
+                LikelihoodTables(**fields)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(list(SignalKind)),
+        target_present=st.booleans(),
+        nbar=st.floats(min_value=0.1, max_value=5.0),
+        efficiency=st.floats(min_value=0.5, max_value=1.0),
+        herald_detectors=st.integers(min_value=1, max_value=4),
+        receiver_detectors=st.integers(min_value=1, max_value=4),
+    )
+    def test_derived_cdfs_nondecreasing_and_end_at_one(
+        self, kind, target_present, nbar, efficiency, herald_detectors, receiver_detectors
+    ):
+        # run_trajectory's counts are the sampled outcomes only on such rows
+        tables = base_config(
+            signal_kind=kind, target_present=target_present, nbar=nbar,
+            herald_efficiency=efficiency, receiver_efficiency=efficiency,
+            herald_detectors=herald_detectors, receiver_detectors=receiver_detectors,
+        ).tables
+        assert (tables.herald_cdf is None) == (kind is SignalKind.COHERENT)
+        rows = [tables.cdf_h0, *tables.cdf_h1]
+        if tables.herald_cdf is not None:
+            rows.append(tables.herald_cdf)
+        for row in rows:
+            assert np.all(np.diff(row) >= 0.0)
+            assert row[-1] == 1.0
 
 
 class TestRunShot:
@@ -418,6 +444,15 @@ class TestAverageTrajectories:
         # per-trial crossings once per occurrence
         with pytest.raises(ValueError, match=r"thresholds must be distinct, got \[0.9, 0.8, 0.9\]"):
             run_alone(base_config(trials=3), thresholds=(0.9, 0.8, 0.9))
+
+    @pytest.mark.parametrize(
+        "thresholds", [(1.5,), (0.0,), (-1.0,), (math.nan, math.nan), (0.5, 1.0)]
+    )
+    def test_threshold_outside_unit_interval_rejected(self, thresholds):
+        # 1.5 was never reported crossed, 0.0 and -1.0 crossed at shot 1, and two
+        # nans passed the distinct rule as two keys
+        with pytest.raises(ValueError, match=r"^thresholds must lie in \(0, 1\), got "):
+            average_trajectories([base_config(trials=3)], thresholds=thresholds)
 
     def test_present_target_drifts_up_absent_drifts_down(self):
         up, down = average_trajectories([

@@ -246,6 +246,23 @@ class TestOracleHeraldState:
 
 
 class TestOracleClickProb:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: oracle.oracle_click_prob(n, 1, 0.9, oracle.thermal_diag(1.0)),
+            lambda n: oracle.oracle_herald_state(1.0, 0.9, n, 1, 160),
+        ],
+        ids=["oracle_click_prob", "oracle_herald_state"],
+    )
+    def test_float_count_rejected_on_a_warm_cache(self, build):
+        # the key ("povm", 2.0, 1, 0.9) equals ("povm", 2, 1, 0.9), so checks run
+        # only on a miss once let the float call through after the integer one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_tables", {})
+            build(2)
+            with pytest.raises(ValueError, match=r"^detector count must be an integer, got 2\.0"):
+                build(2.0)
+
     def test_vacuum_cannot_click(self):
         vac = oracle.thermal_diag(0.0, 40)
         assert oracle.oracle_click_prob(3, 2, 0.9, vac) == 0.0
@@ -273,6 +290,12 @@ class TestOracleBeamsplitter:
         out = oracle.oracle_beamsplitter(oracle.thermal_diag(0.0, 160), 0.3, 3.0)
         expected = photon_number_distribution(SignedThermalMixture.thermal(3.0), out.n_max)
         assert np.abs(out.probs - expected).max() < 1e-9
+
+    def test_signal_with_a_negative_mean_is_truncated_at_the_default(self):
+        # entries down to -1e-12 are allowed, and choose_truncation rejects a negative mean
+        signal = oracle.FockVector(np.array([1.0 + 1e-13, -1e-13]))
+        out = oracle.oracle_beamsplitter(signal, 0.5, 0.0)
+        assert out.n_max == oracle.DEFAULT_TRUNCATION
 
     def test_thermal_maps_to_thermal(self):
         out = oracle.oracle_beamsplitter(oracle.thermal_diag(1.0, 160), 0.1, 3.0)
