@@ -382,7 +382,8 @@ def average_trajectories(
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one trajectory config")
-    if not (isinstance(threads, int) and threads >= 1):
+    check_integer(threads, "threads")
+    if threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     for name in ("seed", "trials", "shots"):
         values = sorted({getattr(config, name) for config in configs})

@@ -13,7 +13,10 @@ Every table the oracle reuses (log factorials, POVM coefficients, loss and
 amplifier kernels) sits behind ``_leading_block``, keyed by its physical
 parameters alone.  This relies on a prefix invariant: every entry depends
 only on its index and the parameters, never on the truncation, so the table
-at any size is the leading block of the table at a larger size.
+at any size is the leading block of the table at a larger size.  The loss
+and amplifier kernels are filled a block of ``_FILL_ROWS`` rows at a time
+from their entry formula, so a build's scratch space is one block; each
+entry comes from the same operations as a whole-grid build.
 """
 
 from __future__ import annotations
@@ -26,11 +29,16 @@ import numpy as np
 from .channel import TargetChannel
 from .errors import TruncationError
 from .povm import povm_fock_diagonal
-from .states import check_count, check_efficiency, check_mean, check_outcome
+from .states import check_coordinates, check_count, check_efficiency, check_mean, check_outcome
 
 DEFAULT_TRUNCATION = 160
+# The most levels choose_truncation returns: a square kernel at this size
+# already takes 134 MB, and no caller needs more than 616 (a mean of 20).
+MAX_TRUNCATION = 4096
 TRACE_TOL = 1e-10
 _TAIL_TARGET = 1e-13
+# Rows per block when a kernel is filled from its entry formula.
+_FILL_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -72,12 +80,23 @@ class FockVector:
 def choose_truncation(mean: float) -> int:
     """Smallest truncation of at least ``DEFAULT_TRUNCATION`` keeping the thermal
     tail (m/(1+m))^n below ``_TAIL_TARGET``.
+
+    A mean that needs more than ``MAX_TRUNCATION`` levels raises
+    ``TruncationError``, as does one whose ratio m/(1+m) rounds to 1 (from
+    about 1e16), where no truncation reaches the target.
     """
     if check_mean(mean, "mean") == 0.0:
         return DEFAULT_TRUNCATION
     ratio = mean / (1.0 + mean)
-    needed = int(math.ceil(math.log(_TAIL_TARGET) / math.log(ratio))) + 2
-    return max(DEFAULT_TRUNCATION, needed)
+    levels = math.log(_TAIL_TARGET) / math.log(ratio) if ratio < 1.0 else math.inf
+    if levels > MAX_TRUNCATION - 2:
+        # log1p(1/m) = -log(m/(1+m)) stays positive where the ratio has rounded to 1.
+        estimate = math.log(_TAIL_TARGET) / -math.log1p(1.0 / mean)
+        raise TruncationError(
+            f"mean {mean!r} needs about {estimate:.3g} levels to keep its thermal tail "
+            f"below {_TAIL_TARGET:.0e}, beyond the ceiling of {MAX_TRUNCATION}"
+        )
+    return max(DEFAULT_TRUNCATION, int(math.ceil(levels)) + 2)
 
 
 def thermal_diag(mean: float, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
@@ -123,6 +142,10 @@ def _leading_block(key, shape: tuple, build) -> np.ndarray:
     table = _tables.get(key)
     if table is None or any(want > have for want, have in zip(shape, table.shape)):
         size = shape if table is None else tuple(map(max, shape, table.shape))
+        # Drop the stored table before building its replacement, so the two
+        # never coexist.
+        del table
+        _tables.pop(key, None)
         table = build(*size)
         table.setflags(write=False)
         _tables[key] = table
@@ -178,8 +201,33 @@ def oracle_herald_state(
     return FockVector(unnorm / weight)
 
 
+def _filled(rows: int, cols: int, entry) -> np.ndarray:
+    """The ``(rows, cols)`` table of ``entry(i, j)``, built ``_FILL_ROWS`` rows at a time.
+
+    ``entry`` maps a column of row indices and a row of column indices to the
+    entries they span.  Only one block's temporaries are alive at once, and
+    each entry comes from the same operations on the same inputs as a
+    whole-grid build, so the table is bit-identical to one.
+    """
+    # Every entry formula reads log factorials up to this index; growing that
+    # table once here spares a regrowth per block.
+    _log_factorial(np.array([max(rows, cols) - 1]))
+    table = np.empty((rows, cols))
+    j = np.arange(cols)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, rows, _FILL_ROWS):
+            stop = min(start + _FILL_ROWS, rows)
+            table[start:stop] = entry(np.arange(start, stop)[:, None], j)
+    return table
+
+
 def _loss_kernel(transmission: float, n_in: int) -> np.ndarray:
     """Binomial-thinning kernel of the pure-loss channel: out j from in n."""
+
+    def entry(j, nn):  # output index j, input index nn
+        log_binom = _log_factorial(nn) - _log_factorial(j) - _log_factorial(nn - j)
+        log_k = log_binom + j * math.log(transmission) + (nn - j) * math.log1p(-transmission)
+        return np.where(j <= nn, np.exp(log_k), 0.0)
 
     def build(rows, cols):
         if transmission == 1.0:
@@ -188,12 +236,7 @@ def _loss_kernel(transmission: float, n_in: int) -> np.ndarray:
             kernel = np.zeros((rows, cols))
             kernel[0, :] = 1.0
             return kernel
-        j = np.arange(rows)[:, None]  # output index
-        nn = np.arange(cols)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_binom = _log_factorial(nn) - _log_factorial(j) - _log_factorial(nn - j)
-            log_k = log_binom + j * math.log(transmission) + (nn - j) * math.log1p(-transmission)
-            return np.where(j <= nn, np.exp(log_k), 0.0)
+        return _filled(rows, cols, entry)
 
     return _leading_block(("loss", float(transmission)), (n_in + 1, n_in + 1), build)
 
@@ -207,15 +250,15 @@ def _amplifier_kernel(gain: float, n_in: int, n_out: int) -> np.ndarray:
     if gain < 1.0:
         raise ValueError(f"amplifier gain must be >= 1, got {gain}")
 
+    def entry(n, j):  # output index n, input index j
+        log_binom = _log_factorial(n) - _log_factorial(j) - _log_factorial(n - j)
+        log_k = log_binom - (j + 1) * math.log(gain) + (n - j) * math.log1p(-1.0 / gain)
+        return np.where(n >= j, np.exp(log_k), 0.0)
+
     def build(rows, cols):
         if gain == 1.0:
             return np.eye(rows, cols)
-        n = np.arange(rows)[:, None]
-        j = np.arange(cols)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_binom = _log_factorial(n) - _log_factorial(j) - _log_factorial(n - j)
-            log_k = log_binom - (j + 1) * math.log(gain) + (n - j) * math.log1p(-1.0 / gain)
-            return np.where(n >= j, np.exp(log_k), 0.0)
+        return _filled(rows, cols, entry)
 
     return _leading_block(("amp", float(gain)), (n_out + 1, n_in + 1), build)
 
@@ -317,6 +360,7 @@ def oracle_wigner(diag: FockVector, q: float) -> float:
     The Laguerre polynomials are evaluated by the three-term recurrence.
     Matches the convention W_vac(q, p) = exp(-q^2 - p^2) / pi.
     """
+    check_coordinates(q)
     x = 2.0 * q * q
     n_max = diag.n_max
     values = np.empty(n_max + 1)

@@ -77,11 +77,24 @@ def check_efficiency(eta: float) -> float:
 
 
 def check_integer(value, what: str) -> None:
-    """A count: any value ``operator.index`` accepts."""
+    """A count: any value ``operator.index`` accepts, except a bool."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_coordinates(q) -> np.ndarray:
+    """Phase-space coordinates ``q``, a number or a sequence of them, as a 1-D float array.
+
+    Each must be finite; ``None`` converts to NaN and is rejected with it.
+    """
+    values = np.atleast_1d(np.asarray(q, dtype=float))
+    if not np.isfinite(values).all():
+        raise ValueError(f"q must be finite, got {q!r}")
+    return values
 
 
 def check_count(value, what: str) -> int:
@@ -359,7 +372,9 @@ def wigner_slice(state, q_grid) -> np.ndarray:
     """
     if not isinstance(state, SignedThermalMixture):
         raise UnsupportedStateError("wigner_slice is defined for signed thermal mixtures")
-    q = np.atleast_1d(np.asarray(q_grid, dtype=float))
+    q = check_coordinates(q_grid)
     widths = 2.0 * np.array(state.means) + 1.0
-    gauss = np.exp(-np.square(q)[None, :] / widths[:, None])
+    # q^2 overflows to inf at |q| beyond about 1e154, and exp(-inf) is the limit, 0.
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-np.square(q)[None, :] / widths[:, None])
     return (np.array(state.weights) / (np.pi * widths)) @ gauss

@@ -11,11 +11,11 @@ from qillum import cli, oracle
 from qillum.channel import posterior
 from qillum.errors import NumericalInstabilityError, TruncationError
 from qillum.matching import MatchSpec
-from qillum.mc import TrajectoryConfig
+from qillum.mc import TrajectoryConfig, average_trajectories
 from qillum.povm import (ClickMultiplex, click_probability, poisson_limit_reference,
                          povm_fock_diagonal)
 from qillum.states import (SignedThermalMixture, clamp_probability, herald_state,
-                           photon_number_distribution)
+                           photon_number_distribution, wigner_slice)
 
 THERMAL = SignedThermalMixture.thermal(1.0)
 
@@ -165,6 +165,50 @@ GUARDS = {
     "choose_truncation_negative_mean": (
         lambda tmp_path: oracle.choose_truncation(-1.0),
         ValueError, "mean must be finite and nonnegative, got -1.0",
+    ),
+    # the ratio m/(1+m) rounds to 1 from 1e16 (a bare ZeroDivisionError once);
+    # below that the level count was returned however large
+    "choose_truncation_mean_1e9": (
+        lambda tmp_path: oracle.choose_truncation(1e9),
+        TruncationError, "mean 1000000000.0 needs about 2.99e+10 levels",
+    ),
+    "choose_truncation_mean_1e16": (
+        lambda tmp_path: oracle.choose_truncation(1e16),
+        TruncationError, "mean 1e+16 needs about 2.99e+17 levels",
+    ),
+    "choose_truncation_mean_1e300": (
+        lambda tmp_path: oracle.choose_truncation(1e300),
+        TruncationError, "mean 1e+300 needs about 2.99e+301 levels",
+    ),
+    # a bool is an int to operator.index and to isinstance, so these passed
+    "click_multiplex_bool_detectors": (
+        lambda tmp_path: ClickMultiplex(True, 0.9),
+        ValueError, "detector count must be an integer, got True",
+    ),
+    "trajectory_config_bool_shots": (
+        lambda tmp_path: _trajectory_config(shots=True),
+        ValueError, "shots must be an integer, got True",
+    ),
+    "thermal_diag_bool_n_max": (
+        lambda tmp_path: oracle.thermal_diag(1.0, True),
+        ValueError, "n_max must be an integer, got True",
+    ),
+    "average_trajectories_bool_threads": (
+        lambda tmp_path: average_trajectories([_trajectory_config()], threads=True),
+        ValueError, "threads must be an integer, got True",
+    ),
+    # these returned NaN
+    "wigner_slice_nan_q": (
+        lambda tmp_path: wigner_slice(THERMAL, [0.0, math.nan]),
+        ValueError, "q must be finite, got [0.0, nan]",
+    ),
+    "wigner_slice_none_q": (
+        lambda tmp_path: wigner_slice(THERMAL, None),
+        ValueError, "q must be finite, got None",
+    ),
+    "oracle_wigner_nan_q": (
+        lambda tmp_path: oracle.oracle_wigner(oracle.thermal_diag(1.0), math.nan),
+        ValueError, "q must be finite, got nan",
     ),
     "clamp_probability_nan": (
         lambda tmp_path: clamp_probability(math.nan),

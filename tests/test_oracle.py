@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from qillum import oracle, verify
 from qillum.errors import TruncationError
 from qillum.povm import povm_fock_diagonal
 from qillum.verify import run_verification
+
+import kernel_reference
 
 
 class TestFockVector:
@@ -99,7 +102,7 @@ def _cold(build, *args):
         return build(*args)
 
 
-_SIZES = st.integers(min_value=0, max_value=240)
+_SIZES = st.integers(min_value=0, max_value=500)
 _REQUESTS = st.tuples(
     st.lists(st.tuples(st.integers(0, 1), _SIZES, _SIZES), min_size=1, max_size=8),
     st.sampled_from(["ascending", "descending", "interleaved"]),
@@ -113,11 +116,13 @@ def _ordered(requests, order):
 
 
 class TestCachePrefixInvariant:
-    """Cached coefficients and kernels equal cold builds at every requested size.
+    """Cached coefficients and kernels equal their references at every requested size.
 
     Each request picks one of two parameter values, so a cache key that drops
     the parameter returns the other value's array; a cache that returns its
-    whole grown array instead of the leading block fails on shape.
+    whole grown array instead of the leading block fails on shape.  The
+    kernels' reference is the whole-grid build of ``kernel_reference``, which
+    the block fill must match bit for bit.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -154,7 +159,7 @@ class TestCachePrefixInvariant:
             mp.setattr(oracle, "_tables", {})
             for which, n_in, _ in _ordered(*requests):
                 block = oracle._loss_kernel(transmissions[which], n_in)
-                cold = _cold(oracle._loss_kernel, transmissions[which], n_in)
+                cold = kernel_reference.loss_kernel(transmissions[which], n_in + 1, n_in + 1)
                 assert np.array_equal(block, cold)
                 x = np.random.default_rng(n_in).random(n_in + 1)
                 assert (block @ x).tobytes() == (cold @ x).tobytes()
@@ -172,10 +177,24 @@ class TestCachePrefixInvariant:
             mp.setattr(oracle, "_tables", {})
             for which, n_in, n_out in _ordered(*requests):
                 block = oracle._amplifier_kernel(gains[which], n_in, n_out)
-                cold = _cold(oracle._amplifier_kernel, gains[which], n_in, n_out)
+                cold = kernel_reference.amplifier_kernel(gains[which], n_out + 1, n_in + 1)
                 assert np.array_equal(block, cold)
                 x = np.random.default_rng(n_in).random(n_in + 1)
                 assert (block @ x).tobytes() == (cold @ x).tobytes()
+
+    def test_amplifier_fill_peak_memory(self):
+        # The (498, 377) kernel is the verify sweep's largest; a whole-grid
+        # build peaks at about four times the table it returns.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_tables", {})
+            tracemalloc.start()
+            try:
+                kernel = oracle._amplifier_kernel(4.0, 376, 497)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert kernel.shape == (498, 377)
+        assert peak <= 2 * kernel.nbytes
 
     def test_quick_report_same_cold_and_after_full_sweep(self):
         with pytest.MonkeyPatch.context() as mp:

@@ -300,6 +300,11 @@ class TestWignerSlice:
         w = wigner_slice(tmsv_marginal(1.0), [0.0])
         assert w[0] == pytest.approx(1.0 / (3.0 * math.pi), abs=1e-15)
 
+    def test_huge_coordinate_gives_the_limit(self):
+        # q^2 overflows; the overflow warning once failed the suite
+        w = wigner_slice(herald_state(1.0, 0.9, 2, 2).state, [1e308, -1e200])
+        assert w.tolist() == [0.0, 0.0]
+
     def test_two_click_herald_goes_negative(self):
         # negativity sits on a ring near |q| ~ 1, not at the origin
         q = np.linspace(0.0, 3.0, 301)
