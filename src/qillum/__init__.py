@@ -9,7 +9,6 @@ from .channel import (
     TargetChannel,
     apply_channel,
     background_state,
-    posterior,
     receiver_click_prob,
 )
 from .errors import (
@@ -17,7 +16,6 @@ from .errors import (
     NumericalInstabilityError,
     QillumError,
     TruncationError,
-    UndefinedPosteriorError,
     UnsupportedStateError,
 )
 from .matching import MatchSpec, coherent_click_prob, matched_mean, thermal_click_prob
@@ -32,7 +30,6 @@ from .povm import (
     click_distribution,
     click_probability,
     normal_ordered_moment,
-    poisson_limit_reference,
     povm_fock_diagonal,
 )
 from .states import (

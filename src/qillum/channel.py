@@ -1,4 +1,4 @@
-"""Target-interaction channel and Bayesian inference on receiver clicks.
+"""Target-interaction channel and the receiver click probabilities it feeds.
 
 A target of reflectivity kappa embedded in thermal background couples the
 signal mode to the background mode on a beamsplitter; the background is
@@ -11,10 +11,9 @@ coherent and thermal parts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import UndefinedPosteriorError, UnsupportedStateError
+from .errors import UnsupportedStateError
 from .povm import ClickMultiplex, click_probability
 from .states import DisplacedThermal, SignedThermalMixture, check_mean, checked_mixtures
 
@@ -64,19 +63,3 @@ def receiver_click_prob(receiver: ClickMultiplex, clicks: int, hyp_state) -> flo
     over the transformed components, which avoids the doubly alternating sum.
     """
     return click_probability(receiver, clicks, hyp_state)
-
-
-def posterior(prior_h1: float, likelihood_h0: float, likelihood_h1: float) -> float:
-    """Bayes update for the target-present probability after one outcome."""
-    for name, value in (
-        ("prior_h1", prior_h1),
-        ("likelihood_h0", likelihood_h0),
-        ("likelihood_h1", likelihood_h1),
-    ):
-        if not (0.0 <= value <= 1.0) or not math.isfinite(value):
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    numerator = prior_h1 * likelihood_h1
-    denominator = numerator + (1.0 - prior_h1) * likelihood_h0
-    if denominator == 0.0:
-        raise UndefinedPosteriorError("both hypothesis likelihoods are zero")
-    return numerator / denominator

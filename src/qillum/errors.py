@@ -19,7 +19,3 @@ class UnsupportedStateError(QillumError):
 
 class TruncationError(QillumError):
     """A truncated Fock vector lost more trace than the comparison tolerates."""
-
-
-class UndefinedPosteriorError(QillumError):
-    """Both hypothesis likelihoods are zero; Bayes' rule has no answer."""

@@ -5,9 +5,7 @@ probabilities are literal contractions of POVM Fock coefficients against
 explicit photon-number vectors, the target channel acts through discrete
 loss/amplifier kernels on those vectors, and Wigner values come from the
 Laguerre series.  Every ``FockVector`` checks its trace deficit against the
-one tolerance ``TRACE_TOL``.  ``oracle_beamsplitter_unitary`` is a reference
-for spot checks of the kernel route: it returns the raw output array of the
-literal two-mode unitary, whose truncated background misses that tolerance.
+one tolerance ``TRACE_TOL``.
 
 Every table the oracle reuses (log factorials, POVM coefficients, loss and
 amplifier kernels) sits behind ``_leading_block``, keyed by its physical
@@ -304,60 +302,11 @@ def oracle_beamsplitter(signal: FockVector, reflectivity: float, background_mean
     return FockVector(amp @ (loss @ signal.probs))
 
 
-def oracle_beamsplitter_unitary(
-    signal: FockVector, reflectivity: float, background_mean: float
-) -> np.ndarray:
-    """Reference for ``oracle_beamsplitter``: the literal two-mode unitary
-    U = exp(i theta (a_S^dag a_B + h.c.)), for spot checks at n_max <= 40.
-
-    For each Fock pair |n_S, n_B> the output-mode amplitudes follow from
-    expanding (sqrt(k) b1 + sqrt(1-k) b2)^{n_S} (-sqrt(1-k) b1 + sqrt(k) b2)^{n_B},
-    i.e. a polynomial convolution; the environment mode is traced out by
-    summing squared amplitudes at fixed output photon number.  The rescaled
-    background is truncated at the signal's n_max, so the returned raw array
-    of entries 0 .. n_max falls short of unit trace by more than ``TRACE_TOL``.
-    """
-    TargetChannel(reflectivity, background_mean)
-    if signal.n_max > 40:
-        raise ValueError("the two-mode unitary is meant for spot checks at n_max <= 40")
-    kappa = reflectivity
-    scaled_bg = background_mean / (1.0 - kappa)
-    bg = scaled_bg / (1.0 + scaled_bg)
-    bg_probs = bg ** np.arange(signal.n_max + 1) / (1.0 + scaled_bg)
-    size = 2 * signal.n_max + 1
-    out = np.zeros(size)
-    sqrt_k = math.sqrt(kappa)
-    sqrt_r = math.sqrt(1.0 - kappa)
-    log_fact = _log_factorial(np.arange(size + 1))
-    for n_s in range(signal.n_max + 1):
-        p_s = signal.probs[n_s]
-        if p_s == 0.0:
-            continue
-        poly_s = np.array(
-            [math.comb(n_s, i) * sqrt_k**i * sqrt_r ** (n_s - i) for i in range(n_s + 1)]
-        )
-        for n_b, p_b in enumerate(bg_probs):
-            if p_b < 1e-18:
-                continue
-            jj = np.arange(n_b + 1)
-            poly_b = np.array(
-                [math.comb(n_b, j) * (-sqrt_r) ** j * sqrt_k ** (n_b - j) for j in jj]
-            )
-            conv = np.convolve(poly_s, poly_b)
-            total = n_s + n_b
-            n_out = np.arange(total + 1)
-            norm = 0.5 * (
-                log_fact[n_out] + log_fact[total - n_out] - log_fact[n_s] - log_fact[n_b]
-            )
-            amps = conv * np.exp(norm)
-            out[: total + 1] += p_s * p_b * amps**2
-    return out[: signal.n_max + 1]
-
-
 def oracle_wigner(diag: FockVector, q: float) -> float:
     """W(q, 0) from the Laguerre series: pi^-1 sum_n p_n (-1)^n e^{-q^2} L_n(2 q^2).
 
-    The Laguerre polynomials are evaluated by the three-term recurrence.
+    The Laguerre polynomials are evaluated by the three-term recurrence; a q
+    where it overflows raises ``ValueError``.
     Matches the convention W_vac(q, p) = exp(-q^2 - p^2) / pi.
     """
     check_coordinates(q)
@@ -370,6 +319,10 @@ def oracle_wigner(diag: FockVector, q: float) -> float:
         lnext = ((2 * n - 1 - x) * l0 - (n - 1) * lm1) / n
         values[n] = lnext
         lm1, l0 = l0, lnext
+    # Past some q (about 26.6 at 616 levels, 50.4 at 160) the recurrence
+    # overflows and then subtracts infinities.
+    if not np.isfinite(values).all():
+        raise ValueError(f"the Laguerre series at q = {q!r} is not finite for n_max {n_max}")
     signs = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0)
     series = math.fsum((diag.probs * signs * values).tolist())
     return math.exp(-q * q) * series / math.pi

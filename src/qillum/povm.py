@@ -30,7 +30,6 @@ __all__ = [
     "normal_ordered_moment",
     "click_probability",
     "click_distribution",
-    "poisson_limit_reference",
     "povm_fock_diagonal",
 ]
 
@@ -132,26 +131,6 @@ def click_distribution(multiplex: ClickMultiplex, state) -> np.ndarray:
             f"click distribution sums to {total!r}, completeness lost"
         )
     return probs
-
-
-def poisson_limit_reference(clicks: int, efficiency: float, state) -> float:
-    """Large-N limit of the click distribution: <:(eta n)^k exp(-eta n) / k!:>.
-
-    For a thermal component of mean m the closed form is
-    (eta m)^k / (1 + eta m)^(k+1).  Used as the convergence target when
-    checking that finite multiplexes become Poissonian.
-    """
-    check_count(clicks, "click count")
-    check_efficiency(efficiency)
-    if not isinstance(state, SignedThermalMixture):
-        raise UnsupportedStateError(
-            "poisson_limit_reference supports thermal mixtures only"
-        )
-    total = math.fsum(
-        w * (efficiency * m) ** clicks / (1.0 + efficiency * m) ** (clicks + 1)
-        for w, m in zip(state.weights, state.means)
-    )
-    return clamp_probability(total)
 
 
 def povm_fock_diagonal(detector_count: int, clicks: int, efficiency: float, n_max: int) -> np.ndarray:

@@ -47,7 +47,9 @@ MAX_ALTERNATING_TERMS = 64
 # The input rules of every layer, stated once: the library, the oracle and
 # the CLI all call these.  Each raises ValueError on a value out of range.
 def check_mean(value: float, what: str) -> float:
-    """A mean photon number: finite and nonnegative."""
+    """A mean photon number: finite and nonnegative, and not a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{what} must be finite and nonnegative, got {value}")
     return value
@@ -70,7 +72,9 @@ def clamp_probability(value: float) -> float:
 
 
 def check_efficiency(eta: float) -> float:
-    """A detector efficiency in [0, 1]."""
+    """A detector efficiency in [0, 1], and not a bool."""
+    if isinstance(eta, (bool, np.bool_)):
+        raise ValueError(f"efficiency must be a real number, got {eta!r}")
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     return eta
@@ -326,7 +330,17 @@ def fano_factor(state) -> float:
     mean = mean_photon(state)
     if mean <= 0.0:
         raise ValueError("Fano factor is undefined for zero mean photon number")
-    return (second_moment(state) - mean**2) / mean
+    if isinstance(state, DisplacedThermal):
+        mu, m = state.coherent_mean, state.thermal_mean
+        variance = mu * (1.0 + 2.0 * m) + m * (1.0 + m)  # no mean**2 to overflow
+    else:
+        try:
+            variance = second_moment(state) - mean**2
+        except OverflowError:
+            variance = math.inf
+    if not math.isfinite(variance):
+        raise ValueError(f"Fano factor overflows a double at mean {mean!r}")
+    return variance / mean
 
 
 def _mixture_distribution(weights, means, n_max: int) -> np.ndarray:

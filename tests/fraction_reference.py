@@ -1,14 +1,19 @@
-"""Exact-rational references for the closed-form evaluators.
+"""Closed-form references for the click statistics and photon distributions.
 
 ``thermal_outcome_value`` is the ``Fraction`` evaluation of the thermal click
 probability that ``qillum.povm._thermal_outcome_value`` replaces with integer
 arithmetic; both must return the same double.  ``mixture_distribution`` sums
 ``w * m^n / (1 + m)^(n+1)`` over the exact rationals of the stored weights and
 means, the reference for ``qillum.states._mixture_distribution``.
+``poisson_limit_reference`` is the large-N limit of the click distribution in
+doubles, which a finite multiplex must approach.
 """
 
 import math
 from fractions import Fraction
+
+from qillum.errors import UnsupportedStateError
+from qillum.states import SignedThermalMixture, check_count, check_efficiency, clamp_probability
 
 
 def thermal_outcome_value(mean: float, detector_count: int, clicks: int, efficiency: float) -> float:
@@ -33,3 +38,23 @@ def mixture_distribution(weights, means, n_max: int) -> list[Fraction]:
             probs[n] += term
             term *= ratio
     return probs
+
+
+def poisson_limit_reference(clicks: int, efficiency: float, state) -> float:
+    """Large-N limit of the click distribution: <:(eta n)^k exp(-eta n) / k!:>.
+
+    For a thermal component of mean m the closed form is
+    (eta m)^k / (1 + eta m)^(k+1).  Used as the convergence target when
+    checking that finite multiplexes become Poissonian.
+    """
+    check_count(clicks, "click count")
+    check_efficiency(efficiency)
+    if not isinstance(state, SignedThermalMixture):
+        raise UnsupportedStateError(
+            "poisson_limit_reference supports thermal mixtures only"
+        )
+    total = math.fsum(
+        w * (efficiency * m) ** clicks / (1.0 + efficiency * m) ** (clicks + 1)
+        for w, m in zip(state.weights, state.means)
+    )
+    return clamp_probability(total)

@@ -3,9 +3,11 @@
 ``run_shot`` advances one trial by one shot with ``searchsorted`` inverse
 transform sampling and a scalar log-odds update.  ``qillum.mc.run_trajectory``
 must reproduce a loop of these calls bit for bit; the tests in ``test_mc.py``
-check that it does.
+check that it does.  ``posterior`` is the Bayes update that one shot's
+log-odds increment stands for.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,3 +63,19 @@ def run_shot(ctx: ShotContext) -> tuple[float, float]:
     ctx.log_odds += float(tables.log_ratio[herald_outcome, receiver_clicks])
     p1 = float(expit(ctx.log_odds))
     return p1, 1.0 - p1
+
+
+def posterior(prior_h1: float, likelihood_h0: float, likelihood_h1: float) -> float:
+    """Bayes update for the target-present probability after one outcome."""
+    for name, value in (
+        ("prior_h1", prior_h1),
+        ("likelihood_h0", likelihood_h0),
+        ("likelihood_h1", likelihood_h1),
+    ):
+        if not (0.0 <= value <= 1.0) or not math.isfinite(value):
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    numerator = prior_h1 * likelihood_h1
+    denominator = numerator + (1.0 - prior_h1) * likelihood_h0
+    if denominator == 0.0:
+        raise ValueError("both hypothesis likelihoods are zero")
+    return numerator / denominator

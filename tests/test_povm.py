@@ -15,14 +15,13 @@ from qillum import (
     click_probability,
     herald_state,
     normal_ordered_moment,
-    poisson_limit_reference,
     povm_fock_diagonal,
     tmsv_marginal,
 )
 from qillum.errors import NumericalInstabilityError, UnsupportedStateError
 from qillum.povm import _thermal_outcome_value
 
-from fraction_reference import thermal_outcome_value
+from fraction_reference import poisson_limit_reference, thermal_outcome_value
 
 
 class TestNormalOrderedMoment:

@@ -21,7 +21,6 @@ from qillum import (
     mean_photon,
     normal_ordered_moment,
     photon_number_distribution,
-    poisson_limit_reference,
     receiver_click_prob,
     tmsv_marginal,
     wigner_slice,
@@ -35,7 +34,7 @@ from qillum.states import (
     second_moment,
 )
 
-from fraction_reference import mixture_distribution
+from fraction_reference import mixture_distribution, poisson_limit_reference
 
 # Grids where signed-mixture weights stay moderate (|w| well below 1e4), so
 # absolute 1e-12 assertions are meaningful for doubles.
@@ -289,6 +288,10 @@ class TestFanoFactor:
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError):
             fano_factor(tmsv_marginal(0.0))
+
+    def test_coherent_at_the_largest_mean(self):
+        # variance over mean, with no mean**2 to overflow (an OverflowError once)
+        assert fano_factor(DisplacedThermal(1e308, 0.0)) == 1.0
 
 
 class TestWignerSlice:
