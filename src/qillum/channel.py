@@ -41,18 +41,19 @@ def background_state(channel: TargetChannel) -> SignedThermalMixture:
 def apply_channel(channel: TargetChannel, signal) -> SignedThermalMixture | DisplacedThermal:
     """Return state for a present target: reflected signal plus background."""
     if isinstance(signal, SignedThermalMixture):
-        return channel_images(channel, [signal])[0]
+        return channel_images([(channel, signal)])[0]
     if isinstance(signal, DisplacedThermal):
         kappa, nb = channel.reflectivity, channel.background_mean
         return DisplacedThermal(kappa * signal.coherent_mean, kappa * signal.thermal_mean + nb)
     raise UnsupportedStateError(f"channel undefined for {type(signal).__name__}")
 
 
-def channel_images(channel: TargetChannel, mixtures) -> list[SignedThermalMixture]:
-    """``apply_channel`` on each signed mixture of ``mixtures``, the images checked together."""
-    kappa, nb = channel.reflectivity, channel.background_mean
-    return checked_mixtures((mixture.weights, tuple(kappa * m + nb for m in mixture.means))
-                            for mixture in mixtures)
+def channel_images(pairs) -> list[SignedThermalMixture]:
+    """``apply_channel`` on each ``(channel, signed mixture)`` pair, the images checked together."""
+    return checked_mixtures(
+        (mixture.weights,
+         tuple(channel.reflectivity * m + channel.background_mean for m in mixture.means))
+        for channel, mixture in pairs)
 
 
 def receiver_click_prob(receiver: ClickMultiplex, clicks: int, hyp_state) -> float:

@@ -278,7 +278,7 @@ def cmd_click_prob(v) -> int:
             images = [apply_channel(channel, DisplacedThermal(nbar, 0.0)) for nbar in v.nbar_grid]
         else:
             heralded = herald_states(v.nbar_grid, v.eta, sig["detectors"], sig["clicks"])
-            images = channel_images(channel, [h.state for h in heralded])
+            images = channel_images((channel, h.state) for h in heralded)
         columns.append([receiver_click_prob(receiver, 1, image) for image in images])
     _write_csv(v.out, header, columns)
     return 0

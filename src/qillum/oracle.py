@@ -7,13 +7,13 @@ loss/amplifier kernels on those vectors, and Wigner values come from the
 Laguerre series.  Every ``FockVector`` checks its trace deficit against the
 one tolerance ``TRACE_TOL``.
 
-Every table the oracle reuses (log factorials, POVM coefficients, loss and
-amplifier kernels) sits behind ``_leading_block``, keyed by its physical
-parameters alone.  This relies on a prefix invariant: every entry depends
-only on its index and the parameters, never on the truncation, so the table
-at any size is the leading block of the table at a larger size.  The loss
-and amplifier kernels are filled a block of ``_FILL_ROWS`` rows at a time
-from their entry formula, so a build's scratch space is one block; each
+Every table the oracle reuses (log factorials, a multiplex's POVM
+coefficients with a row per outcome, loss and amplifier kernels) sits behind
+``_leading_block``, keyed by its physical parameters alone.  This relies on a
+prefix invariant: every entry depends only on its indices and the parameters,
+so the table at any size is the leading block of the table at a larger size.
+The loss and amplifier kernels are filled a block of ``_FILL_ROWS`` rows at a
+time from their entry formula, so a build's scratch space is one block; each
 entry comes from the same operations as a whole-grid build.
 """
 
@@ -159,20 +159,29 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
     return np.where(n >= 0, table.take(np.maximum(n, 0)), np.inf)
 
 
-def _povm_coeffs(detectors: int, clicks: int, efficiency: float, n_max: int) -> np.ndarray:
+def _povm_table(detectors: int, clicks: int, efficiency: float, n_max: int) -> np.ndarray:
+    """POVM coefficients at n <= n_max of the outcomes k <= clicks, one row each; rows
+    above ``clicks`` are not built, so an unstable row (N = 32, eta 0.9) fails no lower one."""
     # The key cannot tell 2.0 from 2, so the inputs are checked on every call, not on a miss.
     check_outcome(detectors, clicks)
     check_efficiency(efficiency)
     return _leading_block(
-        ("povm", detectors, clicks, float(efficiency)), (n_max + 1,),
-        lambda size: povm_fock_diagonal(detectors, clicks, efficiency, size - 1),
+        ("povm", detectors, float(efficiency)), (clicks + 1, n_max + 1),
+        lambda rows, size: np.array(
+            [povm_fock_diagonal(detectors, k, efficiency, size - 1) for k in range(rows)]),
     )
 
 
 def oracle_click_prob(detectors: int, clicks: int, efficiency: float, diag: FockVector) -> float:
     """Click probability as an explicit sum of Fock coefficients times p_n."""
-    coeffs = _povm_coeffs(detectors, clicks, efficiency, diag.n_max)
+    coeffs = _povm_table(detectors, clicks, efficiency, diag.n_max)[clicks]
     return math.fsum((coeffs * diag.probs).tolist())
+
+
+def oracle_click_distribution(detectors: int, efficiency: float, diag: FockVector) -> list[float]:
+    """``oracle_click_prob`` at every outcome k = 0 .. N, from one product with the POVM table."""
+    table = _povm_table(detectors, detectors, efficiency, diag.n_max)
+    return [math.fsum(row) for row in (table * diag.probs).tolist()]
 
 
 def oracle_herald_state(
@@ -189,7 +198,7 @@ def oracle_herald_state(
     normalized remainder is the conditioned signal distribution.
     """
     schmidt = thermal_diag(nbar, n_max)
-    coeffs = _povm_coeffs(detectors, clicks, efficiency, n_max)
+    coeffs = _povm_table(detectors, clicks, efficiency, n_max)[clicks]
     unnorm = coeffs * schmidt.probs
     weight = math.fsum(unnorm.tolist())
     if weight <= 0.0:

@@ -9,14 +9,15 @@ outcome on our state models reduces to the alternating sum
     s_l = eta * (1 - l/N),
 
 with the normally ordered moment available in closed form for both thermal
-mixtures and displaced thermal states.
+mixtures and displaced thermal states.  A thermal moment is a simple pole in
+l, so the identity sum_{l=0}^{k} (-1)^(k-l) C(k,l) / (alpha - beta l) =
+k! beta^k / prod_{l=0}^{k} (alpha - beta l) makes its sum a product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -71,28 +72,26 @@ def normal_ordered_moment(state, s: float) -> float:
     raise UnsupportedStateError(f"no moment rule for {type(state).__name__}")
 
 
-def _thermal_outcome_value(mean: float, detector_count: int, clicks: int, efficiency: float) -> float:
-    """Exact Pr_{N,k} for a single thermal state, via integer arithmetic.
+def _thermal_outcome_values(mean: float, detector_count: int, clicks: int,
+                            efficiency: float) -> list[float]:
+    """Exact Pr_{N,k} of a single thermal state at k = 0 .. clicks, via integer arithmetic.
 
-    The alternating sum is a k-th finite difference of O(1) terms whose value
-    can sit far below double-precision resolution (e.g. N = 1e4, k = 4 leaves
-    a difference of order 1e-16), so it is evaluated exactly on the rounded
-    float inputs.  With m = a/A and eta = b/B, 1 + s_l m = D_l / (N A B) for
-    D_l = N A B + a b (N - l).  Over the common denominator prod_j D_j, term l
-    has numerator +-C(k,l) prod_{j!=l} D_j (prefix times suffix product), and
-    the one int/int division at the end is correctly rounded.
+    The value can sit far below the resolution of the sum's O(1) terms (N = 1e4,
+    k = 4 leaves 1e-16), so it is exact on the rounded inputs: with m = a/A,
+    eta = b/B and D_l = N A B + a b (N - l), the identity above gives
+    Pr_{N,k} = N!/(N-k)! (N A B) (a b)^k / prod_{l=0}^{k} D_l, a running
+    product with one correctly rounded int/int division per k.
     """
     a, big_a = float(mean).as_integer_ratio()
     b, big_b = float(efficiency).as_integer_ratio()
-    nab = detector_count * big_a * big_b
-    d = [nab + a * b * (detector_count - l) for l in range(clicks + 1)]
-    prefix = list(accumulate(d, mul, initial=1))
-    suffix = list(accumulate(reversed(d), mul, initial=1))[::-1]
-    total = sum(
-        (-1) ** (clicks - l) * math.comb(clicks, l) * prefix[l] * suffix[l + 1]
-        for l in range(clicks + 1)
-    )
-    return math.comb(detector_count, clicks) * nab * total / suffix[0]
+    nab, ab = detector_count * big_a * big_b, a * b
+    numerator, denominator = nab, nab + ab * detector_count
+    values = [numerator / denominator]
+    for k in range(1, clicks + 1):
+        numerator *= (detector_count - k + 1) * ab
+        denominator *= nab + ab * (detector_count - k)
+        values.append(numerator / denominator)
+    return values
 
 
 def click_probability(multiplex: ClickMultiplex, clicks: int, state) -> float:
@@ -100,30 +99,28 @@ def click_probability(multiplex: ClickMultiplex, clicks: int, state) -> float:
     check_outcome(multiplex.detector_count, clicks)
     n, eta = multiplex.detector_count, multiplex.efficiency
     if isinstance(state, SignedThermalMixture):
-        raw = math.fsum(
-            w * _thermal_outcome_value(m, n, clicks, eta)
-            for w, m in zip(state.weights, state.means)
-        )
+        raw = math.fsum(w * _thermal_outcome_values(m, n, clicks, eta)[clicks]
+                        for w, m in zip(state.weights, state.means))
     elif isinstance(state, DisplacedThermal):
-        terms = [
-            (-1) ** (clicks - l)
-            * math.comb(clicks, l)
-            * normal_ordered_moment(state, eta * (n - l) / n)
-            for l in range(clicks + 1)
-        ]
-        raw = math.comb(n, clicks) * math.fsum(terms)
+        raw = math.comb(n, clicks) * math.fsum(
+            (-1) ** (clicks - l) * math.comb(clicks, l)
+            * normal_ordered_moment(state, eta * (n - l) / n) for l in range(clicks + 1))
     else:
         raise UnsupportedStateError(f"no click rule for {type(state).__name__}")
     return clamp_probability(raw)
 
 
 def click_distribution(multiplex: ClickMultiplex, state) -> np.ndarray:
-    """All N+1 outcome probabilities; they must sum to one (POVM completeness)."""
-    probs = np.array(
-        [click_probability(multiplex, k, state) for k in range(multiplex.detector_count + 1)]
-    )
-    scale = 1.0
-    if isinstance(state, SignedThermalMixture):
+    """All N+1 outcome probabilities, each ``click_probability``'s; they must sum to one."""
+    n, eta = multiplex.detector_count, multiplex.efficiency
+    check_outcome(n, n)
+    if not isinstance(state, SignedThermalMixture):
+        probs = np.array([click_probability(multiplex, k, state) for k in range(n + 1)])
+        scale = 1.0
+    else:  # every outcome of a thermal component from one pass
+        columns = list(zip(*(_thermal_outcome_values(m, n, n, eta) for m in state.means)))
+        probs = np.array([clamp_probability(math.fsum(map(mul, state.weights, column)))
+                          for column in columns])
         scale = max(1.0, float(np.sum(np.abs(state.weights))))
     total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-12 * scale:
@@ -139,20 +136,25 @@ def povm_fock_diagonal(detector_count: int, clicks: int, efficiency: float, n_ma
     Coefficient at n is C(N,k) * sum_l C(k,l) (-1)^(k-l) [1 - eta(1 - l/N)]^n.
     For n < k it vanishes identically (a k-th finite difference of a degree-n
     polynomial; physically, n photons cannot fire more than n detectors), so
-    those entries are exactly zero.
+    those entries are exactly zero; every other row of signed powers gets one fsum.
     """
     check_outcome(detector_count, clicks)
     check_efficiency(efficiency)
     check_count(n_max, "n_max")
 
-    prefactor = math.comb(detector_count, clicks)
-    signs = [(-1) ** (clicks - l) * math.comb(clicks, l) for l in range(clicks + 1)]
-    xs = np.array(
-        [1.0 - efficiency * (detector_count - l) / detector_count for l in range(clicks + 1)]
-    )
     coeffs = np.zeros(n_max + 1)
-    powers = xs[None, :] ** np.arange(n_max + 1)[:, None]
-    for n in range(clicks, n_max + 1):
-        value = prefactor * math.fsum(s * p for s, p in zip(signs, powers[n]))
-        coeffs[n] = clamp_probability(value)
+    if n_max < clicks:
+        return coeffs
+    signs = np.array([float((-1) ** (clicks - l) * math.comb(clicks, l))
+                      for l in range(clicks + 1)])
+    xs = np.array([1.0 - efficiency * (detector_count - l) / detector_count
+                   for l in range(clicks + 1)])
+    # All n_max + 1 rows: numpy's power may round an entry differently in another shape.
+    terms = (xs[None, :] ** np.arange(n_max + 1)[:, None])[clicks:] * signs
+    sums = np.array([math.fsum(row) for row in terms.tolist()])
+    values = float(math.comb(detector_count, clicks)) * sums
+    clamped = np.where(values > 0.0, np.minimum(values, 1.0), 0.0)  # -0.0 too becomes 0.0
+    for value in values[values != clamped].tolist():
+        clamp_probability(value)  # raises at the first excursion beyond its tolerance
+    coeffs[clicks:] = clamped
     return coeffs

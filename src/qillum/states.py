@@ -314,15 +314,20 @@ def mean_photon(state) -> float:
 
 
 def second_moment(state) -> float:
-    """Second moment <n^2>; for a thermal component it is 2m^2 + m."""
-    if isinstance(state, SignedThermalMixture):
-        return math.fsum(w * (2.0 * m**2 + m) for w, m in zip(state.weights, state.means))
-    if isinstance(state, DisplacedThermal):
-        mu, m = state.coherent_mean, state.thermal_mean
-        variance = mu * (1.0 + 2.0 * m) + m * (1.0 + m)
-        mean = mu + m
-        return variance + mean**2
-    raise UnsupportedStateError(f"second_moment undefined for {type(state).__name__}")
+    """Second moment <n^2> (2m^2 + m per thermal component); ValueError if it overflows."""
+    try:
+        if isinstance(state, SignedThermalMixture):
+            value = math.fsum(w * (2.0 * m**2 + m) for w, m in zip(state.weights, state.means))
+        elif isinstance(state, DisplacedThermal):
+            mu, m = state.coherent_mean, state.thermal_mean
+            value = mu * (1.0 + 2.0 * m) + m * (1.0 + m) + (mu + m) ** 2
+        else:
+            raise UnsupportedStateError(f"second_moment undefined for {type(state).__name__}")
+    except (OverflowError, ValueError):  # ValueError: fsum met inf - inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"second moment overflows a double at mean {mean_photon(state)!r}")
+    return value
 
 
 def fano_factor(state) -> float:
@@ -332,15 +337,17 @@ def fano_factor(state) -> float:
         raise ValueError("Fano factor is undefined for zero mean photon number")
     if isinstance(state, DisplacedThermal):
         mu, m = state.coherent_mean, state.thermal_mean
-        variance = mu * (1.0 + 2.0 * m) + m * (1.0 + m)  # no mean**2 to overflow
+        # variance/mean = 1 + m + m mu/(mu + m), no term above the result; mu + m can overflow,
+        # so the share is 1/(1 + m/mu), and m/mu overflows only where the share rounds to 0
+        value = 1.0 + m + m * (1.0 / (1.0 + m / mu) if mu > 0.0 else 0.0)
     else:
         try:
-            variance = second_moment(state) - mean**2
-        except OverflowError:
-            variance = math.inf
-    if not math.isfinite(variance):
+            value = (second_moment(state) - mean**2) / mean
+        except (OverflowError, ValueError):
+            value = math.inf
+    if not math.isfinite(value):
         raise ValueError(f"Fano factor overflows a double at mean {mean!r}")
-    return variance / mean
+    return value
 
 
 def _mixture_distribution(weights, means, n_max: int) -> np.ndarray:

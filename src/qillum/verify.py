@@ -16,8 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracle
-from .channel import TargetChannel, apply_channel, background_state, receiver_click_prob
-from .povm import ClickMultiplex, click_probability, normal_ordered_moment
+from .channel import (TargetChannel, apply_channel, background_state, channel_images,
+                      receiver_click_prob)
+from .povm import ClickMultiplex, click_distribution, click_probability, normal_ordered_moment
 from .states import (
     DisplacedThermal,
     SignedThermalMixture,
@@ -145,22 +146,27 @@ def _displaced_moments(s: _Sweep):
 
 
 def _end_to_end_clicks(s: _Sweep):
-    """End-to-end receiver click probabilities: herald -> channel -> receiver."""
+    """End-to-end receiver click distributions: herald -> channel -> receiver."""
     nbars = [nbar for nbar in s.grid.nbars if nbar <= 2.0]
+    channels = [TargetChannel(*pair) for pair in product(s.grid.kappas, s.grid.backgrounds)]
+    receivers = [ClickMultiplex(n_s, 0.9) for n_s in (1, 2)]
     for nbar, eta, (detectors, clicks) in product(nbars, s.grid.etas, _outcomes(3)):
         trunc = oracle.choose_truncation(nbar)
         diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, trunc)
         conditioned = herald_state(nbar, eta, detectors, clicks).state
-        for kappa, nb in product(s.grid.kappas, s.grid.backgrounds):
-            closed_state = apply_channel(TargetChannel(kappa, nb), conditioned)
+        images = channel_images((channel, conditioned) for channel in channels)
+        for channel, closed_state in zip(channels, images):
+            kappa, nb = channel.reflectivity, channel.background_mean
             brute_out = oracle.oracle_beamsplitter(diag, kappa, nb)
-            for n_s, k_s in _outcomes(2):
-                closed = receiver_click_prob(ClickMultiplex(n_s, 0.9), k_s, closed_state)
-                brute = oracle.oracle_click_prob(n_s, k_s, 0.9, brute_out)
-                yield abs(closed - brute), dict(
-                    nbar=nbar, eta=eta, detectors=detectors, clicks=clicks, kappa=kappa,
-                    nbar_b=nb, receiver_detectors=n_s, receiver_clicks=k_s,
-                )
+            for receiver in receivers:
+                n_s = receiver.detector_count
+                closed = click_distribution(receiver, closed_state).tolist()
+                brute = oracle.oracle_click_distribution(n_s, 0.9, brute_out)
+                for k_s in range(n_s + 1):
+                    yield abs(closed[k_s] - brute[k_s]), dict(
+                        nbar=nbar, eta=eta, detectors=detectors, clicks=clicks, kappa=kappa,
+                        nbar_b=nb, receiver_detectors=n_s, receiver_clicks=k_s,
+                    )
 
 
 def _wigner_slices(s: _Sweep):

@@ -1,10 +1,13 @@
 """Closed-form references for the click statistics and photon distributions.
 
 ``thermal_outcome_value`` is the ``Fraction`` evaluation of the thermal click
-probability that ``qillum.povm._thermal_outcome_value`` replaces with integer
-arithmetic; both must return the same double.  ``mixture_distribution`` sums
-``w * m^n / (1 + m)^(n+1)`` over the exact rationals of the stored weights and
-means, the reference for ``qillum.states._mixture_distribution``.
+probability as the alternating sum itself.  ``qillum.povm._thermal_outcome_values``
+evaluates it on integers through the identity
+sum_l (-1)^(k-l) C(k,l) / (alpha - beta l) = k! beta^k / prod_{l=0}^{k} (alpha - beta l),
+which gives the same rational number, so both must return the same double.
+``mixture_distribution`` sums ``w * m^n / (1 + m)^(n+1)`` over the exact
+rationals of the stored weights and means, the reference for
+``qillum.states._mixture_distribution``.
 ``poisson_limit_reference`` is the large-N limit of the click distribution in
 doubles, which a finite multiplex must approach.
 """

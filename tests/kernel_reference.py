@@ -1,4 +1,4 @@
-"""References for the oracle's loss and amplifier kernels.
+"""References for the oracle's kernels, its POVM coefficients and its sweep.
 
 ``loss_kernel`` and ``amplifier_kernel`` evaluate each kernel's entry formula
 over the full ``(rows, cols)`` grid in one pass, where ``qillum.oracle`` fills
@@ -7,14 +7,65 @@ inputs at every entry, so the tables must be equal bit for bit.
 ``oracle_beamsplitter_unitary`` checks the route the two kernels make
 together, ``qillum.oracle.oracle_beamsplitter``, against the literal
 two-mode unitary.
+
+``povm_fock_diagonal`` sums and clamps one n at a time, where
+``qillum.povm.povm_fock_diagonal`` builds one table of signed powers; the
+coefficients must be equal, or both must raise the same error.
+``end_to_end_clicks`` is the end-to-end verify family one receiver outcome at
+a time, where ``qillum.verify`` takes whole click distributions; both must
+yield equal ``(error, case)`` pairs in the same order.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
-from qillum.channel import TargetChannel
+from qillum import oracle
+from qillum.channel import TargetChannel, apply_channel, receiver_click_prob
 from qillum.oracle import FockVector, _log_factorial
+from qillum.povm import ClickMultiplex
+from qillum.states import (check_count, check_efficiency, check_outcome, clamp_probability,
+                           herald_state)
+from qillum.verify import _outcomes
+
+
+def povm_fock_diagonal(detector_count: int, clicks: int, efficiency: float, n_max: int) -> np.ndarray:
+    """Diagonal Fock coefficients of the k-click POVM element, one n at a time."""
+    check_outcome(detector_count, clicks)
+    check_efficiency(efficiency)
+    check_count(n_max, "n_max")
+
+    prefactor = math.comb(detector_count, clicks)
+    signs = [(-1) ** (clicks - l) * math.comb(clicks, l) for l in range(clicks + 1)]
+    xs = np.array(
+        [1.0 - efficiency * (detector_count - l) / detector_count for l in range(clicks + 1)]
+    )
+    coeffs = np.zeros(n_max + 1)
+    powers = xs[None, :] ** np.arange(n_max + 1)[:, None]
+    for n in range(clicks, n_max + 1):
+        value = prefactor * math.fsum(s * p for s, p in zip(signs, powers[n]))
+        coeffs[n] = clamp_probability(value)
+    return coeffs
+
+
+def end_to_end_clicks(s):
+    """End-to-end receiver click probabilities: herald -> channel -> receiver."""
+    nbars = [nbar for nbar in s.grid.nbars if nbar <= 2.0]
+    for nbar, eta, (detectors, clicks) in product(nbars, s.grid.etas, _outcomes(3)):
+        trunc = oracle.choose_truncation(nbar)
+        diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, trunc)
+        conditioned = herald_state(nbar, eta, detectors, clicks).state
+        for kappa, nb in product(s.grid.kappas, s.grid.backgrounds):
+            closed_state = apply_channel(TargetChannel(kappa, nb), conditioned)
+            brute_out = oracle.oracle_beamsplitter(diag, kappa, nb)
+            for n_s, k_s in _outcomes(2):
+                closed = receiver_click_prob(ClickMultiplex(n_s, 0.9), k_s, closed_state)
+                brute = oracle.oracle_click_prob(n_s, k_s, 0.9, brute_out)
+                yield abs(closed - brute), dict(
+                    nbar=nbar, eta=eta, detectors=detectors, clicks=clicks, kappa=kappa,
+                    nbar_b=nb, receiver_detectors=n_s, receiver_clicks=k_s,
+                )
 
 
 def loss_kernel(transmission: float, rows: int, cols: int) -> np.ndarray:

@@ -81,7 +81,14 @@ class TestApplyChannel:
         channel = TargetChannel(0.1, 10.0)
         signals = [tmsv_marginal(1.0), herald_state(1.0, 0.9, 4, 4).state,
                    herald_state(2.0, 0.9, 4, 4).state, tmsv_marginal(3.0)]
-        assert channel_images(channel, signals) == [apply_channel(channel, s) for s in signals]
+        images = channel_images((channel, s) for s in signals)
+        assert images == [apply_channel(channel, s) for s in signals]
+
+    def test_images_through_several_channels_equal_single_images(self):
+        signal = herald_state(1.0, 0.9, 3, 3).state
+        channels = [TargetChannel(kappa, nb) for kappa in (0.1, 0.8) for nb in (0.0, 3.0)]
+        images = channel_images((channel, signal) for channel in channels)
+        assert images == [apply_channel(channel, signal) for channel in channels]
 
 
 class TestReceiverClickProb:

@@ -13,8 +13,9 @@ from qillum.errors import NumericalInstabilityError, TruncationError
 from qillum.matching import MatchSpec
 from qillum.mc import TrajectoryConfig, average_trajectories
 from qillum.povm import ClickMultiplex, click_probability, povm_fock_diagonal
-from qillum.states import (SignedThermalMixture, clamp_probability, fano_factor, herald_state,
-                           photon_number_distribution, tmsv_marginal, wigner_slice)
+from qillum.states import (DisplacedThermal, SignedThermalMixture, clamp_probability, fano_factor,
+                           herald_state, photon_number_distribution, second_moment,
+                           tmsv_marginal, wigner_slice)
 
 from fraction_reference import poisson_limit_reference
 from kernel_reference import oracle_beamsplitter_unitary
@@ -260,6 +261,15 @@ GUARDS = {
     "fano_factor_mean_1e200": (
         lambda tmp_path: fano_factor(tmsv_marginal(1e200)),
         ValueError, "Fano factor overflows a double at mean 1e+200",
+    ),
+    # m**2 and mean**2 raised a bare OverflowError
+    "second_moment_thermal_mean_1e200": (
+        lambda tmp_path: second_moment(tmsv_marginal(1e200)),
+        ValueError, "second moment overflows a double at mean 1e+200",
+    ),
+    "second_moment_displaced_mean_1e200": (
+        lambda tmp_path: second_moment(DisplacedThermal(1e200, 0.0)),
+        ValueError, "second moment overflows a double at mean 1e+200",
     ),
     # a wrong type raises TypeError, with the message of math or of the comparison
     "tmsv_marginal_str_mean": (

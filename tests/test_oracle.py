@@ -20,7 +20,7 @@ from qillum import (
     wigner_slice,
 )
 from qillum import oracle, verify
-from qillum.errors import TruncationError
+from qillum.errors import NumericalInstabilityError, TruncationError
 from qillum.povm import povm_fock_diagonal
 from qillum.verify import run_verification
 
@@ -136,12 +136,13 @@ class TestCachePrefixInvariant:
         requests=_REQUESTS,
     )
     def test_povm_coefficients(self, detectors, data, efficiencies, requests):
-        clicks = data.draw(st.integers(0, detectors))
+        # each request draws its outcome, so the table grows by rows as well as columns
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_tables", {})
             for which, n_max, _ in _ordered(*requests):
                 eta = efficiencies[which]
-                got = oracle._povm_coeffs(detectors, clicks, eta, n_max)
+                clicks = data.draw(st.integers(0, detectors))
+                got = oracle._povm_table(detectors, clicks, eta, n_max)[clicks]
                 cold = povm_fock_diagonal(detectors, clicks, eta, n_max)
                 assert np.array_equal(got, cold)
                 assert not got.flags.writeable
@@ -274,13 +275,33 @@ class TestOracleClickProb:
         ids=["oracle_click_prob", "oracle_herald_state"],
     )
     def test_float_count_rejected_on_a_warm_cache(self, build):
-        # the key ("povm", 2.0, 1, 0.9) equals ("povm", 2, 1, 0.9), so checks run
+        # the key ("povm", 2.0, 0.9) equals ("povm", 2, 0.9), so checks run
         # only on a miss once let the float call through after the integer one
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_tables", {})
             build(2)
             with pytest.raises(ValueError, match=r"^detector count must be an integer, got 2\.0"):
                 build(2.0)
+
+    def test_distribution_equals_each_click_probability(self):
+        for detectors in (1, 2, 4):
+            for diag in (oracle.thermal_diag(1.0), oracle.oracle_herald_state(0.1, 0.5, 3, 3)):
+                expected = [oracle.oracle_click_prob(detectors, k, 0.9, diag)
+                            for k in range(detectors + 1)]
+                assert oracle.oracle_click_distribution(detectors, 0.9, diag) == expected
+
+    def test_unstable_row_fails_only_itself_and_the_rows_above(self):
+        # at N = 32, eta 0.9 the alternating sums of rows 29 and 31 leave [0, 1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_tables", {})
+            diag = oracle.thermal_diag(1.0)
+            low = oracle.oracle_click_prob(32, 28, 0.9, diag)
+            for clicks in (29, 30):
+                with pytest.raises(NumericalInstabilityError, match="outside"):
+                    oracle.oracle_click_prob(32, clicks, 0.9, diag)
+            assert oracle.oracle_click_prob(32, 28, 0.9, diag) == low
+            assert oracle.oracle_click_prob(32, 0, 0.9, diag) == math.fsum(
+                (povm_fock_diagonal(32, 0, 0.9, 160) * diag.probs).tolist())
 
     def test_vacuum_cannot_click(self):
         vac = oracle.thermal_diag(0.0, 40)
@@ -421,6 +442,14 @@ class TestEndToEnd:
                             closed = receiver_click_prob(receiver, k_s, closed_state)
                             brute = oracle.oracle_click_prob(n_s, k_s, 0.9, brute_out)
                             assert abs(closed - brute) < 1e-8
+
+    def test_case_stream_equals_the_per_outcome_reference(self):
+        sweep = verify._Sweep(verify.QUICK_GRID, 0.0)
+        got = list(verify._end_to_end_clicks(sweep))
+        expected = list(kernel_reference.end_to_end_clicks(sweep))
+        assert len(got) == len(expected)
+        for (error, case), (ref_error, ref_case) in zip(got, expected):
+            assert error == ref_error and case == ref_case
 
     def test_verification_sweep_quick(self):
         report = run_verification(quick=True)

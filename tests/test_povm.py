@@ -19,9 +19,18 @@ from qillum import (
     tmsv_marginal,
 )
 from qillum.errors import NumericalInstabilityError, UnsupportedStateError
-from qillum.povm import _thermal_outcome_value
+from qillum.povm import _thermal_outcome_values
 
 from fraction_reference import poisson_limit_reference, thermal_outcome_value
+from kernel_reference import povm_fock_diagonal as povm_fock_diagonal_reference
+
+
+def _outcome(build):
+    """``build()``'s value, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as error:  # the two routes' errors are compared, not judged
+        return type(error), str(error)
 
 
 class TestNormalOrderedMoment:
@@ -66,7 +75,7 @@ class TestClickProbability:
 
 
 class TestThermalOutcomeValue:
-    """The integer-sum evaluator must return the Fraction reference's double."""
+    """The integer evaluators must return the Fraction reference's double."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -78,12 +87,24 @@ class TestThermalOutcomeValue:
     )
     def test_equals_fraction_reference(self, data, detectors, mean, eta):
         clicks = data.draw(st.integers(min_value=0, max_value=min(detectors, 64)))
-        got = _thermal_outcome_value(mean, detectors, clicks, eta)
+        got = _thermal_outcome_values(mean, detectors, clicks, eta)[clicks]
         assert got == thermal_outcome_value(mean, detectors, clicks, eta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        detectors=st.integers(min_value=1, max_value=10_000),
+        mean=st.sampled_from([0.0, 5e-324]) | st.floats(min_value=1e-4, max_value=1e6),
+        eta=st.sampled_from([0.0, 1.0])
+        | st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_every_outcome_equals_fraction_reference(self, detectors, mean, eta):
+        top = min(detectors, 64)
+        got = _thermal_outcome_values(mean, detectors, top, eta)
+        assert got == [thermal_outcome_value(mean, detectors, k, eta) for k in range(top + 1)]
 
     def test_sub_resolution_difference(self):
         # N = 1e4, k = 4: an fsum of the rounded terms returns 0.0 here
-        got = _thermal_outcome_value(1.0, 10_000, 4, 0.9)
+        got = _thermal_outcome_values(1.0, 10_000, 4, 0.9)[4]
         assert got == thermal_outcome_value(1.0, 10_000, 4, 0.9)
         assert got > 0.0
 
@@ -140,6 +161,29 @@ class TestClickDistribution:
         # to the 1e-12 that click_distribution checks with exact sums
         dist = click_distribution(ClickMultiplex(detectors, eta), tmsv_marginal(nbar))
         assert abs(np.cumsum(dist)[-1] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("detectors", range(1, 9))
+    def test_signed_mixture_equals_each_click_probability(self, detectors):
+        states = [SignedThermalMixture.thermal(m) for m in (0.0, 5e-324, 0.1, 1.0, 5.0, 1e6)]
+        states += [herald_state(nbar, eta, n, k).state
+                   for nbar in (0.1, 1.0, 2.0) for eta in (0.5, 0.9)
+                   for n in range(1, detectors + 1) for k in range(n + 1)]
+        for eta in (0.0, 0.5, 0.9, 1.0):
+            mux = ClickMultiplex(detectors, eta)
+            for state in states:
+                # a probability outside [0, 1] raises the same error on both routes
+                expected = _outcome(lambda: [click_probability(mux, k, state)
+                                             for k in range(detectors + 1)])
+                got = _outcome(lambda: click_distribution(mux, state))
+                if isinstance(expected, tuple):
+                    assert got == expected
+                else:
+                    assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("state", [tmsv_marginal(1.0), DisplacedThermal(1.0, 0.0)])
+    def test_65_detectors_rejected(self, state):
+        with pytest.raises(ValueError, match="click counts beyond 64 .*got 65$"):
+            click_distribution(ClickMultiplex(65, 0.9), state)
 
     @pytest.mark.parametrize("through_channel", [False, True])
     @pytest.mark.parametrize("mu, limit", [(1.0, 12), (0.09, 13), (3.0, 13)])
@@ -200,7 +244,36 @@ class TestPoissonLimit:
             assert abs(finite - limit) < 1e-3
 
 
+def _assert_same_coefficients(*args):
+    """The coefficients equal the per-n reference's, or both raise one error; returns them."""
+    got = _outcome(lambda: povm_fock_diagonal(*args))
+    expected = _outcome(lambda: povm_fock_diagonal_reference(*args))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
+    return got
+
+
 class TestFockDiagonal:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        detectors=st.integers(min_value=1, max_value=16),
+        eta=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        n_max=st.integers(min_value=0, max_value=400),
+    )
+    def test_equals_the_per_n_reference(self, data, detectors, eta, n_max):
+        # n_max < clicks included: every coefficient is then zero
+        clicks = data.draw(st.integers(min_value=0, max_value=detectors))
+        _assert_same_coefficients(detectors, clicks, eta, n_max)
+
+    @pytest.mark.parametrize("detectors, failing", [(32, 2), (64, 31)])
+    def test_equals_the_per_n_reference_where_it_fails(self, detectors, failing):
+        # at eta 0.9 and n_max 160 the reference raises NumericalInstabilityError on some rows
+        outcomes = [_assert_same_coefficients(detectors, k, 0.9, 160) for k in range(detectors + 1)]
+        assert sum(isinstance(outcome, tuple) for outcome in outcomes) == failing
+
     def test_single_detector_no_click(self):
         eta = 0.8
         coeffs = povm_fock_diagonal(1, 0, eta, 12)

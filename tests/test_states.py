@@ -293,6 +293,20 @@ class TestFanoFactor:
         # variance over mean, with no mean**2 to overflow (an OverflowError once)
         assert fano_factor(DisplacedThermal(1e308, 0.0)) == 1.0
 
+    @pytest.mark.parametrize("thermal", [1e200, 1e308])
+    def test_thermal_part_at_a_large_mean(self, thermal):
+        # 1 + m fits a double; the variance m(1 + m) does not
+        assert fano_factor(DisplacedThermal(0.0, thermal)) == thermal
+
+    def test_displaced_both_parts_at_a_large_mean(self):
+        # mu + m overflows a double, the Fano factor 1 + m + m/2 does not
+        assert fano_factor(DisplacedThermal(1e308, 1e308)) == 1.5e308
+
+    @pytest.mark.parametrize("mu, m", [(0.3, 0.0), (1.3, 0.7), (0.09, 3.0), (5.0, 1e-3)])
+    def test_displaced_equals_variance_over_mean(self, mu, m):
+        variance = mu * (1.0 + 2.0 * m) + m * (1.0 + m)
+        assert fano_factor(DisplacedThermal(mu, m)) == pytest.approx(variance / (mu + m), rel=1e-15)
+
 
 class TestWignerSlice:
     def test_vacuum_peak(self):
