@@ -3,6 +3,8 @@
 
     python3 scripts/bench_pair.py --workload NAME [--pairs K] [--base REV]
 
+``NAME`` is one of the ``workloads`` that ``BENCHMARK.json`` declares.
+
 Exports the committed files of ``--base`` (default ``HEAD``, the parent of
 uncommitted work) into a temporary directory with ``git archive``, so no
 worktree is left registered in the repository, and copies the working
@@ -144,15 +146,16 @@ def summarize(samples: dict, end_to_end: list) -> dict:
 
 
 def main() -> int:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[workload["name"] for workload in declared["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two samples)")
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     base_sha = git("rev-parse", args.base).decode().strip()
     samples = {"base": [], "change": []}
     order = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .states import check_efficiency, check_mean
+from .states import check_efficiency, check_mean, check_real
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class MatchSpec:
 
     def __post_init__(self):
         check_mean(self.coherent_mean, "coherent mean")
-        if not (0.0 < self.eavesdropper_efficiency <= 1.0):
+        if not (0.0 < check_real(self.eavesdropper_efficiency, "eavesdropper efficiency") <= 1.0):
             raise ValueError(
                 "eavesdropper efficiency must lie in (0, 1], got "
                 f"{self.eavesdropper_efficiency}"

@@ -11,15 +11,18 @@ Every table the oracle reuses (log factorials, a multiplex's POVM
 coefficients with a row per outcome, loss and amplifier kernels) sits behind
 ``_leading_block``, keyed by its physical parameters alone.  This relies on a
 prefix invariant: every entry depends only on its indices and the parameters,
-so the table at any size is the leading block of the table at a larger size.
-The loss and amplifier kernels are filled a block of ``_FILL_ROWS`` rows at a
-time from their entry formula, so a build's scratch space is one block; each
-entry comes from the same operations as a whole-grid build.
+so the table at any size is the leading block of the table at a larger size,
+and a table that is too small is grown by its missing block: the stored
+entries are copied, and only the new ones are computed.  The loss and
+amplifier kernels are filled a block of ``_FILL_ROWS`` rows at a time from
+their entry formula, so a fill's scratch space is one block; each entry comes
+from the same operations as a whole-grid build.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,32 +133,35 @@ def fock_diag(level: int, n_max: int = DEFAULT_TRUNCATION) -> FockVector:
 _tables: dict = {}
 
 
-def _leading_block(key, shape: tuple, build) -> np.ndarray:
+def _leading_block(key, shape: tuple, fill) -> np.ndarray:
     """The leading ``shape`` block of the table under ``key``.
 
-    ``build(*size)`` makes the whole table at ``size``; it runs only when a
-    request exceeds the stored table on some axis, and then at the largest
-    size seen on each axis, so the table is rebuilt and replaced, never shrunk.
+    When a request exceeds the stored table on some axis, the table is grown
+    by its missing block to the largest size seen on each axis, never shrunk:
+    the stored table is copied into the leading ``have`` block of the new
+    array, and ``fill(table, have)`` writes every entry outside that block
+    (all of them on a cold key).  The old and the new table coexist for the
+    copy; if ``fill`` raises, the stored table stays.
     """
     table = _tables.get(key)
-    if table is None or any(want > have for want, have in zip(shape, table.shape)):
-        size = shape if table is None else tuple(map(max, shape, table.shape))
-        # Drop the stored table before building its replacement, so the two
-        # never coexist.
-        del table
-        _tables.pop(key, None)
-        table = build(*size)
-        table.setflags(write=False)
-        _tables[key] = table
-    return table[tuple(slice(n) for n in shape)]
+    have = (0,) * len(shape) if table is None else table.shape
+    if table is None or not all(map(operator.le, shape, have)):
+        grown = np.empty(tuple(map(max, shape, have)))
+        if table is not None:
+            grown[tuple(map(slice, have))] = table
+        fill(grown, have)
+        grown.setflags(write=False)
+        _tables[key] = table = grown
+    return table[tuple(map(slice, shape))]
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
     """log(n!) of an integer array from ``math.lgamma``, inf where n < 0 (its poles)."""
-    table = _leading_block(
-        ("log_factorial",), (int(n.max(initial=0)) + 1,),
-        lambda size: np.array([math.lgamma(k + 1.0) for k in range(size)]),
-    )
+
+    def fill(table, have):
+        table[have[0]:] = [math.lgamma(k + 1.0) for k in range(have[0], table.size)]
+
+    table = _leading_block(("log_factorial",), (int(n.max(initial=0)) + 1,), fill)
     return np.where(n >= 0, table.take(np.maximum(n, 0)), np.inf)
 
 
@@ -165,11 +171,15 @@ def _povm_table(detectors: int, clicks: int, efficiency: float, n_max: int) -> n
     # The key cannot tell 2.0 from 2, so the inputs are checked on every call, not on a miss.
     check_outcome(detectors, clicks)
     check_efficiency(efficiency)
-    return _leading_block(
-        ("povm", detectors, float(efficiency)), (clicks + 1, n_max + 1),
-        lambda rows, size: np.array(
-            [povm_fock_diagonal(detectors, k, efficiency, size - 1) for k in range(rows)]),
-    )
+
+    def fill(table, have):
+        rows, size = table.shape
+        # povm_fock_diagonal takes its powers from the whole grid, so a wider
+        # table rebuilds every row; a taller one builds only its new rows.
+        for k in range(have[0] if have[1] == size else 0, rows):
+            table[k] = povm_fock_diagonal(detectors, k, efficiency, size - 1)
+
+    return _leading_block(("povm", detectors, float(efficiency)), (clicks + 1, n_max + 1), fill)
 
 
 def oracle_click_prob(detectors: int, clicks: int, efficiency: float, diag: FockVector) -> float:
@@ -208,44 +218,44 @@ def oracle_herald_state(
     return FockVector(unnorm / weight)
 
 
-def _filled(rows: int, cols: int, entry) -> np.ndarray:
-    """The ``(rows, cols)`` table of ``entry(i, j)``, built ``_FILL_ROWS`` rows at a time.
+def _filled(table: np.ndarray, have: tuple, entry) -> None:
+    """Write ``entry(i, j)`` into every entry of ``table`` outside its leading ``have`` block.
 
-    ``entry`` maps a column of row indices and a row of column indices to the
-    entries they span.  Only one block's temporaries are alive at once, and
-    each entry comes from the same operations on the same inputs as a
-    whole-grid build, so the table is bit-identical to one.
+    The new rows are filled at every column, then the new columns of the old
+    rows, ``_FILL_ROWS`` rows at a time.  ``entry`` maps a column of row
+    indices and a row of column indices to the entries they span.  Only one
+    block's temporaries are alive at once, and each entry comes from the same
+    operations on the same inputs as a whole-grid build, so the table is
+    bit-identical to one.
     """
+    rows, cols = table.shape
     # Every entry formula reads log factorials up to this index; growing that
     # table once here spares a regrowth per block.
     _log_factorial(np.array([max(rows, cols) - 1]))
-    table = np.empty((rows, cols))
-    j = np.arange(cols)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, rows, _FILL_ROWS):
-            stop = min(start + _FILL_ROWS, rows)
-            table[start:stop] = entry(np.arange(start, stop)[:, None], j)
-    return table
+        for first, last, left in ((have[0], rows, 0), (0, have[0], have[1])):
+            if left == cols:
+                continue
+            j = np.arange(left, cols)[None, :]
+            for start in range(first, last, _FILL_ROWS):
+                stop = min(start + _FILL_ROWS, last)
+                table[start:stop, left:] = entry(np.arange(start, stop)[:, None], j)
 
 
 def _loss_kernel(transmission: float, n_in: int) -> np.ndarray:
     """Binomial-thinning kernel of the pure-loss channel: out j from in n."""
 
     def entry(j, nn):  # output index j, input index nn
+        if transmission == 1.0:
+            return np.where(j == nn, 1.0, 0.0)
+        if transmission == 0.0:
+            return np.where(j == 0, 1.0, 0.0)
         log_binom = _log_factorial(nn) - _log_factorial(j) - _log_factorial(nn - j)
         log_k = log_binom + j * math.log(transmission) + (nn - j) * math.log1p(-transmission)
         return np.where(j <= nn, np.exp(log_k), 0.0)
 
-    def build(rows, cols):
-        if transmission == 1.0:
-            return np.eye(rows, cols)
-        if transmission == 0.0:
-            kernel = np.zeros((rows, cols))
-            kernel[0, :] = 1.0
-            return kernel
-        return _filled(rows, cols, entry)
-
-    return _leading_block(("loss", float(transmission)), (n_in + 1, n_in + 1), build)
+    return _leading_block(("loss", float(transmission)), (n_in + 1, n_in + 1),
+                          lambda table, have: _filled(table, have, entry))
 
 
 def _amplifier_kernel(gain: float, n_in: int, n_out: int) -> np.ndarray:
@@ -258,16 +268,14 @@ def _amplifier_kernel(gain: float, n_in: int, n_out: int) -> np.ndarray:
         raise ValueError(f"amplifier gain must be >= 1, got {gain}")
 
     def entry(n, j):  # output index n, input index j
+        if gain == 1.0:
+            return np.where(n == j, 1.0, 0.0)
         log_binom = _log_factorial(n) - _log_factorial(j) - _log_factorial(n - j)
         log_k = log_binom - (j + 1) * math.log(gain) + (n - j) * math.log1p(-1.0 / gain)
         return np.where(n >= j, np.exp(log_k), 0.0)
 
-    def build(rows, cols):
-        if gain == 1.0:
-            return np.eye(rows, cols)
-        return _filled(rows, cols, entry)
-
-    return _leading_block(("amp", float(gain)), (n_out + 1, n_in + 1), build)
+    return _leading_block(("amp", float(gain)), (n_out + 1, n_in + 1),
+                          lambda table, have: _filled(table, have, entry))
 
 
 def displaced_thermal_diag(
@@ -284,6 +292,7 @@ def displaced_thermal_diag(
     at most the output's: checking the seed rejects no output that passes.
     """
     check_mean(thermal_mean, "thermal mean")
+    check_mean(coherent_mean, "coherent mean")
     if thermal_mean == 0.0:
         return poisson_diag(coherent_mean, n_max)
     gain = 1.0 + thermal_mean

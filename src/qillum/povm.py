@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalInstabilityError, UnsupportedStateError
 from .states import (DisplacedThermal, SignedThermalMixture, check_count, check_efficiency,
-                     check_outcome, clamp_probability)
+                     check_outcome, check_real, clamp_probability)
 
 __all__ = [
     "ClickMultiplex",
@@ -62,7 +62,7 @@ def normal_ordered_moment(state, s: float) -> float:
     Thermal component of mean m contributes 1 / (1 + s m); a displaced thermal
     state gives exp(-s mu / (1 + s m)) / (1 + s m).
     """
-    if not (0.0 <= s <= 1.0):
+    if not (0.0 <= check_real(s, "moment parameter") <= 1.0):
         raise ValueError(f"moment parameter must lie in [0, 1], got {s}")
     if isinstance(state, SignedThermalMixture):
         return math.fsum(w / (1.0 + s * m) for w, m in zip(state.weights, state.means))

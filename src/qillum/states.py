@@ -46,6 +46,13 @@ MAX_ALTERNATING_TERMS = 64
 
 # The input rules of every layer, stated once: the library, the oracle and
 # the CLI all call these.  Each raises ValueError on a value out of range.
+def check_real(value, what: str):
+    """Anything but a bool (or ``np.bool_``), which arithmetic would take as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
 def check_mean(value: float, what: str) -> float:
     """A mean photon number: finite and nonnegative, and not a bool."""
     if isinstance(value, (bool, np.bool_)):
@@ -93,8 +100,11 @@ def check_integer(value, what: str) -> None:
 def check_coordinates(q) -> np.ndarray:
     """Phase-space coordinates ``q``, a number or a sequence of them, as a 1-D float array.
 
-    Each must be finite; ``None`` converts to NaN and is rejected with it.
+    Each must be finite and not a bool; ``None`` converts to NaN and is rejected with it.
     """
+    items = q if isinstance(q, (list, tuple)) else [q]
+    if np.asarray(q).dtype == bool or any(isinstance(v, (bool, np.bool_)) for v in items):
+        raise ValueError(f"q must be a real number, got {q!r}")
     values = np.atleast_1d(np.asarray(q, dtype=float))
     if not np.isfinite(values).all():
         raise ValueError(f"q must be finite, got {q!r}")
@@ -137,6 +147,8 @@ class SignedThermalMixture:
     means: tuple[float, ...]
 
     def __post_init__(self):
+        for weight in self.weights:
+            check_real(weight, "component weight")
         checked_mixtures([(self.weights, self.means)])
 
     @classmethod

@@ -10,7 +10,8 @@ two-mode unitary.
 
 ``povm_fock_diagonal`` sums and clamps one n at a time, where
 ``qillum.povm.povm_fock_diagonal`` builds one table of signed powers; the
-coefficients must be equal, or both must raise the same error.
+coefficients must be equal, or both must raise the same error.  ``povm_table``
+stacks its rows into the whole table the oracle grows a block at a time.
 ``end_to_end_clicks`` is the end-to-end verify family one receiver outcome at
 a time, where ``qillum.verify`` takes whole click distributions; both must
 yield equal ``(error, case)`` pairs in the same order.
@@ -47,6 +48,12 @@ def povm_fock_diagonal(detector_count: int, clicks: int, efficiency: float, n_ma
         value = prefactor * math.fsum(s * p for s, p in zip(signs, powers[n]))
         coeffs[n] = clamp_probability(value)
     return coeffs
+
+
+def povm_table(detector_count: int, efficiency: float, rows: int, cols: int) -> np.ndarray:
+    """The oracle's POVM table at ``(rows, cols)``: one ``povm_fock_diagonal`` row per outcome."""
+    return np.array([povm_fock_diagonal(detector_count, k, efficiency, cols - 1)
+                     for k in range(rows)])
 
 
 def end_to_end_clicks(s):

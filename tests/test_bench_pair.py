@@ -48,3 +48,15 @@ def test_no_verdict_from_an_incorrect_run(tmp_path, monkeypatch):
     # the second pair runs the working tree first
     assert "change run 2: not correct" in str(refused.value.code)
     assert not (tmp_path / "BENCH_figure-tables.json").exists()
+
+
+def test_unknown_workload_is_a_usage_error_before_any_export(monkeypatch, capsys):
+    exported = []
+    monkeypatch.setattr(bench_pair, "export", lambda rev, directory: exported.append(rev))
+    monkeypatch.setattr(bench_pair, "snapshot", lambda directory: exported.append(directory))
+    monkeypatch.setattr(sys, "argv", ["bench_pair.py", "--workload", "verify-swep"])
+    with pytest.raises(SystemExit) as refused:
+        bench_pair.main()
+    assert refused.value.code == 2
+    assert "invalid choice: 'verify-swep'" in capsys.readouterr().err
+    assert exported == []

@@ -12,7 +12,7 @@ from qillum.channel import TargetChannel
 from qillum.errors import NumericalInstabilityError, TruncationError
 from qillum.matching import MatchSpec
 from qillum.mc import TrajectoryConfig, average_trajectories
-from qillum.povm import ClickMultiplex, click_probability, povm_fock_diagonal
+from qillum.povm import ClickMultiplex, click_probability, normal_ordered_moment, povm_fock_diagonal
 from qillum.states import (DisplacedThermal, SignedThermalMixture, clamp_probability, fano_factor,
                            herald_state, photon_number_distribution, second_moment,
                            tmsv_marginal, wigner_slice)
@@ -256,6 +256,35 @@ GUARDS = {
     "target_channel_bool_background": (
         lambda tmp_path: TargetChannel(0.1, True),
         ValueError, "background mean must be a real number, got True",
+    ),
+    "displaced_thermal_diag_bool_coherent_mean": (
+        lambda tmp_path: oracle.displaced_thermal_diag(True, 1.0),
+        ValueError, "coherent mean must be a real number, got True",
+    ),
+    "normal_ordered_moment_bool_s": (
+        lambda tmp_path: normal_ordered_moment(THERMAL, True),
+        ValueError, "moment parameter must be a real number, got True",
+    ),
+    "match_spec_numpy_bool_eavesdropper_efficiency": (
+        lambda tmp_path: MatchSpec(1.0, np.True_),
+        ValueError, "eavesdropper efficiency must be a real number, got np.True_",
+    ),
+    "mixture_bool_weight": (
+        lambda tmp_path: SignedThermalMixture((True,), (1.0,)),
+        ValueError, "component weight must be a real number, got True",
+    ),
+    "wigner_slice_bool_q": (
+        lambda tmp_path: wigner_slice(THERMAL, True),
+        ValueError, "q must be a real number, got True",
+    ),
+    "oracle_wigner_numpy_bool_q": (
+        lambda tmp_path: oracle.oracle_wigner(oracle.thermal_diag(1.0), np.True_),
+        ValueError, "q must be a real number, got np.True_",
+    ),
+    # the coherent mean was checked only after its division by the gain 1 + m
+    "displaced_thermal_diag_negative_coherent_mean": (
+        lambda tmp_path: oracle.displaced_thermal_diag(-1.0, 1.0),
+        ValueError, "coherent mean must be finite and nonnegative, got -1.0",
     ),
     # mean**2 raised a bare OverflowError
     "fano_factor_mean_1e200": (

@@ -115,6 +115,40 @@ def _ordered(requests, order):
     return sorted(requests, key=lambda r: r[1:], reverse=order == "descending")
 
 
+def _growth(first_rows=200, row_step=150):
+    """A first (rows, cols) shape, then growth steps in a drawn order: by rows
+    only, by columns only or by both."""
+    return st.tuples(
+        st.tuples(st.integers(1, first_rows), st.integers(1, 200)),
+        st.lists(st.tuples(st.sampled_from(["rows", "cols", "both"]),
+                           st.integers(1, row_step), st.integers(1, 150)),
+                 min_size=1, max_size=6),
+    )
+
+
+def _grown_shapes(start, steps, max_rows=math.inf):
+    """The shapes a table takes when it grows from ``start`` by ``steps``, rows capped."""
+    rows, cols = start
+    shapes = [(min(rows, max_rows), cols)]
+    for axis, row_step, col_step in steps:
+        rows += row_step if axis != "cols" else 0
+        cols += col_step if axis != "rows" else 0
+        shapes.append((min(rows, max_rows), cols))
+    return shapes
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is counted; returns the list of call arguments."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 class TestCachePrefixInvariant:
     """Cached coefficients and kernels equal their references at every requested size.
 
@@ -196,6 +230,102 @@ class TestCachePrefixInvariant:
                 tracemalloc.stop()
         assert kernel.shape == (498, 377)
         assert peak <= 2 * kernel.nbytes
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        gain=st.just(1.0) | st.floats(1.0, 20.0),
+        transmission=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        growth=_growth(),
+    )
+    def test_kernels_grown_by_rows_columns_or_both(self, gain, transmission, growth):
+        # the loss kernel is square, so each step grows it on both axes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_tables", {})
+            for rows, cols in _grown_shapes(*growth):
+                amp = oracle._amplifier_kernel(gain, cols - 1, rows - 1)
+                assert np.array_equal(amp, kernel_reference.amplifier_kernel(gain, rows, cols))
+                assert oracle._tables[("amp", gain)].shape == (rows, cols)
+                size = max(rows, cols)
+                loss = oracle._loss_kernel(transmission, size - 1)
+                assert np.array_equal(loss, kernel_reference.loss_kernel(transmission, size, size))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        detectors=st.integers(1, 6),
+        efficiency=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        growth=_growth(first_rows=3, row_step=2),
+    )
+    def test_povm_table_grown_by_rows_columns_or_both(self, detectors, efficiency, growth):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_tables", {})
+            for rows, cols in _grown_shapes(*growth, max_rows=detectors + 1):
+                got = oracle._povm_table(detectors, rows - 1, efficiency, cols - 1)
+                expected = kernel_reference.povm_table(detectors, efficiency, rows, cols)
+                assert np.array_equal(got, expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(growth=_growth())
+    def test_log_factorial_grown(self, growth):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_tables", {})
+            for rows, _ in _grown_shapes(*growth):
+                got = oracle._log_factorial(np.arange(rows))
+                assert got.tolist() == [math.lgamma(k + 1.0) for k in range(rows)]
+
+    def test_povm_rows_are_built_once_while_n_max_holds(self, monkeypatch):
+        # the herald family asks for k = 0, 1, ..., N of each (N, eta) in turn
+        monkeypatch.setattr(oracle, "_tables", {})
+        builds = _counted(monkeypatch, oracle, "povm_fock_diagonal")
+        for clicks in range(7):
+            oracle._povm_table(6, clicks, 0.7, 160)
+        assert [args[1] for args in builds] == list(range(7))
+        # a wider table takes every row's powers from the whole new grid
+        oracle._povm_table(6, 3, 0.7, 200)
+        assert [args[1:] for args in builds[7:]] == [(k, 0.7, 200) for k in range(7)]
+
+    def test_sweep_amplifier_entries_are_computed_once(self, monkeypatch):
+        # record the full sweep's requests of the gain-11 amplifier (background 10)
+        monkeypatch.setattr(oracle, "_tables", {})
+        requests = _counted(monkeypatch, oracle, "_amplifier_kernel")
+        run_verification()
+        requests = [args[1:] for args in requests if args[0] == 11.0]
+        assert requests[0] == (160, 317)
+        assert tuple(map(max, *requests)) == (376, 497)
+        # replay them on cold tables, counting the entries each fill computes
+        monkeypatch.setattr(oracle, "_tables", {})
+        computed, fill = [], oracle._filled
+
+        def counting_fill(table, have, entry):
+            def counted(i, j):
+                computed.append(np.broadcast(i, j).size)
+                return entry(i, j)
+            return fill(table, have, counted)
+
+        monkeypatch.setattr(oracle, "_filled", counting_fill)
+        for n_in, n_out in requests:
+            oracle._amplifier_kernel(11.0, n_in, n_out)
+        assert oracle._tables[("amp", 11.0)].shape == (498, 377)
+        assert sum(computed) == 498 * 377
+
+    def test_growth_step_peak_memory(self):
+        # One step of the sweep's gain-11 amplifier, (318, 161) to (498, 377):
+        # the old and the new table coexist for the copy, and the fill adds one
+        # block's scratch (a few arrays of _FILL_ROWS rows); building the new
+        # table apart and then copying it would add a whole table more.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_tables", {})
+            oracle._log_factorial(np.arange(498))
+            tracemalloc.start()
+            try:
+                old = oracle._amplifier_kernel(11.0, 160, 317).base
+                tracemalloc.reset_peak()
+                new = oracle._amplifier_kernel(11.0, 376, 497)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        block = oracle._FILL_ROWS * new.shape[1] * new.itemsize
+        assert old.shape == (318, 161) and new.shape == (498, 377)
+        assert peak <= old.nbytes + new.nbytes + 6 * block
 
     def test_quick_report_same_cold_and_after_full_sweep(self):
         with pytest.MonkeyPatch.context() as mp:
