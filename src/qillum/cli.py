@@ -23,7 +23,7 @@ import sys
 from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,10 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _blame(*names):
-    """Report a ValueError or QillumError inside as a ConfigError naming the inputs at fault."""
+    """Report a ValueError, QillumError or MemoryError inside as a ConfigError naming the inputs."""
     try:
         yield
-    except (ValueError, QillumError) as exc:
+    except (ValueError, QillumError, MemoryError) as exc:
         raise ConfigError(f"{', '.join(names)}: {exc}") from exc
 
 
@@ -177,6 +177,16 @@ def _signal(entry) -> dict:
     return {"kind": kind, "detectors": detectors, "label": label}
 
 
+def check_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
+    """Distinct crossing thresholds in (0, 1) as floats: crossings are keyed by value."""
+    values = tuple(float(t) for t in thresholds)
+    if not all(0.0 < t < 1.0 for t in values):
+        raise ValueError(f"thresholds must lie in (0, 1), got {list(values)}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"thresholds must be distinct, got {list(values)}")
+    return values
+
+
 def _signals(value, kinds: tuple) -> list:
     signals = _items(value, _signal, "signals")
     _require(all(s["kind"] in kinds for s in signals), value, f"of kind {', '.join(kinds)}")
@@ -207,7 +217,7 @@ BOOLEAN = Kind(lambda value: _require(isinstance(value, bool), value, "true or f
 SWITCH = BOOLEAN._replace(flag={"action": "store_true"})
 TEXT = Kind(str, {})
 GRID = Kind(_grid, {})
-THRESHOLDS = Kind(lambda value: mc.check_thresholds(_items(value, _number, "numbers")))
+THRESHOLDS = Kind(lambda value: check_thresholds(_items(value, _number, "numbers")))
 # Physical ranges belong to the library: means and efficiencies call its rule
 # functions; a range only one object owns is checked by building that object,
 # with in-range values for its other fields.
@@ -322,13 +332,10 @@ def cmd_trajectories(v) -> int:
                 trials=v.trials, seed=v.seed, signal_kind=kind,
                 target_present=v.target_present,
             )
-    ensembles = mc.average_trajectories(
-        list(configs.values()), threads=v.threads, thresholds=v.thresholds
-    )
-    results = dict(zip(configs, ensembles))
-    header = ["shot_index"] + [f"mean_posterior_{label}" for label in results]
-    columns = [np.arange(1, v.shots + 1)] + [r.mean_posterior for r in results.values()]
-    _write_csv(v.out, header, columns)
+    ensembles = mc.average_trajectories(list(configs.values()), threads=v.threads)
+    curves = dict(zip(configs, ensembles))
+    header = ["shot_index"] + [f"mean_posterior_{label}" for label in curves]
+    _write_csv(v.out, header, [np.arange(1, v.shots + 1), *curves.values()])
 
     sidecar = {
         "seed": v.seed, "trials": v.trials, "shots": v.shots, "threads": v.threads,
@@ -336,9 +343,9 @@ def cmd_trajectories(v) -> int:
         "signals": {
             label: {
                 "probe_nbar": configs[label].nbar,
-                "mean_curve_crossings": {str(t): result.mean_crossings[t] for t in v.thresholds},
+                "mean_curve_crossings": {str(t): mc.first_crossing(curve, t) for t in v.thresholds},
             }
-            for label, result in results.items()
+            for label, curve in curves.items()
         },
     }
     meta = None if v.out is None else str(v.out) + ".meta.json"
@@ -447,7 +454,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except QillumError as exc:
+    except (QillumError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -15,6 +15,9 @@ shots, so they read the same per-trial uniforms: ``average_trajectories``
 draws each trial's block once and hands it to every signal as a
 ``TrialDraws``: the coherent prefix and contiguous herald and receiver
 columns.
+
+An ensemble's output is its mean posterior curve alone; the shot at which a
+curve first reaches a threshold is ``first_crossing(curve, threshold)``.
 """
 
 from __future__ import annotations
@@ -84,15 +87,6 @@ class TrajectoryConfig:
             raise ValueError(f"target_present must be a bool, got {self.target_present!r}")
         object.__setattr__(self, "signal_kind", SignalKind(self.signal_kind))
         object.__setattr__(self, "tables", build_tables(self))
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    """Ensemble summary: mean posterior curve plus threshold crossings."""
-
-    mean_posterior: np.ndarray
-    mean_crossings: dict
-    per_trial_crossings: dict
 
 
 @dataclass(frozen=True)
@@ -333,18 +327,8 @@ def first_crossing(curve: np.ndarray, threshold: float) -> Optional[int]:
     return index + 1 if hits[index] else None
 
 
-def check_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
-    """Distinct crossing thresholds in (0, 1) as floats: crossings are keyed by value."""
-    values = tuple(float(t) for t in thresholds)
-    if not all(0.0 < t < 1.0 for t in values):
-        raise ValueError(f"thresholds must lie in (0, 1), got {list(values)}")
-    if len(set(values)) != len(values):
-        raise ValueError(f"thresholds must be distinct, got {list(values)}")
-    return values
-
-
-def _chunk_worker(configs, thresholds, start, stop):
-    """Per-config curve sums and per-trial crossings of trials [start, stop).
+def _chunk_worker(configs, start, stop):
+    """Per-config curve sums of trials [start, stop).
 
     Each trial's uniforms are drawn once and read by every config.  A sum
     starts at zero and adds the curves in trial order.
@@ -352,32 +336,27 @@ def _chunk_worker(configs, thresholds, start, stop):
     seed, shots = configs[0].seed, configs[0].shots
     heralded = any(config.tables.herald_cdf is not None for config in configs)
     sums = [np.zeros(shots) for _ in configs]
-    crossings = [{thr: [] for thr in thresholds} for _ in configs]
     for trial in range(start, stop):
         draws = _trial_draws(seed, trial, shots, heralded)
-        for config, total, crossed in zip(configs, sums, crossings):
+        for config, total in zip(configs, sums):
+            # Bound to a name before the add: ``total += run_trajectory(...)``
+            # as one expression made the trajectories benchmark about 7% slower
+            # (cause not established).
             curve = run_trajectory(config, trial, draws)
             total += curve
-            for thr in thresholds:
-                crossed[thr].append(first_crossing(curve, thr))
-    return sums, crossings
+    return sums
 
 
 def average_trajectories(
-    configs: Sequence[TrajectoryConfig],
-    threads: int = 1,
-    thresholds: tuple[float, ...] = (0.8, 0.9),
-) -> list[TrajectoryResult]:
-    """Ensemble mean of the posterior trajectory plus crossing statistics, per config.
+    configs: Sequence[TrajectoryConfig], threads: int = 1
+) -> list[np.ndarray]:
+    """Ensemble-mean posterior curve, one per config.
 
     The configs must share ``seed``, ``trials`` and ``shots``; each trial's
     uniforms are drawn once and every config reads them, so a config's
-    result is the one it gets when run alone.  Crossing shots are reported
-    both for the ensemble-mean curve (the headline estimator) and per trial
-    (for dispersion), keyed by threshold, so a repeated threshold is a
-    ``ValueError``.  Chunks run on a pool of ``threads`` worker threads and
-    are reduced in chunk index order, so any thread count yields identical
-    output.
+    curve is the one it gets when run alone.  Chunks run on a pool of
+    ``threads`` worker threads and are reduced in chunk index order, so any
+    thread count yields identical output.
     """
     configs = list(configs)
     if not configs:
@@ -390,28 +369,14 @@ def average_trajectories(
         if len(values) > 1:
             raise ValueError(f"configs must share {name}, got {values}")
     first = configs[0]
-    thresholds = check_thresholds(thresholds)
     starts = range(0, first.trials, CHUNK_SIZE)
     stops = [min(start + CHUNK_SIZE, first.trials) for start in starts]
 
     accumulators = [CompensatedVectorSum(first.shots) for _ in configs]
-    per_trial = [{thr: [] for thr in thresholds} for _ in configs]
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # Chunk results arrive in index order and are dropped once added.
-        for sums, crossings in pool.map(partial(_chunk_worker, configs, thresholds), starts, stops):
+        # Chunk sums arrive in index order and are dropped once added.
+        for sums in pool.map(partial(_chunk_worker, configs), starts, stops):
             for accumulator, total in zip(accumulators, sums):
                 accumulator.add(total)
-            for collected, crossed in zip(per_trial, crossings):
-                for thr in thresholds:
-                    collected[thr].extend(crossed[thr])
-
-    results = []
-    for config, accumulator, crossings in zip(configs, accumulators, per_trial):
-        mean_posterior = accumulator.result() / config.trials
-        results.append(TrajectoryResult(
-            mean_posterior=mean_posterior,
-            mean_crossings={thr: first_crossing(mean_posterior, thr) for thr in thresholds},
-            per_trial_crossings=crossings,
-        ))
-    return results
+    return [accumulator.result() / config.trials
+            for config, accumulator in zip(configs, accumulators)]

@@ -55,8 +55,7 @@ def check_real(value, what: str):
 
 def check_mean(value: float, what: str) -> float:
     """A mean photon number: finite and nonnegative, and not a bool."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
+    check_real(value, what)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{what} must be finite and nonnegative, got {value}")
     return value
@@ -80,8 +79,7 @@ def clamp_probability(value: float) -> float:
 
 def check_efficiency(eta: float) -> float:
     """A detector efficiency in [0, 1], and not a bool."""
-    if isinstance(eta, (bool, np.bool_)):
-        raise ValueError(f"efficiency must be a real number, got {eta!r}")
+    check_real(eta, "efficiency")
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     return eta

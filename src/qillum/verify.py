@@ -100,10 +100,8 @@ def _herald_distributions(s: _Sweep):
     ):
         trunc = oracle.choose_truncation(nbar)
         diag = oracle.oracle_herald_state(nbar, eta, detectors, clicks, trunc)
-        closed = photon_number_distribution(
-            herald_state(nbar, eta, detectors, clicks).state, min(60, trunc)
-        )
-        error = float(np.abs(closed - diag.probs[: closed.size]).max())
+        closed = photon_number_distribution(herald_state(nbar, eta, detectors, clicks).state, trunc)
+        error = float(np.abs(closed - diag.probs).max())
         yield error, dict(nbar=nbar, eta=eta, detectors=detectors, clicks=clicks)
 
 

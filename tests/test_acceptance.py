@@ -3,8 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.  The
 Monte-Carlo criteria share one ensemble cache (seed 7, 12000 trials of 30000
 shots each), built in one call with one thread per core; the reproducibility
-contract makes it bit-identical to a one-thread build.  The module took
-48-51 s on a 2-core Xeon VM.
+contract makes it bit-identical to a one-thread build.  Each ensemble is its
+mean posterior curve, and a crossing shot is ``first_crossing(curve, thr)``,
+as the CLI sidecar reports it.  The module took 48-51 s on a 2-core Xeon VM.
 
 Criterion 4 needs the default 12000 trials.  Its q2_present@0.9 reference
 (18092) sits 2.8% above the exact infinite-trial crossing (17590), so little of
@@ -125,8 +126,8 @@ def ensembles():
     # The nine ensembles share SEED, TRIALS and SHOTS, so one call draws each
     # trial's uniforms once for all of them.
     configs = [base_config(*spec) for spec in specs.values()]
-    results = average_trajectories(configs, threads=os.cpu_count() or 1)
-    return dict(zip(specs, results))
+    curves = average_trajectories(configs, threads=os.cpu_count() or 1)
+    return dict(zip(specs, curves))
 
 
 def test_criterion_1_heralding_crossover():
@@ -223,7 +224,7 @@ def test_criterion_4_trajectory_shot_counts(ensembles):
     details = []
     ok = True
     for name, threshold, expected in CROSSING_TARGETS:
-        got = ensembles[name].mean_crossings[threshold]
+        got = first_crossing(ensembles[name], threshold)
         within = got is not None and abs(got - expected) <= 0.05 * expected
         ok &= within
         details.append(f"{name}@{threshold}: {got} (target {expected} +/- 5%)")
@@ -232,8 +233,8 @@ def test_criterion_4_trajectory_shot_counts(ensembles):
 
 def test_criterion_5_matched_detection_speedup(ensembles):
     """Click-probability matching roughly halves the shots to threshold."""
-    unmatched = ensembles["q1_present"].mean_crossings[0.8]
-    matched = ensembles["matched_q1_present"].mean_crossings[0.8]
+    unmatched = first_crossing(ensembles["q1_present"], 0.8)
+    matched = first_crossing(ensembles["matched_q1_present"], 0.8)
     ok = unmatched is not None and matched is not None
     factor = matched / unmatched if ok else float("nan")
     report(
@@ -285,15 +286,15 @@ def test_criterion_6_target_absent_consistency(ensembles):
     details = []
     ok = True
     for name in pairs:
-        present = ensembles[f"{name}_present"].mean_posterior
-        absent = ensembles[f"{name}_absent"].mean_posterior
+        present = ensembles[f"{name}_present"]
+        absent = ensembles[f"{name}_absent"]
         spread = np.sqrt(present * (1.0 - present)) + np.sqrt(absent * (1.0 - absent))
         z = float(np.max(np.abs(absent + present - 1.0) * math.sqrt(TRIALS) / spread))
         ok &= z <= 5.0
         details.append(f"{name}: absent {absent[-1]:.4f} + present {present[-1]:.4f}, max z {z:.2f}")
     for name, threshold, expected in CROSSING_TARGETS:
         absent_name = name.replace("_present", "_absent")
-        got = first_crossing(1.0 - ensembles[absent_name].mean_posterior, threshold)
+        got = first_crossing(1.0 - ensembles[absent_name], threshold)
         within = got is not None and abs(got - expected) <= 0.05 * expected
         ok &= within
         details.append(f"{absent_name}<={1.0 - threshold:.1f}: {got} (target {expected} +/- 5%)")

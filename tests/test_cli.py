@@ -13,7 +13,7 @@ import pytest
 
 import qillum
 from qillum import MatchSpec, matched_mean, mc, verify
-from qillum.cli import _build_parser, main
+from qillum.cli import _build_parser, check_thresholds, main
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -262,6 +262,22 @@ class TestTrajectories:
             assert config.herald_detectors == signal.get("herald_detectors", 1)
 
 
+class TestThresholds:
+    def test_repeated_threshold_rejected(self):
+        # crossings are keyed by threshold, so a repeat would report one twice
+        with pytest.raises(ValueError, match=r"thresholds must be distinct, got \[0.9, 0.8, 0.9\]"):
+            check_thresholds((0.9, 0.8, 0.9))
+
+    @pytest.mark.parametrize(
+        "thresholds", [(1.5,), (0.0,), (-1.0,), (math.nan, math.nan), (0.5, 1.0)]
+    )
+    def test_threshold_outside_unit_interval_rejected(self, thresholds):
+        # 1.5 was never reported crossed, 0.0 and -1.0 crossed at shot 1, and two
+        # nans passed the distinct rule as two keys
+        with pytest.raises(ValueError, match=r"^thresholds must lie in \(0, 1\), got "):
+            check_thresholds(thresholds)
+
+
 class TestVerifyCommand:
     def test_quick_sweep_passes(self, capsys):
         assert run_cli(["verify", "--quick"]) == 0
@@ -345,6 +361,32 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         assert run_cli(args + ["--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Sizes whose arrays cannot be allocated (7.11 PiB of float64) once
+    # crashed with numpy's MemoryError traceback.
+    UNALLOCATABLE = {
+        "herald_stats_grid_count": (
+            lambda tmp_path: ["herald-stats", "--grid", "lin:0:1:1000000000000000"],
+            "config error: --grid: ",
+        ),
+        "wigner_q_points": (
+            lambda tmp_path: ["wigner", "--q-points", "1000000000000000"], "error: ",
+        ),
+        # _trajectories_row is defined below this class
+        "trajectories_shots": (
+            lambda tmp_path: _trajectories_row(shots=10**15)(tmp_path), "error: ",
+        ),
+    }
+
+    @pytest.mark.parametrize("row", sorted(UNALLOCATABLE))
+    def test_unallocatable_size_is_a_one_line_error(self, row, tmp_path, capsys):
+        argv, prefix = self.UNALLOCATABLE[row]
+        out = tmp_path / "out.csv"
+        assert run_cli(argv(tmp_path) + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "1000000000000000" in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["inf", "nan", "1000"])

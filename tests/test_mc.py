@@ -408,69 +408,48 @@ class TestExpit:
 
 
 def run_alone(config, **kwargs):
-    (result,) = average_trajectories([config], **kwargs)
-    return result
+    (curve,) = average_trajectories([config], **kwargs)
+    return curve
 
 
 class TestAverageTrajectories:
     def test_single_trial_equals_run_trajectory(self):
         config = base_config(trials=1, shots=128)
-        result = run_alone(config)
-        assert np.array_equal(result.mean_posterior, run_trajectory(config, 0))
+        assert np.array_equal(run_alone(config), run_trajectory(config, 0))
 
     def test_thread_count_invariance(self):
         config = base_config(trials=150, shots=96)
         serial = run_alone(config, threads=1)
         parallel = run_alone(config, threads=4)
-        assert np.array_equal(serial.mean_posterior, parallel.mean_posterior)
-        assert serial.mean_crossings == parallel.mean_crossings
-        assert serial.per_trial_crossings == parallel.per_trial_crossings
+        assert np.array_equal(serial, parallel)
 
     def test_crossings_recorded(self):
-        config = base_config(trials=32, shots=2000)
-        result = run_alone(config, thresholds=(0.6,))
-        assert set(result.per_trial_crossings) == {0.6}
-        assert len(result.per_trial_crossings[0.6]) == config.trials
-        for crossing in result.per_trial_crossings[0.6]:
-            assert crossing is None or 1 <= crossing <= config.shots
-        mean_cross = result.mean_crossings[0.6]
-        if mean_cross is not None:
-            assert result.mean_posterior[mean_cross - 1] >= 0.6
-            assert np.all(result.mean_posterior[: mean_cross - 1] < 0.6)
-
-    def test_repeated_threshold_rejected(self):
-        # crossings are keyed by threshold, so a repeat would collect its
-        # per-trial crossings once per occurrence
-        with pytest.raises(ValueError, match=r"thresholds must be distinct, got \[0.9, 0.8, 0.9\]"):
-            run_alone(base_config(trials=3), thresholds=(0.9, 0.8, 0.9))
-
-    @pytest.mark.parametrize(
-        "thresholds", [(1.5,), (0.0,), (-1.0,), (math.nan, math.nan), (0.5, 1.0)]
-    )
-    def test_threshold_outside_unit_interval_rejected(self, thresholds):
-        # 1.5 was never reported crossed, 0.0 and -1.0 crossed at shot 1, and two
-        # nans passed the distinct rule as two keys
-        with pytest.raises(ValueError, match=r"^thresholds must lie in \(0, 1\), got "):
-            average_trajectories([base_config(trials=3)], thresholds=thresholds)
+        # the shot a mean curve first reaches a threshold, as the CLI sidecar reports it
+        curve = run_alone(base_config(trials=32, shots=2000))
+        crossing = first_crossing(curve, 0.55)
+        assert crossing is not None
+        assert curve[crossing - 1] >= 0.55
+        assert np.all(curve[: crossing - 1] < 0.55)
+        assert first_crossing(curve, float(curve.max()) + 1e-9) is None
 
     def test_present_target_drifts_up_absent_drifts_down(self):
         up, down = average_trajectories([
             base_config(trials=160, shots=4000),
             base_config(trials=160, shots=4000, target_present=False),
         ])
-        assert up.mean_posterior[-1] > 0.55
-        assert down.mean_posterior[-1] < 0.45
+        assert up[-1] > 0.55
+        assert down[-1] < 0.45
         # trend, smoothed over quarters to tolerate Monte-Carlo noise
-        quarters = np.array_split(up.mean_posterior, 4)
+        quarters = np.array_split(up, 4)
         means = [q.mean() for q in quarters]
         assert all(a < b for a, b in zip(means, means[1:]))
 
     def test_coherent_absent_supermartingale_trend(self):
-        result = run_alone(
+        curve = run_alone(
             base_config(signal_kind=SignalKind.COHERENT, target_present=False, trials=160, shots=4000)
         )
-        assert result.mean_posterior[-1] < 0.5
-        assert result.mean_posterior[3999] < result.mean_posterior[99]
+        assert curve[-1] < 0.5
+        assert curve[3999] < curve[99]
 
 
 class TestSharedDraws:
@@ -507,15 +486,12 @@ class TestSharedDraws:
                         receiver_detectors=receiver, seed=seed, shots=shots, trials=130)
             for kind, present, herald, receiver in signals
         ]
-        thresholds = (0.5001, 0.52)
-        alone = [run_alone(config, thresholds=thresholds) for config in configs]
+        alone = [run_alone(config) for config in configs]
         for threads in (1, 3):
-            together = average_trajectories(configs, threads=threads, thresholds=thresholds)
+            together = average_trajectories(configs, threads=threads)
             assert len(together) == len(configs)
             for joint, single in zip(together, alone):
-                assert np.array_equal(joint.mean_posterior, single.mean_posterior)
-                assert joint.mean_crossings == single.mean_crossings
-                assert joint.per_trial_crossings == single.per_trial_crossings
+                assert np.array_equal(joint, single)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -547,20 +523,13 @@ class TestSharedDraws:
             for kind, nbar, herald in [(SignalKind.COHERENT, 1.0, 1), *probes]
             for present in (True, False)
         ]
-        thresholds = (0.5001, 0.52)
-        together = average_trajectories(configs, thresholds=thresholds)
+        together = average_trajectories(configs)
         for config, joint in zip(configs, together):
-            curves = [scalar_curve(config, trial) for trial in range(config.trials)]
             total = np.zeros(shots)
-            for curve in curves:
-                total += curve
-            assert np.array_equal(joint.mean_posterior, total / config.trials)
-            assert joint.per_trial_crossings == {
-                thr: [first_crossing(curve, thr) for curve in curves] for thr in thresholds
-            }
-            alone = run_alone(config, thresholds=thresholds)
-            assert np.array_equal(joint.mean_posterior, alone.mean_posterior)
-            assert joint.per_trial_crossings == alone.per_trial_crossings
+            for trial in range(config.trials):
+                total += scalar_curve(config, trial)
+            assert np.array_equal(joint, total / config.trials)
+            assert np.array_equal(joint, run_alone(config))
 
     @pytest.mark.parametrize(
         "overrides", [{"seed": 1}, {"trials": 9}, {"shots": 65}],

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -593,6 +594,44 @@ class TestEndToEnd:
             sweep = verify._Sweep(verify.QUICK_GRID, 0.0)
             alone = verify._worst(name, scale * verify.CLOSED_FORM_TOL, family(sweep))
             assert alone == expected
+
+    # Each family's closed form, as ``verify`` calls it, and the entry of its
+    # result that takes the offset (None: a number).  The herald family's
+    # entry lies above level 60, which that family once left uncompared.
+    PERTURBED = {
+        "herald photon distributions": ("photon_number_distribution", 61),
+        "thermal click probabilities": ("click_probability", None),
+        "channel thermal transform": ("photon_number_distribution", 0),
+        "displaced thermal moments": ("normal_ordered_moment", None),
+        "end-to-end receiver clicks": ("click_distribution", 0),
+        "wigner slices": ("wigner_slice", 0),
+        "background receiver clicks": ("receiver_click_prob", None),
+    }
+
+    @pytest.mark.parametrize("family", [name for name, _, _ in verify.FAMILIES])
+    def test_each_family_fails_on_one_perturbed_case(self, family, monkeypatch):
+        # 1e-6 is added to one result the family computes, and to no other
+        # family's: the caller's code object says which family is calling
+        callable_name, entry = self.PERTURBED[family]
+        caller = next(fn for name, _, fn in verify.FAMILIES if name == family).__code__
+        original = getattr(verify, callable_name)
+        perturbed = []
+
+        def closed_form(*args, **kwargs):
+            value = original(*args, **kwargs)
+            if perturbed or sys._getframe(1).f_code is not caller or np.size(value) <= (entry or 0):
+                return value
+            perturbed.append(args)
+            if entry is None:
+                return value + 1e-6
+            value = np.array(value, dtype=float)
+            value[entry] += 1e-6
+            return value
+
+        monkeypatch.setattr(verify, callable_name, closed_form)
+        report = run_verification(quick=True)
+        assert [check.name for check in report.checks if not check.passed] == [family]
+        assert perturbed
 
     def test_verification_detects_perturbation(self):
         report = run_verification(quick=True, perturbation=1e-6)

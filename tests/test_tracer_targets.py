@@ -4,16 +4,20 @@ The tracer wraps each ``TARGETS`` name with ``getattr`` on its ``qillum``
 module, so a renamed or deleted function stops the traced run.  Its
 ``oracle.coeff_miss_ratio`` counts calls to ``povm_fock_diagonal`` made
 through ``qillum.oracle`` per ``oracle_click_prob`` call, so the verify sweep
-must reach both there.
+must reach both there.  Its ``mc`` counts read the config that
+``run_trajectory`` takes first, and its self-test wants ``mc.first_crossing``
+called on a ``trajectories`` run.
 """
 
 import importlib
 import importlib.util
+import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-from qillum import oracle, verify
+from qillum import cli, mc, oracle, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
@@ -45,3 +49,37 @@ def test_verify_reaches_the_coefficient_spans_through_oracle():
             mp.setattr(oracle, name, counted(name))
         assert verify.run_verification(quick=True).passed
     assert all(calls.values()), calls
+
+
+def test_trajectory_counts_read_the_config_run_trajectory_takes_first():
+    config = mc.TrajectoryConfig(
+        nbar=1.0, herald_efficiency=0.9, herald_detectors=2, receiver_efficiency=0.9,
+        receiver_detectors=3, reflectivity=0.1, background_mean=3.0, shots=40, trials=1,
+        seed=5, signal_kind="quantum_heralded", target_present=True,
+    )
+    assert next(iter(inspect.signature(mc.run_trajectory).parameters)) == "config"
+    curve = mc.run_trajectory(config, 0)
+    for args, kwargs in (((config, 0), {}), ((), {"config": config, "trial_index": 0})):
+        counter = tracer.Tracer()
+        counter._count_trajectory(args, kwargs, curve)
+        assert counter.counts["mc.shot_updates"] == 40
+        assert counter.counts["mc.uniform_draws"] == 80
+        assert counter.counts["mc.bytes_computed"] == 40 * tracer._bytes_per_shot(True, True, 4)
+
+
+def test_trajectories_calls_first_crossing_through_mc(tmp_path, monkeypatch):
+    calls = []
+    original = mc.first_crossing
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mc, "first_crossing", counted)
+    document = {"nbar": 1.0, "shots": 20, "trials": 2, "thresholds": [0.6, 0.7],
+                "signals": ["coherent"]}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "run.csv"
+    assert cli.main(["trajectories", "--config", str(config), "--out", str(out)]) == 0
+    assert len(calls) == 2
