@@ -72,7 +72,7 @@ def _write_csv(path, header, columns) -> None:
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
             values = [c.tolist() if i else c.astype(float).tolist() for c, i in zip(block, integer)]
-            handle.write("".join(line % row for row in zip(*values)))
+            handle.write("".join(map(line.__mod__, zip(*values))))
 
 
 @contextmanager

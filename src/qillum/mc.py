@@ -98,8 +98,9 @@ class LikelihoodTables:
     click distribution under H1 given herald outcome k (a single row for a
     coherent probe); and ``l0``, the herald-independent background
     distribution.  The rest is derived from them: the pinned cdfs
-    ``herald_cdf``, ``cdf_h0`` and ``cdf_h1``, and ``log_ratio[k, k_S]``, the
-    log-odds increment for observing k_S receiver clicks after heralding k.
+    ``herald_cdf``, ``cdf_h0`` and ``cdf_h1``, ``log_ratio[k, k_S]``, the
+    log-odds increment for observing k_S receiver clicks after heralding k,
+    and its negation ``neg_log_ratio``, which the shot loop sums.
     """
 
     herald: Optional[np.ndarray]
@@ -109,15 +110,18 @@ class LikelihoodTables:
     cdf_h0: np.ndarray = field(init=False)
     cdf_h1: np.ndarray = field(init=False)
     log_ratio: np.ndarray = field(init=False)
+    neg_log_ratio: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # Both logs read values clipped at 1e-300, so equal likelihoods give exactly 0.0.
         log_l0, log_l1 = (np.log(np.clip(rows, 1e-300, None)) for rows in (self.l0, self.l1))
+        log_ratio = np.clip(log_l1 - log_l0, -_LOG_RATIO_CLIP, _LOG_RATIO_CLIP)
         derived = dict(
             herald_cdf=None if self.herald is None else _pinned_cumsum(self.herald, "herald"),
             cdf_h0=_pinned_cumsum(self.l0, "l0"),
             cdf_h1=_pinned_cumsum(self.l1, "l1"),
-            log_ratio=np.clip(log_l1 - log_l0, -_LOG_RATIO_CLIP, _LOG_RATIO_CLIP),
+            log_ratio=log_ratio,
+            neg_log_ratio=-log_ratio,
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -246,15 +250,18 @@ def _trial_draws(seed: int, trial_index: int, shots: int, heralded: bool) -> Tri
     )
 
 
-def _counts(draws: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Per-draw count of the entries of ``cdf`` below it, as ``uint8``.
+def _counts(draws: np.ndarray, cdf: np.ndarray, dtype=np.uint8) -> np.ndarray:
+    """Per-draw count of the entries of ``cdf`` below it, as ``dtype``.
 
     The last entry, exactly 1.0, is never below a draw and is skipped.  At
-    most 64 entries are counted, so the counts fit ``uint8``.
+    most 64 entries are counted, so the counts fit ``uint8``, the default;
+    ``run_trajectory`` passes its flat cell index's type when the counts
+    start that index.  Each compare is added through its ``uint8`` view, so
+    the bool row is not cast.
     """
-    counts = np.zeros(draws.size, dtype=np.uint8)
+    counts = np.zeros(draws.size, dtype=dtype)
     for edge in cdf[:-1]:
-        counts += draws > edge
+        counts += (draws > edge).view(np.uint8)
     return counts
 
 
@@ -280,40 +287,54 @@ def run_trajectory(
     one the scalar shot-by-shot reference ``run_shot`` in
     ``tests/scalar_reference.py`` produces: same draws, same increments, and
     log-odds prefix sums accumulated left to right.
+
+    The flat cell index ``h * (M + 1) + k`` is built in the narrowest
+    unsigned type that holds the table's last cell,
+    ``np.min_scalar_type(log_ratio.size - 1)`` (``uint8`` up to 256 cells),
+    so each pass over it moves one or two bytes per shot instead of eight;
+    the herald count is multiplied by the row length in that type, which
+    cannot wrap.  It becomes ``intp`` only for ``take``: once for the herald
+    rows a present target's edges are gathered by, and once for the final
+    take of increments.  A narrow index costs ``take`` a cast per element:
+    30000 entries take about 90 us with ``uint8`` against 15 us with
+    ``intp`` (2-core Xeon, numpy 2.4).  The increments come from
+    ``neg_log_ratio``, so the prefix sums are the negated log-odds, equal to
+    them bit for bit up to the sign of an exact zero: negation is exact and
+    round-to-nearest is symmetric.  ``exp`` reads either zero as 1.
     """
     tables = config.tables
     if draws is None:
         draws = _trial_draws(config.seed, trial_index, config.shots, tables.herald_cdf is not None)
 
+    dtype = np.min_scalar_type(tables.log_ratio.size - 1)
     if tables.herald_cdf is None:
         cdf = tables.cdf_h1[0] if config.target_present else tables.cdf_h0
-        index = _counts(draws.coherent, cdf).astype(np.intp)
+        index = _counts(draws.coherent, cdf, dtype)
     else:
-        herald = _counts(draws.herald, tables.herald_cdf).astype(np.intp)
-        # intp before the multiply: uint8 times the row length wraps past 255.
-        index = herald * tables.log_ratio.shape[1]
+        herald = _counts(draws.herald, tables.herald_cdf, dtype)
+        index = herald * dtype.type(tables.log_ratio.shape[1])
         if config.target_present:
+            rows = herald.astype(np.intp)
             for column in tables.cdf_h1[:, :-1].T:
-                index += draws.receiver > column.take(herald)
+                index += (draws.receiver > column.take(rows)).view(np.uint8)
         else:
             index += _counts(draws.receiver, tables.cdf_h0)
 
-    increments = tables.log_ratio.ravel().take(index)
-    log_odds = np.cumsum(increments, out=increments)
-    return _expit(log_odds)
+    increments = tables.neg_log_ratio.take(index.astype(np.intp))
+    neg_log_odds = np.cumsum(increments, out=increments)
+    return _expit_of_negated(neg_log_odds)
 
 
-def _expit(x: np.ndarray) -> np.ndarray:
-    """The logistic function 1 / (1 + exp(-x)), in place on a 1-D float array.
+def _expit_of_negated(x: np.ndarray) -> np.ndarray:
+    """The logistic function of -x, 1 / (1 + exp(x)), in place on a 1-D float array.
 
-    Bit for bit ``1 / (1 + math.exp(-v))`` per element, as scipy's ``expit``
-    computes it.  numpy's contiguous ``exp`` takes a SIMD path that differs
-    from libm in the last bit of about 2% of doubles; on a negative-stride
-    input it runs its scalar libm loop, so ``exp`` reads the reversed view
-    into a fresh buffer.  Running it in place on that view does not work:
-    numpy then flips both strides and takes the SIMD path again.
+    Bit for bit ``1 / (1 + math.exp(-v))`` per element of ``v = -x``, as
+    scipy's ``expit`` computes it.  numpy's contiguous ``exp`` takes a SIMD
+    path that differs from libm in the last bit of about 2% of doubles; on a
+    negative-stride input it runs its scalar libm loop, so ``exp`` reads the
+    reversed view into a fresh buffer.  Running it in place on that view does
+    not work: numpy then flips both strides and takes the SIMD path again.
     """
-    np.negative(x, out=x)
     with np.errstate(over="ignore"):
         e = np.exp(x[::-1])
     e += 1.0

@@ -364,6 +364,41 @@ class TestRunTrajectory:
         assert heralds.max() == 8
         assert np.array_equal(run_trajectory(config, 0), scalar_curve(config, 0))
 
+    @pytest.mark.parametrize("target_present", [True, False])
+    @pytest.mark.parametrize("cells", [256, 257])
+    def test_index_type_boundary(self, cells, target_present):
+        # 256 cells index in uint8, 257 in uint16; both top cells are drawn.
+        # 16 x 16 is a physical heralded table; 257 is prime, so only a
+        # coherent table with 257 receiver outcomes has it, past the 64
+        # detectors a config may ask for, and it is built by hand.
+        if cells == 256:
+            config = base_config(nbar=20.0, herald_detectors=15, receiver_detectors=15,
+                                 background_mean=30.0, shots=2000,
+                                 target_present=target_present)
+        else:
+            config = base_config(signal_kind=SignalKind.COHERENT, shots=2000,
+                                 target_present=target_present)
+            l0, l1 = np.ones(cells), np.ones(cells)
+            l0[-1], l1[-1] = 30.0, 90.0
+            tables = LikelihoodTables(None, l0 / l0.sum(), (l1 / l1.sum())[None, :])
+            object.__setattr__(config, "tables", tables)
+        tables = config.tables
+        assert tables.log_ratio.size == cells
+        ctx = ShotContext(tables=tables, target_present=target_present,
+                          rng=trial_stream(config.seed, 0))
+        scalar = np.array([run_shot(ctx)[0] for _ in range(config.shots)])
+        assert np.array_equal(run_trajectory(config, 0), scalar)
+        draws = trial_stream(config.seed, 0).random(2 * config.shots)
+        if cells == 256:
+            heralds = np.searchsorted(tables.herald_cdf, draws[0::2], side="left")
+            cdfs = tables.cdf_h1[heralds] if target_present else [tables.cdf_h0] * config.shots
+            clicks = [np.searchsorted(cdf, r, side="left") for cdf, r in zip(cdfs, draws[1::2])]
+            top = heralds * 16 + np.array(clicks)
+        else:
+            cdf = tables.cdf_h1[0] if target_present else tables.cdf_h0
+            top = np.searchsorted(cdf, draws[:config.shots], side="left")
+        assert top.max() == cells - 1
+
 
 def _scalar_expit(v):
     """1 / (1 + exp(-v)) with the scalar libm exp; its overflow is exp(-v) = inf."""
@@ -374,7 +409,7 @@ def _scalar_expit(v):
 
 
 class TestExpit:
-    """``_expit`` equals the scalar libm formula bit for bit.
+    """``_expit_of_negated(-v)`` equals the scalar libm formula at v bit for bit.
 
     It relies on numpy running its scalar libm ``exp`` loop, not the SIMD
     one, on a negative-stride input; these tests pin that numpy detail.
@@ -384,8 +419,9 @@ class TestExpit:
     def assert_bitwise(values):
         x = np.array(values, dtype=float)
         expected = np.array([_scalar_expit(v) for v in x.tolist()])
-        got = mc._expit(x)
-        assert got is x
+        negated = -x
+        got = mc._expit_of_negated(negated)
+        assert got is negated
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -405,6 +441,31 @@ class TestExpit:
     def test_equals_scalar_libm_dense(self):
         # about 2% of these doubles take a different last bit on numpy's SIMD exp
         self.assert_bitwise(np.random.default_rng(12).uniform(-750.0, 750.0, 100000))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        increments=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([700.0, -700.0, 0.0, -0.0, 1.5e308, -1.5e308]),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_negated_prefix_sums(self, increments):
+        # Negation is exact and round-to-nearest is symmetric, so summing the
+        # negated increments gives the negated sums, overflow to +-inf
+        # included.  An exact cancellation is +0.0 in both sums, so only a
+        # zero's sign may differ, and exp reads both zeros as 1.
+        inc = np.array(increments)
+        with np.errstate(over="ignore"):
+            negated, sums = np.cumsum(-inc), np.cumsum(inc)
+        reference = -sums
+        zero = reference == 0.0
+        assert np.array_equal(negated[~zero].view(np.uint64), reference[~zero].view(np.uint64))
+        assert np.all(negated[zero] == 0.0)
+        expected = np.array([_scalar_expit(v) for v in sums.tolist()])
+        got = mc._expit_of_negated(negated)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def run_alone(config, **kwargs):

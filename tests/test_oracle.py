@@ -608,10 +608,10 @@ class TestEndToEnd:
         "background receiver clicks": ("receiver_click_prob", None),
     }
 
-    @pytest.mark.parametrize("family", [name for name, _, _ in verify.FAMILIES])
-    def test_each_family_fails_on_one_perturbed_case(self, family, monkeypatch):
-        # 1e-6 is added to one result the family computes, and to no other
-        # family's: the caller's code object says which family is calling
+    def perturb_one_case(self, monkeypatch, family, delta):
+        """Add ``delta`` to one result of ``family``'s closed form, and to no
+        other family's: the caller's code object says which family is calling.
+        Returns the list that records the perturbed call's arguments."""
         callable_name, entry = self.PERTURBED[family]
         caller = next(fn for name, _, fn in verify.FAMILIES if name == family).__code__
         original = getattr(verify, callable_name)
@@ -623,15 +623,48 @@ class TestEndToEnd:
                 return value
             perturbed.append(args)
             if entry is None:
-                return value + 1e-6
+                return value + delta
             value = np.array(value, dtype=float)
-            value[entry] += 1e-6
+            value[entry] += delta
             return value
 
         monkeypatch.setattr(verify, callable_name, closed_form)
+        return perturbed
+
+    @pytest.mark.parametrize("family", [name for name, _, _ in verify.FAMILIES])
+    def test_each_family_fails_on_one_perturbed_case(self, family, monkeypatch):
+        perturbed = self.perturb_one_case(monkeypatch, family, 1e-6)
         report = run_verification(quick=True)
         assert [check.name for check in report.checks if not check.passed] == [family]
         assert perturbed
+
+    # The bound ROADMAP item 10 proposes for a family: this times its scale.
+    PROPOSED_BOUND = 1e-12
+
+    @pytest.mark.parametrize("family", [name for name, _, _ in verify.FAMILIES])
+    def test_twice_the_proposed_bound_at_one_case_is_seen(self, family, monkeypatch):
+        scale = next(scale for name, scale, _ in verify.FAMILIES if name == family)
+        bound = self.PROPOSED_BOUND * scale
+        perturbed = self.perturb_one_case(monkeypatch, family, 2.0 * bound)
+        report = run_verification(quick=True)
+        (check,) = (check for check in report.checks if check.name == family)
+        assert check.max_error > bound
+        assert perturbed
+
+    def test_families_below_the_proposed_bound_unperturbed(self):
+        # Which families could tighten to the proposed bound today, on the
+        # full grid.  The herald family's closed form and the end-to-end
+        # chain sit above it (ROADMAP item 10's table).
+        report = run_verification()
+        below = [check.name for check, (_, scale, _) in zip(report.checks, verify.FAMILIES)
+                 if check.max_error <= self.PROPOSED_BOUND * scale]
+        assert below == [
+            "thermal click probabilities",
+            "channel thermal transform",
+            "displaced thermal moments",
+            "wigner slices",
+            "background receiver clicks",
+        ]
 
     def test_verification_detects_perturbation(self):
         report = run_verification(quick=True, perturbation=1e-6)
