@@ -1,4 +1,4 @@
-"""Target-interaction channel and the receiver click probabilities it feeds.
+"""Target-interaction channel: the H0 and H1 states a receiver sees.
 
 A target of reflectivity kappa embedded in thermal background couples the
 signal mode to the background mode on a beamsplitter; the background is
@@ -57,10 +57,9 @@ def channel_images(pairs) -> list[SignedThermalMixture]:
 
 
 def receiver_click_prob(receiver: ClickMultiplex, clicks: int, hyp_state) -> float:
-    """Probability of ``clicks`` receiver clicks on a hypothesis state.
+    """``povm.click_probability`` under a second name, which nothing calls.
 
-    This is the multiplex click probability evaluated on the (already
-    channel-transformed) conditional state; for mixtures it is weight-linear
-    over the transformed components, which avoids the doubly alternating sum.
+    It stays only because ``perfbench/tracer.py`` wraps it by name in its
+    ``TARGETS``; it goes together with that entry.
     """
     return click_probability(receiver, clicks, hyp_state)

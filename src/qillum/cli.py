@@ -28,11 +28,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import mc, verify
-from .channel import (TargetChannel, apply_channel, background_state, channel_images,
-                      receiver_click_prob)
+from .channel import TargetChannel, apply_channel, background_state, channel_images
 from .errors import QillumError, TruncationError
 from .matching import MatchSpec, coherent_click_prob, matched_mean, thermal_click_prob
-from .povm import ClickMultiplex
+from .povm import ClickMultiplex, click_probability
 from .states import (DisplacedThermal, check_efficiency, check_mean, check_outcome, herald_state,
                      herald_states, mean_photon, tmsv_marginal, wigner_slice)
 
@@ -168,6 +167,8 @@ def _signal(entry) -> dict:
         raise ValueError(f"unknown signal keys: {', '.join(sorted(unknown))}")
     kind = entry.get("kind")
     _require(kind in SIGNAL_KINDS, kind, f"a signal kind, one of {', '.join(SIGNAL_KINDS)}")
+    if kind == "coherent" and "herald_detectors" in entry:
+        raise ValueError("a coherent signal heralds nothing: it takes no herald_detectors")
     detectors = _integer(entry.get("herald_detectors", 1))
     prefix = "quantum" if kind == "quantum_heralded" else "matched"
     label = entry.get("label", "coherent" if kind == "coherent" else f"{prefix}_n{detectors}")
@@ -280,7 +281,7 @@ def cmd_click_prob(v) -> int:
     """Receiver single-click probabilities under H1 for a family of signals."""
     channel = TargetChannel(v.kappa, v.nbar_b)
     receiver = ClickMultiplex(1, v.eta_s)
-    pr_h0 = receiver_click_prob(receiver, 1, background_state(channel))
+    pr_h0 = click_probability(receiver, 1, background_state(channel))
     header = ["nbar", "pr_h0"] + [f"pr_{s['label']}" for s in v.signals]
     columns = [v.nbar_grid, [pr_h0] * len(v.nbar_grid)]
     for sig in v.signals:
@@ -289,7 +290,7 @@ def cmd_click_prob(v) -> int:
         else:
             heralded = herald_states(v.nbar_grid, v.eta, sig["detectors"], sig["clicks"])
             images = channel_images((channel, h.state) for h in heralded)
-        columns.append([receiver_click_prob(receiver, 1, image) for image in images])
+        columns.append([click_probability(receiver, 1, image) for image in images])
     _write_csv(v.out, header, columns)
     return 0
 

@@ -26,13 +26,6 @@ from .errors import NumericalInstabilityError, UnsupportedStateError
 from .states import (DisplacedThermal, SignedThermalMixture, check_count, check_efficiency,
                      check_outcome, check_real, clamp_probability)
 
-__all__ = [
-    "ClickMultiplex",
-    "normal_ordered_moment",
-    "click_probability",
-    "click_distribution",
-    "povm_fock_diagonal",
-]
 
 @dataclass(frozen=True)
 class ClickMultiplex:

@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracle
-from .channel import (TargetChannel, apply_channel, background_state, channel_images,
-                      receiver_click_prob)
+from .channel import TargetChannel, apply_channel, background_state, channel_images
 from .povm import ClickMultiplex, click_distribution, click_probability, normal_ordered_moment
 from .states import (
     DisplacedThermal,
@@ -188,7 +187,7 @@ def _background_clicks(s: _Sweep):
         background = background_state(TargetChannel(0.5, nb))
         diag = oracle.thermal_diag(nb, oracle.choose_truncation(nb))
         for n_s, k_s in _outcomes(2):
-            closed = receiver_click_prob(ClickMultiplex(n_s, 0.9), k_s, background)
+            closed = click_probability(ClickMultiplex(n_s, 0.9), k_s, background)
             brute = oracle.oracle_click_prob(n_s, k_s, 0.9, diag)
             yield abs(closed - brute), dict(nbar_b=nb, receiver_detectors=n_s, receiver_clicks=k_s)
 

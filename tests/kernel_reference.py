@@ -23,9 +23,9 @@ from itertools import product
 import numpy as np
 
 from qillum import oracle
-from qillum.channel import TargetChannel, apply_channel, receiver_click_prob
+from qillum.channel import TargetChannel, apply_channel
 from qillum.oracle import FockVector, _log_factorial
-from qillum.povm import ClickMultiplex
+from qillum.povm import ClickMultiplex, click_probability
 from qillum.states import (check_count, check_efficiency, check_outcome, clamp_probability,
                            herald_state)
 from qillum.verify import _outcomes
@@ -67,7 +67,7 @@ def end_to_end_clicks(s):
             closed_state = apply_channel(TargetChannel(kappa, nb), conditioned)
             brute_out = oracle.oracle_beamsplitter(diag, kappa, nb)
             for n_s, k_s in _outcomes(2):
-                closed = receiver_click_prob(ClickMultiplex(n_s, 0.9), k_s, closed_state)
+                closed = click_probability(ClickMultiplex(n_s, 0.9), k_s, closed_state)
                 brute = oracle.oracle_click_prob(n_s, k_s, 0.9, brute_out)
                 yield abs(closed - brute), dict(
                     nbar=nbar, eta=eta, detectors=detectors, clicks=clicks, kappa=kappa,

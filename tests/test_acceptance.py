@@ -37,25 +37,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qillum import (
-    ClickMultiplex,
-    DisplacedThermal,
-    MatchSpec,
-    SignedThermalMixture,
-    TargetChannel,
-    apply_channel,
-    click_distribution,
-    click_probability,
-    coherent_click_prob,
-    fano_factor,
-    herald_state,
-    matched_mean,
-    mean_photon,
-    photon_number_distribution,
-    thermal_click_prob,
-    tmsv_marginal,
-    wigner_slice,
-)
+from qillum.channel import TargetChannel, apply_channel
+from qillum.matching import MatchSpec, coherent_click_prob, matched_mean, thermal_click_prob
 from qillum.mc import (
     _LOG_RATIO_CLIP,
     SignalKind,
@@ -65,6 +48,17 @@ from qillum.mc import (
     first_crossing,
 )
 from qillum.oracle import choose_truncation, oracle_click_prob, oracle_herald_state, thermal_diag
+from qillum.povm import ClickMultiplex, click_distribution, click_probability
+from qillum.states import (
+    DisplacedThermal,
+    SignedThermalMixture,
+    fano_factor,
+    herald_state,
+    mean_photon,
+    photon_number_distribution,
+    tmsv_marginal,
+    wigner_slice,
+)
 from qillum.verify import run_verification
 
 from fraction_reference import poisson_limit_reference

@@ -6,18 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qillum import (
-    ClickMultiplex,
-    DisplacedThermal,
-    TargetChannel,
-    apply_channel,
-    background_state,
-    herald_state,
-    mean_photon,
-    receiver_click_prob,
-    tmsv_marginal,
-)
-from qillum.channel import channel_images
+from qillum.channel import TargetChannel, apply_channel, background_state, channel_images
+from qillum.povm import ClickMultiplex, click_probability
+from qillum.states import DisplacedThermal, herald_state, mean_photon, tmsv_marginal
 
 from scalar_reference import posterior
 
@@ -95,26 +86,26 @@ class TestReceiverClickProb:
     def test_h0_independent_of_reflectivity(self):
         receiver = ClickMultiplex(1, 0.9)
         values = {
-            receiver_click_prob(receiver, 1, background_state(TargetChannel(k, 10.0)))
+            click_probability(receiver, 1, background_state(TargetChannel(k, 10.0)))
             for k in (0.1, 0.3, 0.8)
         }
         assert len(values) == 1
 
     def test_false_alarm_closed_form(self):
         receiver = ClickMultiplex(1, 0.9)
-        got = receiver_click_prob(receiver, 1, background_state(TargetChannel(0.1, 10.0)))
+        got = click_probability(receiver, 1, background_state(TargetChannel(0.1, 10.0)))
         assert got == pytest.approx(9.0 / 10.0, abs=1e-13)
 
     def test_no_click_closed_form(self):
         receiver = ClickMultiplex(1, 0.9)
-        got = receiver_click_prob(receiver, 0, background_state(TargetChannel(0.1, 10.0)))
+        got = click_probability(receiver, 0, background_state(TargetChannel(0.1, 10.0)))
         assert got == pytest.approx(1.0 / 10.0, abs=1e-13)
 
     def test_coherent_lossless_background_free(self):
         # kappa-attenuated coherent state on a perfect single detector
         kappa, nbar_alpha = 0.25, 1.6
         h1 = apply_channel(TargetChannel(kappa, 0.0), DisplacedThermal(nbar_alpha, 0.0))
-        got = receiver_click_prob(ClickMultiplex(1, 1.0), 1, h1)
+        got = click_probability(ClickMultiplex(1, 1.0), 1, h1)
         assert got == pytest.approx(1.0 - math.exp(-kappa * nbar_alpha), abs=1e-13)
 
     def test_click_completeness_forces_h1_complement(self):
@@ -122,8 +113,8 @@ class TestReceiverClickProb:
         ch = TargetChannel(0.3, 10.0)
         h1 = apply_channel(ch, herald_state(1.0, 0.9, 2, 2).state)
         receiver = ClickMultiplex(1, 0.9)
-        one = receiver_click_prob(receiver, 1, h1)
-        zero = receiver_click_prob(receiver, 0, h1)
+        one = click_probability(receiver, 1, h1)
+        zero = click_probability(receiver, 0, h1)
         assert one + zero == pytest.approx(1.0, abs=1e-12)
 
     def test_separation_present_beats_absent(self):
@@ -133,8 +124,8 @@ class TestReceiverClickProb:
             for kappa in (0.1, 0.8):
                 ch = TargetChannel(kappa, 10.0)
                 h1 = apply_channel(ch, herald_state(nbar, 0.9, 2, 2).state)
-                p1 = receiver_click_prob(receiver, 1, h1)
-                p0 = receiver_click_prob(receiver, 1, background_state(ch))
+                p1 = click_probability(receiver, 1, h1)
+                p0 = click_probability(receiver, 1, background_state(ch))
                 assert p1 > p0
 
     def test_coherent_crossover_exists_at_high_reflectivity(self):
@@ -145,7 +136,7 @@ class TestReceiverClickProb:
         def gap(nbar):
             quantum = apply_channel(ch, herald_state(nbar, 0.9, 1, 1).state)
             coherent = apply_channel(ch, DisplacedThermal(nbar, 0.0))
-            return receiver_click_prob(receiver, 1, coherent) - receiver_click_prob(
+            return click_probability(receiver, 1, coherent) - click_probability(
                 receiver, 1, quantum
             )
 

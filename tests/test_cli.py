@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import qillum
-from qillum import MatchSpec, matched_mean, mc, verify
+from qillum import mc, verify
 from qillum.cli import _build_parser, check_thresholds, main
+from qillum.matching import MatchSpec, matched_mean
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -456,6 +457,20 @@ class TestBoundaryDefects:
                           "signals: "),
         "click_prob_label_cr": (_click_prob_row([{"kind": "coherent", "label": "a\rb"}]),
                                 "signals: "),
+        # a coherent probe heralds nothing; the key was once read and ignored,
+        # or refused with the herald outcome cap's message
+        "coherent_herald_detectors": (
+            _trajectories_row(signals=[{"kind": "coherent", "herald_detectors": 3}]),
+            "signals: a coherent signal heralds nothing: it takes no herald_detectors",
+        ),
+        "coherent_herald_detectors_99": (
+            _trajectories_row(signals=[{"kind": "coherent", "herald_detectors": 99}]),
+            "signals: a coherent signal heralds nothing: it takes no herald_detectors",
+        ),
+        "click_prob_coherent_herald_detectors": (
+            _click_prob_row([{"kind": "coherent", "herald_detectors": 3}]),
+            "signals: a coherent signal heralds nothing: it takes no herald_detectors",
+        ),
         "threshold_above_one": (_trajectories_row(thresholds=[1.5]), "thresholds"),
         "thresholds_string": (_trajectories_row(thresholds="0.8"), "thresholds"),
         # crossings are keyed by threshold; a repeat once multiplied them
@@ -561,6 +576,16 @@ class TestRuntimeImports:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout == "[]\n"
+
+    def test_package_runs_as_a_module(self):
+        # python -m qillum runs __main__.py, the one entry point no in-process call reaches
+        env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).parent.parent))
+        done = subprocess.run([sys.executable, "-m", "qillum", "match", "--grid", "0,1"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "nbar_alpha,matched_nbar,coherent_click,matched_thermal_click,residual"
+        assert len(lines) == 3
 
 
 class TestFigureScript:

@@ -4,17 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qillum import (
-    ClickMultiplex,
-    MatchSpec,
-    TargetChannel,
-    apply_channel,
-    coherent_click_prob,
-    herald_state,
-    matched_mean,
-    receiver_click_prob,
-    thermal_click_prob,
-)
+from qillum.channel import TargetChannel, apply_channel
+from qillum.matching import MatchSpec, coherent_click_prob, matched_mean, thermal_click_prob
+from qillum.povm import ClickMultiplex, click_probability
+from qillum.states import herald_state
 
 
 class TestCoherentClickProb:
@@ -109,10 +102,10 @@ class TestMatchedMean:
         receiver = ClickMultiplex(1, 0.9)
         for nbar_alpha in (0.2, 0.5, 1.0, 2.0, 5.0):
             matched = matched_mean(MatchSpec(nbar_alpha, 0.9))
-            plain = receiver_click_prob(
+            plain = click_probability(
                 receiver, 1, apply_channel(channel, herald_state(nbar_alpha, 0.9, 1, 1).state)
             )
-            boosted = receiver_click_prob(
+            boosted = click_probability(
                 receiver, 1, apply_channel(channel, herald_state(matched, 0.9, 1, 1).state)
             )
             assert boosted > plain

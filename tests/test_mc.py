@@ -5,21 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qillum import (
-    ClickMultiplex,
-    MatchSpec,
-    SignedThermalMixture,
-    TargetChannel,
-    apply_channel,
-    background_state,
-    click_distribution,
-    click_probability,
-    herald_state,
-    matched_mean,
-    receiver_click_prob,
-    tmsv_marginal,
-)
 from qillum import mc
+from qillum.channel import TargetChannel, apply_channel, background_state
+from qillum.matching import MatchSpec, matched_mean
 from qillum.mc import (
     LikelihoodTables,
     SignalKind,
@@ -30,6 +18,8 @@ from qillum.mc import (
     run_trajectory,
     trial_stream,
 )
+from qillum.povm import ClickMultiplex, click_distribution, click_probability
+from qillum.states import SignedThermalMixture, herald_state, tmsv_marginal
 from scalar_reference import ShotContext, posterior, run_shot, sample_clicks
 
 
@@ -159,13 +149,13 @@ class TestSampleClicks:
 
 
 class TestLikelihoodTables:
-    def test_tables_match_receiver_click_probs(self):
+    def test_tables_match_click_probabilities(self):
         config = base_config(herald_detectors=2)
         tables = build_tables(config)
         channel = TargetChannel(config.reflectivity, config.background_mean)
         receiver = ClickMultiplex(config.receiver_detectors, config.receiver_efficiency)
         for k_s in range(config.receiver_detectors + 1):
-            expected = receiver_click_prob(receiver, k_s, background_state(channel))
+            expected = click_probability(receiver, k_s, background_state(channel))
             assert abs(tables.l0[k_s] - expected) < 1e-12
         for k in range(config.herald_detectors + 1):
             conditioned = herald_state(
@@ -173,7 +163,7 @@ class TestLikelihoodTables:
             ).state
             h1 = apply_channel(channel, conditioned)
             for k_s in range(config.receiver_detectors + 1):
-                expected = receiver_click_prob(receiver, k_s, h1)
+                expected = click_probability(receiver, k_s, h1)
                 assert abs(tables.l1[k, k_s] - expected) < 1e-12
 
     def test_fairness_contract_uses_heralded_zero_click_state(self):
@@ -182,7 +172,7 @@ class TestLikelihoodTables:
         tables = build_tables(config)
         channel = TargetChannel(config.reflectivity, config.background_mean)
         receiver = ClickMultiplex(1, config.receiver_efficiency)
-        unconditioned = receiver_click_prob(
+        unconditioned = click_probability(
             receiver, 1, apply_channel(channel, tmsv_marginal(config.nbar))
         )
         assert tables.l1[0, 1] != pytest.approx(unconditioned, abs=1e-6)

@@ -7,22 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qillum import (
-    ClickMultiplex,
+from qillum import oracle, verify
+from qillum.channel import TargetChannel, apply_channel
+from qillum.errors import NumericalInstabilityError, TruncationError
+from qillum.povm import ClickMultiplex, click_probability, normal_ordered_moment, povm_fock_diagonal
+from qillum.states import (
     DisplacedThermal,
     SignedThermalMixture,
-    TargetChannel,
-    apply_channel,
-    click_probability,
     herald_state,
-    normal_ordered_moment,
     photon_number_distribution,
-    receiver_click_prob,
     wigner_slice,
 )
-from qillum import oracle, verify
-from qillum.errors import NumericalInstabilityError, TruncationError
-from qillum.povm import povm_fock_diagonal
 from qillum.verify import run_verification
 
 import kernel_reference
@@ -570,7 +565,7 @@ class TestEndToEnd:
                     for n_s in (1, 2):
                         receiver = ClickMultiplex(n_s, 0.9)
                         for k_s in range(n_s + 1):
-                            closed = receiver_click_prob(receiver, k_s, closed_state)
+                            closed = click_probability(receiver, k_s, closed_state)
                             brute = oracle.oracle_click_prob(n_s, k_s, 0.9, brute_out)
                             assert abs(closed - brute) < 1e-8
 
@@ -605,7 +600,7 @@ class TestEndToEnd:
         "displaced thermal moments": ("normal_ordered_moment", None),
         "end-to-end receiver clicks": ("click_distribution", 0),
         "wigner slices": ("wigner_slice", 0),
-        "background receiver clicks": ("receiver_click_prob", None),
+        "background receiver clicks": ("click_probability", None),
     }
 
     def perturb_one_case(self, monkeypatch, family, delta):

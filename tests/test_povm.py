@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qillum import (
+from qillum.channel import TargetChannel, apply_channel
+from qillum.errors import NumericalInstabilityError, UnsupportedStateError
+from qillum.povm import (
     ClickMultiplex,
-    DisplacedThermal,
-    SignedThermalMixture,
-    TargetChannel,
-    apply_channel,
+    _thermal_outcome_values,
     click_distribution,
     click_probability,
-    herald_state,
     normal_ordered_moment,
     povm_fock_diagonal,
-    tmsv_marginal,
 )
-from qillum.errors import NumericalInstabilityError, UnsupportedStateError
-from qillum.povm import _thermal_outcome_values
+from qillum.states import DisplacedThermal, SignedThermalMixture, herald_state, tmsv_marginal
 
 from fraction_reference import poisson_limit_reference, thermal_outcome_value
 from kernel_reference import povm_fock_diagonal as povm_fock_diagonal_reference

@@ -8,30 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qillum import (
-    ClickMultiplex,
-    DisplacedThermal,
-    SignedThermalMixture,
-    TargetChannel,
-    apply_channel,
-    click_distribution,
-    click_probability,
-    fano_factor,
-    herald_state,
-    mean_photon,
-    normal_ordered_moment,
-    photon_number_distribution,
-    receiver_click_prob,
-    tmsv_marginal,
-    wigner_slice,
-)
+from qillum.channel import TargetChannel, apply_channel
 from qillum.errors import DegenerateHeraldingError, NumericalInstabilityError, UnsupportedStateError
+from qillum.povm import ClickMultiplex, click_distribution, click_probability, normal_ordered_moment
 from qillum.states import (
     PHYSICALITY_CHECK_LEVELS,
+    DisplacedThermal,
+    SignedThermalMixture,
     _mixture_distribution,
     checked_mixtures,
+    fano_factor,
+    herald_state,
     herald_states,
+    mean_photon,
+    photon_number_distribution,
     second_moment,
+    tmsv_marginal,
+    wigner_slice,
 )
 
 from fraction_reference import mixture_distribution, poisson_limit_reference
@@ -55,7 +48,6 @@ STATE_FUNCTIONS = {
     "click_distribution": lambda state: click_distribution(ClickMultiplex(2, 0.9), state),
     "poisson_limit_reference": lambda state: poisson_limit_reference(1, 0.9, state),
     "apply_channel": lambda state: apply_channel(TargetChannel(0.1, 1.0), state),
-    "receiver_click_prob": lambda state: receiver_click_prob(ClickMultiplex(1, 0.9), 1, state),
 }
 
 
