@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedStateError
 from .povm import ClickMultiplex, click_probability
 from .states import DisplacedThermal, SignedThermalMixture, check_mean, checked_mixtures
 
@@ -45,7 +44,7 @@ def apply_channel(channel: TargetChannel, signal) -> SignedThermalMixture | Disp
     if isinstance(signal, DisplacedThermal):
         kappa, nb = channel.reflectivity, channel.background_mean
         return DisplacedThermal(kappa * signal.coherent_mean, kappa * signal.thermal_mean + nb)
-    raise UnsupportedStateError(f"channel undefined for {type(signal).__name__}")
+    raise TypeError(f"channel undefined for {type(signal).__name__}")
 
 
 def channel_images(pairs) -> list[SignedThermalMixture]:

@@ -6,7 +6,7 @@ inputs once, in ``COMMANDS``: flag, config key, JSON type and default.  A value
 comes from its flag, else the ``--config`` JSON document, else its default.
 Unknown keys and wrong JSON types are rejected, and physical ranges are
 enforced by the library's own rules before any output file is opened: each
-value as it is read, and values that are checked together (a match spec, a
+value as it is read, and values that are checked together (a matched mean, a
 herald state, a trajectory config) at the top of their command.
 ``--threads`` exists only on ``trajectories``, whose seed is the config key
 ``seed`` alone.
@@ -30,7 +30,7 @@ import numpy as np
 from . import mc, verify
 from .channel import TargetChannel, apply_channel, background_state, channel_images
 from .errors import QillumError, TruncationError
-from .matching import MatchSpec, coherent_click_prob, matched_mean, thermal_click_prob
+from .matching import coherent_click_prob, matched_mean, thermal_click_prob
 from .povm import ClickMultiplex, click_probability
 from .states import (DisplacedThermal, check_efficiency, check_mean, check_outcome, herald_state,
                      herald_states, mean_photon, tmsv_marginal, wigner_slice)
@@ -226,7 +226,7 @@ MEAN = _physical(partial(check_mean, what="mean photon number"))
 EFFICIENCY = _physical(check_efficiency)
 REFLECTIVITY = _physical(lambda kappa: TargetChannel(kappa, 0.0))
 BACKGROUND = _physical(partial(check_mean, what="background mean"))
-EAVESDROPPER = _physical(lambda eta_e: MatchSpec(0.0, eta_e))
+EAVESDROPPER = _physical(lambda eta_e: matched_mean(0.0, eta_e))
 
 
 class Param(NamedTuple):
@@ -298,8 +298,7 @@ def cmd_click_prob(v) -> int:
 def cmd_match(v) -> int:
     """Click-probability matching table over a coherent-mean grid."""
     with _blame(v.named["nbar_alpha_grid"], v.named["eta_e"]):
-        specs = [MatchSpec(nbar_alpha, v.eta_e) for nbar_alpha in v.nbar_alpha_grid]
-    matched = [matched_mean(spec) for spec in specs]
+        matched = [matched_mean(nbar_alpha, v.eta_e) for nbar_alpha in v.nbar_alpha_grid]
     coherent = [coherent_click_prob(nbar_alpha, v.eta_e) for nbar_alpha in v.nbar_alpha_grid]
     thermal = [thermal_click_prob(nbar, v.eta_e) for nbar in matched]
     header = ["nbar_alpha", "matched_nbar", "coherent_click", "matched_thermal_click", "residual"]
@@ -325,7 +324,7 @@ def cmd_trajectories(v) -> int:
         with _blame(f"{v.named['signals']}[{index}]"):
             kind, nbar = sig["kind"], v.nbar
             if kind == "quantum_heralded_matched":
-                kind, nbar = "quantum_heralded", matched_mean(MatchSpec(v.nbar, v.eta_e))
+                kind, nbar = "quantum_heralded", matched_mean(v.nbar, v.eta_e)
             configs[sig["label"]] = mc.TrajectoryConfig(
                 nbar=nbar, herald_efficiency=v.eta, herald_detectors=sig["detectors"],
                 receiver_efficiency=v.eta_s, receiver_detectors=v.receiver_detectors,

@@ -13,9 +13,5 @@ class DegenerateHeraldingError(QillumError):
     """Heralding normalization vanished (e.g. zero-efficiency idler with k >= 1 clicks)."""
 
 
-class UnsupportedStateError(QillumError):
-    """The requested operation is not defined for this state model."""
-
-
 class TruncationError(QillumError):
     """A truncated Fock vector lost more trace than the comparison tolerates."""

@@ -22,7 +22,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, UnsupportedStateError
+from .errors import NumericalInstabilityError
 from .states import (DisplacedThermal, SignedThermalMixture, check_count, check_efficiency,
                      check_outcome, check_real, clamp_probability)
 
@@ -62,7 +62,7 @@ def normal_ordered_moment(state, s: float) -> float:
     if isinstance(state, DisplacedThermal):
         denom = 1.0 + s * state.thermal_mean
         return math.exp(-s * state.coherent_mean / denom) / denom
-    raise UnsupportedStateError(f"no moment rule for {type(state).__name__}")
+    raise TypeError(f"no moment rule for {type(state).__name__}")
 
 
 def _thermal_outcome_values(mean: float, detector_count: int, clicks: int,
@@ -99,7 +99,7 @@ def click_probability(multiplex: ClickMultiplex, clicks: int, state) -> float:
             (-1) ** (clicks - l) * math.comb(clicks, l)
             * normal_ordered_moment(state, eta * (n - l) / n) for l in range(clicks + 1))
     else:
-        raise UnsupportedStateError(f"no click rule for {type(state).__name__}")
+        raise TypeError(f"no click rule for {type(state).__name__}")
     return clamp_probability(raw)
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateHeraldingError, NumericalInstabilityError, UnsupportedStateError
+from .errors import DegenerateHeraldingError, NumericalInstabilityError
 
 # Physicality of a signed mixture is spot-checked on this many Fock levels;
 # beyond it thermal tails decay monotonically and need no check.
@@ -320,7 +320,7 @@ def mean_photon(state) -> float:
         return math.fsum(w * m for w, m in zip(state.weights, state.means))
     if isinstance(state, DisplacedThermal):
         return state.coherent_mean + state.thermal_mean
-    raise UnsupportedStateError(f"mean_photon undefined for {type(state).__name__}")
+    raise TypeError(f"mean_photon undefined for {type(state).__name__}")
 
 
 def second_moment(state) -> float:
@@ -332,7 +332,7 @@ def second_moment(state) -> float:
             mu, m = state.coherent_mean, state.thermal_mean
             value = mu * (1.0 + 2.0 * m) + m * (1.0 + m) + (mu + m) ** 2
         else:
-            raise UnsupportedStateError(f"second_moment undefined for {type(state).__name__}")
+            raise TypeError(f"second_moment undefined for {type(state).__name__}")
     except (OverflowError, ValueError):  # ValueError: fsum met inf - inf
         value = math.inf
     if not math.isfinite(value):
@@ -385,12 +385,12 @@ def photon_number_distribution(state, n_max: int) -> np.ndarray:
     """
     check_count(n_max, "n_max")
     if isinstance(state, DisplacedThermal):
-        raise UnsupportedStateError(
+        raise TypeError(
             "displaced thermal photon distributions are computed by "
             "oracle.displaced_thermal_diag"
         )
     if not isinstance(state, SignedThermalMixture):
-        raise UnsupportedStateError(f"no distribution for {type(state).__name__}")
+        raise TypeError(f"no distribution for {type(state).__name__}")
     return _mixture_distribution(state.weights, state.means, n_max).astype(float)
 
 
@@ -402,7 +402,7 @@ def wigner_slice(state, q_grid) -> np.ndarray:
     2-D integral of each component equals its weight.
     """
     if not isinstance(state, SignedThermalMixture):
-        raise UnsupportedStateError("wigner_slice is defined for signed thermal mixtures")
+        raise TypeError("wigner_slice is defined for signed thermal mixtures")
     q = check_coordinates(q_grid)
     widths = 2.0 * np.array(state.means) + 1.0
     # q^2 overflows to inf at |q| beyond about 1e154, and exp(-inf) is the limit, 0.

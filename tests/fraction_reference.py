@@ -15,7 +15,6 @@ doubles, which a finite multiplex must approach.
 import math
 from fractions import Fraction
 
-from qillum.errors import UnsupportedStateError
 from qillum.states import SignedThermalMixture, check_count, check_efficiency, clamp_probability
 
 
@@ -53,9 +52,7 @@ def poisson_limit_reference(clicks: int, efficiency: float, state) -> float:
     check_count(clicks, "click count")
     check_efficiency(efficiency)
     if not isinstance(state, SignedThermalMixture):
-        raise UnsupportedStateError(
-            "poisson_limit_reference supports thermal mixtures only"
-        )
+        raise TypeError("poisson_limit_reference supports thermal mixtures only")
     total = math.fsum(
         w * (efficiency * m) ** clicks / (1.0 + efficiency * m) ** (clicks + 1)
         for w, m in zip(state.weights, state.means)

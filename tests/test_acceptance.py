@@ -7,11 +7,10 @@ contract makes it bit-identical to a one-thread build.  Each ensemble is its
 mean posterior curve, and a crossing shot is ``first_crossing(curve, thr)``,
 as the CLI sidecar reports it.  The module took 48-51 s on a 2-core Xeon VM.
 
-Criterion 4 needs the default 12000 trials.  Its q2_present@0.9 reference
-(18092) sits 2.8% above the exact infinite-trial crossing (17590), so little of
-the 5% band is left for Monte-Carlo noise: at 3000 trials the mean curve
-crosses at 17045, outside the band.  QILLUM_ACCEPTANCE_TRIALS=3000 is a smoke
-run for the other criteria only.
+Criterion 4 needs all 12000 trials.  Its q2_present@0.9 reference (18092)
+sits 2.8% above the exact infinite-trial crossing (17590), so little of the 5%
+band is left for Monte-Carlo noise: at 3000 trials the mean curve crosses at
+17045, outside the band.
 
 Where a criterion cannot be pinned to a published constant, it is checked
 against an independent exact reference instead:
@@ -38,7 +37,7 @@ import pytest
 from scipy.optimize import brentq
 
 from qillum.channel import TargetChannel, apply_channel
-from qillum.matching import MatchSpec, coherent_click_prob, matched_mean, thermal_click_prob
+from qillum.matching import coherent_click_prob, matched_mean, thermal_click_prob
 from qillum.mc import (
     _LOG_RATIO_CLIP,
     SignalKind,
@@ -64,7 +63,7 @@ from qillum.verify import run_verification
 from fraction_reference import poisson_limit_reference
 
 SEED = 7
-TRIALS = int(os.environ.get("QILLUM_ACCEPTANCE_TRIALS", "12000"))
+TRIALS = 12000
 SHOTS = 30_000
 
 # Reference shots at which the ensemble-mean posterior first reaches a
@@ -111,7 +110,7 @@ def ensembles():
         "coherent_present": (SignalKind.COHERENT, 1, True),
         # the heralded probe brightened to the coherent probe's single-click rate
         "matched_q1_present": (SignalKind.QUANTUM_HERALDED, 1, True,
-                               matched_mean(MatchSpec(1.0, 0.9))),
+                               matched_mean(1.0, 0.9)),
         "q1_absent": (SignalKind.QUANTUM_HERALDED, 1, False),
         "q2_absent": (SignalKind.QUANTUM_HERALDED, 2, False),
         "q4_absent": (SignalKind.QUANTUM_HERALDED, 4, False),
@@ -197,11 +196,11 @@ def test_criterion_2_unit_efficiency_mean_boost():
 
 def test_criterion_3_matching_value():
     """Matched mean at (1, 0.9) is 1.62 +/- 0.005; identity residual < 1e-12."""
-    value = matched_mean(MatchSpec(1.0, 0.9))
+    value = matched_mean(1.0, 0.9)
     residual = 0.0
     for nbar_alpha in np.linspace(0.0, 5.0, 26):
         for eta_e in (0.3, 0.9, 1.0):
-            m = matched_mean(MatchSpec(float(nbar_alpha), eta_e))
+            m = matched_mean(float(nbar_alpha), eta_e)
             residual = max(
                 residual,
                 abs(thermal_click_prob(m, eta_e) - coherent_click_prob(float(nbar_alpha), eta_e)),

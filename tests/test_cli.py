@@ -14,7 +14,7 @@ import pytest
 import qillum
 from qillum import mc, verify
 from qillum.cli import _build_parser, check_thresholds, main
-from qillum.matching import MatchSpec, matched_mean
+from qillum.matching import matched_mean
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -201,7 +201,7 @@ class TestTrajectories:
         assert meta["stream_derivation"] == mc.STREAM_DERIVATION
         assert "mean_curve_crossings" in meta["signals"]["quantum_n1"]
         assert meta["signals"]["quantum_n1"]["probe_nbar"] == 1.0
-        assert meta["signals"]["matched_n1"]["probe_nbar"] == matched_mean(MatchSpec(1.0, 0.8))
+        assert meta["signals"]["matched_n1"]["probe_nbar"] == matched_mean(1.0, 0.8)
 
     def test_reproducible_output(self, tmp_path):
         config = self.make_config(tmp_path)
@@ -256,7 +256,7 @@ class TestTrajectories:
         for signal, config in zip(signals, captured):
             if signal["kind"] == "quantum_heralded_matched":
                 assert config.signal_kind is mc.SignalKind.QUANTUM_HERALDED
-                assert config.nbar == matched_mean(MatchSpec(1.0, 0.9))
+                assert config.nbar == matched_mean(1.0, 0.9)
             else:
                 assert config.signal_kind.value == signal["kind"]
                 assert config.nbar == 1.0

@@ -10,7 +10,7 @@ import pytest
 from qillum import cli, oracle
 from qillum.channel import TargetChannel
 from qillum.errors import NumericalInstabilityError, TruncationError
-from qillum.matching import MatchSpec
+from qillum.matching import matched_mean
 from qillum.mc import TrajectoryConfig, average_trajectories
 from qillum.povm import ClickMultiplex, click_probability, normal_ordered_moment, povm_fock_diagonal
 from qillum.states import (DisplacedThermal, SignedThermalMixture, clamp_probability, fano_factor,
@@ -104,8 +104,8 @@ GUARDS = {
         lambda tmp_path: SignedThermalMixture((1.0,), (0.0, 1.0)),
         ValueError, "1 weights but 2 means",
     ),
-    "match_spec_blind_eavesdropper": (
-        lambda tmp_path: MatchSpec(1.0, 0.0),
+    "matched_mean_blind_eavesdropper": (
+        lambda tmp_path: matched_mean(1.0, 0.0),
         ValueError, "eavesdropper efficiency must lie in (0, 1], got 0.0",
     ),
     # non-integer counts once constructed, then failed with a bare TypeError
@@ -265,8 +265,8 @@ GUARDS = {
         lambda tmp_path: normal_ordered_moment(THERMAL, True),
         ValueError, "moment parameter must be a real number, got True",
     ),
-    "match_spec_numpy_bool_eavesdropper_efficiency": (
-        lambda tmp_path: MatchSpec(1.0, np.True_),
+    "matched_mean_numpy_bool_eavesdropper_efficiency": (
+        lambda tmp_path: matched_mean(1.0, np.True_),
         ValueError, "eavesdropper efficiency must be a real number, got np.True_",
     ),
     "mixture_bool_weight": (

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qillum import mc
 from qillum.channel import TargetChannel, apply_channel, background_state
-from qillum.matching import MatchSpec, matched_mean
+from qillum.matching import matched_mean
 from qillum.mc import (
     LikelihoodTables,
     SignalKind,
@@ -549,7 +549,7 @@ class TestSharedDraws:
         probes=st.lists(
             st.tuples(
                 st.just(SignalKind.QUANTUM_HERALDED),
-                st.sampled_from([1.0, matched_mean(MatchSpec(1.0, 0.9))]),
+                st.sampled_from([1.0, matched_mean(1.0, 0.9)]),
                 st.integers(min_value=1, max_value=4),
             ),
             min_size=1,

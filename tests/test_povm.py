@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qillum.channel import TargetChannel, apply_channel
-from qillum.errors import NumericalInstabilityError, UnsupportedStateError
+from qillum.errors import NumericalInstabilityError
 from qillum.povm import (
     ClickMultiplex,
     _thermal_outcome_values,
@@ -226,7 +226,7 @@ class TestPoissonLimit:
         assert got == pytest.approx(0.25, abs=1e-15)
 
     def test_unsupported_state(self):
-        with pytest.raises(UnsupportedStateError):
+        with pytest.raises(TypeError):
             poisson_limit_reference(0, 0.9, DisplacedThermal(1.0, 0.0))
 
     @pytest.mark.parametrize("nbar", [0.5, 1.0, 5.0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qillum.channel import TargetChannel, apply_channel
-from qillum.errors import DegenerateHeraldingError, NumericalInstabilityError, UnsupportedStateError
+from qillum.errors import DegenerateHeraldingError, NumericalInstabilityError
 from qillum.povm import ClickMultiplex, click_distribution, click_probability, normal_ordered_moment
 from qillum.states import (
     PHYSICALITY_CHECK_LEVELS,
@@ -115,7 +115,7 @@ class TestHeraldState:
         # a heralded result is (state, herald_probability); only its state is a state
         heralded = herald_state(1.0, 0.9, 2, 1)
         STATE_FUNCTIONS[name](heralded.state)
-        with pytest.raises(UnsupportedStateError):
+        with pytest.raises(TypeError):
             STATE_FUNCTIONS[name](heralded)
 
     def test_trace_one(self):
@@ -238,7 +238,7 @@ class TestPhotonNumberDistribution:
         assert math.fsum(p.tolist()) <= 1 + 1e-12
 
     def test_displaced_unsupported(self):
-        with pytest.raises(UnsupportedStateError):
+        with pytest.raises(TypeError):
             photon_number_distribution(DisplacedThermal(1.0, 0.5), 10)
 
     @pytest.mark.parametrize(

@@ -5,8 +5,9 @@ module, so a renamed or deleted function stops the traced run.  Its
 ``oracle.coeff_miss_ratio`` counts calls to ``povm_fock_diagonal`` made
 through ``qillum.oracle`` per ``oracle_click_prob`` call, so the verify sweep
 must reach both there.  Its ``mc`` counts read the config that
-``run_trajectory`` takes first, and its self-test wants ``mc.first_crossing``
-called on a ``trajectories`` run.
+``run_trajectory`` takes first, of either signal kind, its ``verify.cases``
+reads the checks of the report ``run_verification`` returns, and its
+self-test wants ``mc.first_crossing`` called on a ``trajectories`` run.
 """
 
 import importlib
@@ -52,19 +53,26 @@ def test_verify_reaches_the_coefficient_spans_through_oracle():
 
 
 def test_trajectory_counts_read_the_config_run_trajectory_takes_first():
-    config = mc.TrajectoryConfig(
-        nbar=1.0, herald_efficiency=0.9, herald_detectors=2, receiver_efficiency=0.9,
-        receiver_detectors=3, reflectivity=0.1, background_mean=3.0, shots=40, trials=1,
-        seed=5, signal_kind="quantum_heralded", target_present=True,
-    )
+    # Tracer.install() is not called: it patches module namespaces with no undo.
     assert next(iter(inspect.signature(mc.run_trajectory).parameters)) == "config"
-    curve = mc.run_trajectory(config, 0)
-    for args, kwargs in (((config, 0), {}), ((), {"config": config, "trial_index": 0})):
-        counter = tracer.Tracer()
-        counter._count_trajectory(args, kwargs, curve)
-        assert counter.counts["mc.shot_updates"] == 40
-        assert counter.counts["mc.uniform_draws"] == 80
-        assert counter.counts["mc.bytes_computed"] == 40 * tracer._bytes_per_shot(True, True, 4)
+    for kind, draws in (("quantum_heralded", 2), ("coherent", 1)):
+        config = mc.TrajectoryConfig(
+            nbar=1.0, herald_efficiency=0.9, herald_detectors=2, receiver_efficiency=0.9,
+            receiver_detectors=3, reflectivity=0.1, background_mean=3.0, shots=40, trials=1,
+            seed=5, signal_kind=kind, target_present=True,
+        )
+        curve = mc.run_trajectory(config, 0)
+        for args, kwargs in (((config, 0), {}), ((), {"config": config, "trial_index": 0})):
+            counter = tracer.Tracer()
+            counter._count_trajectory(args, kwargs, curve)
+            assert counter.counts["mc.shot_updates"] == 40
+            assert counter.counts["mc.uniform_draws"] == 40 * draws
+            assert counter.counts["mc.bytes_computed"] == 40 * tracer._bytes_per_shot(
+                draws == 2, True, 4)
+    # and its verify count reads the report's checks
+    counter = tracer.Tracer()
+    counter._count_cases((), {}, verify.run_verification(quick=True))
+    assert counter.counts["verify.cases"] > 0
 
 
 def test_trajectories_calls_first_crossing_through_mc(tmp_path, monkeypatch):
