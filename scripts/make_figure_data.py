@@ -3,10 +3,11 @@
 
 Thin wrapper over the CLI so each dataset's exact invocation is on record.
 Every command runs in this one process, so ``qillum`` must be importable
-(``PYTHONPATH=src``).  On one thread of a 2-core Xeon VM the two trajectory
-configs take about 10 s (4 ensembles) and 9 s (5 ensembles), 6.4 s and 5.2 s
-with --threads 2; pass --skip-trajectories to produce only the closed-form
-datasets, about 0.6 s.
+(``PYTHONPATH=src``).  In one measured run on a 2-core Xeon VM the two
+trajectory configs took 8.7 s (4 ensembles) and 7.2 s (5 ensembles) on one
+thread, 6.3 s and 4.9 s with --threads 2; pass --skip-trajectories to produce
+only the closed-form datasets, about 0.65 s for the whole process (0.47 s of
+it the seven commands).
 """
 
 import argparse

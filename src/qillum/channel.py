@@ -12,9 +12,13 @@ coherent and thermal parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .povm import ClickMultiplex, click_probability
-from .states import DisplacedThermal, SignedThermalMixture, check_mean, checked_mixtures
+from .states import (_ARRAY_ROWS, DisplacedThermal, SignedThermalMixture, _checked_table, _floats,
+                     check_mean, checked_mixtures)
 
 
 @dataclass(frozen=True)
@@ -41,18 +45,64 @@ def apply_channel(channel: TargetChannel, signal) -> SignedThermalMixture | Disp
     """Return state for a present target: reflected signal plus background."""
     if isinstance(signal, SignedThermalMixture):
         return channel_images([(channel, signal)])[0]
-    if isinstance(signal, DisplacedThermal):
-        kappa, nb = channel.reflectivity, channel.background_mean
-        return DisplacedThermal(kappa * signal.coherent_mean, kappa * signal.thermal_mean + nb)
-    raise TypeError(f"channel undefined for {type(signal).__name__}")
+    if not isinstance(signal, DisplacedThermal):
+        raise TypeError(f"channel undefined for {type(signal).__name__}")
+    if not isinstance(channel, TargetChannel):
+        raise _not_a_channel(channel)
+    kappa, nb = channel.reflectivity, channel.background_mean
+    return DisplacedThermal(kappa * signal.coherent_mean, kappa * signal.thermal_mean + nb)
+
+
+def _not_a_channel(channel) -> TypeError:
+    return TypeError(f"channel must be a TargetChannel, got {type(channel).__name__}")
 
 
 def channel_images(pairs) -> list[SignedThermalMixture]:
-    """``apply_channel`` on each ``(channel, signed mixture)`` pair, the images checked together."""
-    return checked_mixtures(
-        (mixture.weights,
-         tuple(channel.reflectivity * m + channel.background_mean for m in mixture.means))
-        for channel, mixture in pairs)
+    """``apply_channel`` on each ``(channel, signed mixture)`` pair, the images checked together.
+
+    A pair that is not a ``TargetChannel`` and a ``SignedThermalMixture``
+    raises after the images before it are checked.
+    """
+    images, error = [], None
+    try:
+        for channel, mixture in pairs:
+            if not isinstance(mixture, SignedThermalMixture):
+                raise TypeError(f"channel undefined for {type(mixture).__name__}")
+            if not isinstance(channel, TargetChannel):
+                raise _not_a_channel(channel)
+            images.append((channel, mixture))
+    except Exception as exc:
+        error = exc
+    checked = _checked_images(images) if len(images) >= _ARRAY_ROWS else []
+
+    def rest():
+        for channel, mixture in images[len(checked):]:
+            kappa, nb = channel.reflectivity, channel.background_mean
+            yield mixture.weights, tuple(kappa * m + nb for m in mixture.means)
+        if error is not None:
+            raise error
+
+    return checked + checked_mixtures(rest())
+
+
+def _checked_images(images) -> list[SignedThermalMixture]:
+    """The checked images of a column of ``(channel, mixture)`` pairs, else [].
+
+    A column of floats whose mixtures have one component count maps its
+    stacked means ``M`` as ``kappa * M + n_B`` at once, with a reflectivity
+    and background per row.
+    """
+    kappas = [channel.reflectivity for channel, _ in images]
+    backgrounds = [channel.background_mean for channel, _ in images]
+    weights = [mixture.weights for _, mixture in images]
+    means = [mixture.means for _, mixture in images]
+    if (len(set(map(len, means))) > 1 or not _floats(kappas + backgrounds)
+            or not _floats(chain.from_iterable(weights + means))):
+        return []
+    with np.errstate(over="ignore"):  # as Python's float arithmetic overflows to inf
+        table = np.array(kappas)[:, None] * np.array(means) + np.array(backgrounds)[:, None]
+    image_means = list(map(tuple, table.tolist()))
+    return _checked_table(weights, image_means, np.array(weights), table)
 
 
 def receiver_click_prob(receiver: ClickMultiplex, clicks: int, hyp_state) -> float:

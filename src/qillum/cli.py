@@ -31,7 +31,7 @@ from . import mc, verify
 from .channel import TargetChannel, apply_channel, background_state, channel_images
 from .errors import QillumError, TruncationError
 from .matching import coherent_click_prob, matched_mean, thermal_click_prob
-from .povm import ClickMultiplex, click_probability
+from .povm import ClickMultiplex, click_probabilities, click_probability
 from .states import (DisplacedThermal, check_efficiency, check_mean, check_outcome, herald_state,
                      herald_states, mean_photon, tmsv_marginal, wigner_slice)
 
@@ -290,7 +290,7 @@ def cmd_click_prob(v) -> int:
         else:
             heralded = herald_states(v.nbar_grid, v.eta, sig["detectors"], sig["clicks"])
             images = channel_images((channel, h.state) for h in heralded)
-        columns.append([click_probability(receiver, 1, image) for image in images])
+        columns.append(click_probabilities(receiver, 1, images))
     _write_csv(v.out, header, columns)
     return 0
 

@@ -65,56 +65,85 @@ def normal_ordered_moment(state, s: float) -> float:
     raise TypeError(f"no moment rule for {type(state).__name__}")
 
 
-def _thermal_outcome_values(mean: float, detector_count: int, clicks: int,
-                            efficiency: float) -> list[float]:
-    """Exact Pr_{N,k} of a single thermal state at k = 0 .. clicks, via integer arithmetic.
+def _thermal_outcome_values(means, detector_count: int, clicks: int,
+                            efficiency_ratio: tuple[int, int], first: int = 0) -> list[list[float]]:
+    """Exact Pr_{N,k} of a thermal state of each mean of ``means`` at k = first .. clicks.
 
     The value can sit far below the resolution of the sum's O(1) terms (N = 1e4,
     k = 4 leaves 1e-16), so it is exact on the rounded inputs: with m = a/A,
-    eta = b/B and D_l = N A B + a b (N - l), the identity above gives
+    eta = b/B (``efficiency_ratio``, from ``eta.as_integer_ratio()``) and
+    D_l = N A B + a b (N - l), the identity above gives
     Pr_{N,k} = N!/(N-k)! (N A B) (a b)^k / prod_{l=0}^{k} D_l, a running
     product with one correctly rounded int/int division per k.
     """
-    a, big_a = float(mean).as_integer_ratio()
-    b, big_b = float(efficiency).as_integer_ratio()
-    nab, ab = detector_count * big_a * big_b, a * b
-    numerator, denominator = nab, nab + ab * detector_count
-    values = [numerator / denominator]
-    for k in range(1, clicks + 1):
-        numerator *= (detector_count - k + 1) * ab
-        denominator *= nab + ab * (detector_count - k)
-        values.append(numerator / denominator)
-    return values
+    b, big_b = efficiency_ratio
+    rows = []
+    for mean in means:
+        a, big_a = float(mean).as_integer_ratio()
+        nab, ab = detector_count * big_a * big_b, a * b
+        numerator, denominator = nab, nab + ab * detector_count
+        values = [numerator / denominator] if first == 0 else []
+        for k in range(1, clicks + 1):
+            numerator *= (detector_count - k + 1) * ab
+            denominator *= nab + ab * (detector_count - k)
+            if k >= first:
+                values.append(numerator / denominator)
+        rows.append(values)
+    return rows
+
+
+def _displaced_outcome_value(state: DisplacedThermal, detector_count: int, clicks: int,
+                             efficiency: float) -> float:
+    """Pr_{N,k} of a displaced thermal state, the alternating sum in doubles, before clamping."""
+    n = detector_count
+    return math.comb(n, clicks) * math.fsum(
+        (-1) ** (clicks - l) * math.comb(clicks, l)
+        * normal_ordered_moment(state, efficiency * (n - l) / n) for l in range(clicks + 1))
 
 
 def click_probability(multiplex: ClickMultiplex, clicks: int, state) -> float:
     """Probability of exactly ``clicks`` simultaneous clicks on the multiplex."""
+    return click_probabilities(multiplex, clicks, [state])[0]
+
+
+def click_probabilities(multiplex: ClickMultiplex, clicks: int, states) -> list[float]:
+    """``click_probability`` of each of ``states``, the outcome checked once for the column.
+
+    A thermal component's value keeps its exact integer running product; only
+    the efficiency's integer ratio is shared by the column.
+    """
     check_outcome(multiplex.detector_count, clicks)
     n, eta = multiplex.detector_count, multiplex.efficiency
-    if isinstance(state, SignedThermalMixture):
-        raw = math.fsum(w * _thermal_outcome_values(m, n, clicks, eta)[clicks]
-                        for w, m in zip(state.weights, state.means))
-    elif isinstance(state, DisplacedThermal):
-        raw = math.comb(n, clicks) * math.fsum(
-            (-1) ** (clicks - l) * math.comb(clicks, l)
-            * normal_ordered_moment(state, eta * (n - l) / n) for l in range(clicks + 1))
-    else:
-        raise TypeError(f"no click rule for {type(state).__name__}")
-    return clamp_probability(raw)
+    ratio = float(eta).as_integer_ratio()
+    probabilities = []
+    for state in states:
+        if isinstance(state, SignedThermalMixture):
+            values = _thermal_outcome_values(state.means, n, clicks, ratio, clicks)
+            raw = math.fsum(w * value for w, (value,) in zip(state.weights, values))
+        elif isinstance(state, DisplacedThermal):
+            raw = _displaced_outcome_value(state, n, clicks, eta)
+        else:
+            raise TypeError(f"no click rule for {type(state).__name__}")
+        probabilities.append(clamp_probability(raw))
+    return probabilities
 
 
 def click_distribution(multiplex: ClickMultiplex, state) -> np.ndarray:
     """All N+1 outcome probabilities, each ``click_probability``'s; they must sum to one."""
     n, eta = multiplex.detector_count, multiplex.efficiency
     check_outcome(n, n)
-    if not isinstance(state, SignedThermalMixture):
-        probs = np.array([click_probability(multiplex, k, state) for k in range(n + 1)])
-        scale = 1.0
-    else:  # every outcome of a thermal component from one pass
-        columns = list(zip(*(_thermal_outcome_values(m, n, n, eta) for m in state.means)))
+    if isinstance(state, SignedThermalMixture):  # every outcome of a component from one pass
+        ratio = float(eta).as_integer_ratio()
+        columns = list(zip(*_thermal_outcome_values(state.means, n, n, ratio)))
         probs = np.array([clamp_probability(math.fsum(map(mul, state.weights, column)))
                           for column in columns])
         scale = max(1.0, float(np.sum(np.abs(state.weights))))
+    elif isinstance(state, DisplacedThermal):
+        probs = np.array([clamp_probability(_displaced_outcome_value(state, n, k, eta))
+                          for k in range(n + 1)])
+        scale = 1.0
+    else:
+        raise TypeError(f"no click rule for {type(state).__name__}")
     total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-12 * scale:
         raise NumericalInstabilityError(

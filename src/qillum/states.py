@@ -37,6 +37,10 @@ _PHYSICALITY_TOL_PER_WEIGHT = 1e-15
 # would be 8 MB.
 _CHECK_BLOCK_ROWS = 64
 
+# A column of at least this many rows is computed and checked as arrays; a
+# shorter one row by row, which costs less than the arrays' fixed overhead.
+_ARRAY_ROWS = 16
+
 # Outcome counts are capped at 64 alternating terms.  The cap does not make the
 # double-precision displaced-thermal sums stable: at eta 0.9 a coherent click
 # distribution already loses completeness at 12 or 13 detectors, and at most
@@ -55,7 +59,8 @@ def check_real(value, what: str):
 
 def check_mean(value: float, what: str) -> float:
     """A mean photon number: finite and nonnegative, and not a bool."""
-    check_real(value, what)
+    if type(value) is not float:  # a float is no bool: the common case skips the call
+        check_real(value, what)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{what} must be finite and nonnegative, got {value}")
     return value
@@ -87,6 +92,8 @@ def check_efficiency(eta: float) -> float:
 
 def check_integer(value, what: str) -> None:
     """A count: any value ``operator.index`` accepts, except a bool."""
+    if type(value) is int:  # an int is no bool: the common case skips the rest
+        return
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -195,6 +202,50 @@ def _physicality_tolerance(weights, means) -> float:
     return _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
 
 
+def _checked_table(weights, means, weight_table, mean_table) -> list[SignedThermalMixture]:
+    """``checked_mixtures`` of the rows ``zip(weights, means)``, given also as float arrays.
+
+    ``weight_table`` and ``mean_table`` hold the rows' entries, one row each.
+    The cheap checks of a block run on the arrays, with an ``fsum`` per row
+    for its scale and trace.  A row they flag, or whose ``fsum`` raises, is
+    checked alone by ``_physicality_tolerance`` for its error, after the rows
+    before it are scanned.
+    """
+    mixtures = []
+    for start in range(0, len(weights), _CHECK_BLOCK_ROWS):
+        block = slice(start, start + _CHECK_BLOCK_ROWS)
+        rows = list(zip(weights[block], means[block]))
+        table, mean = weight_table[block], mean_table[block]
+        scales, traces = _fsums(np.abs(table).tolist()), _fsums(table.tolist())
+        count = min(len(scales), len(traces))
+        scale, trace = np.array(scales[:count]), np.array(traces[:count])
+        passed = (np.isfinite(table) & np.isfinite(mean) & (mean >= 0.0)).all(axis=1)[:count]
+        passed &= np.abs(trace - 1.0) <= _TRACE_TOL_FLOOR + _TRACE_TOL_PER_WEIGHT * scale
+        tolerances = (_PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale).tolist()
+        tolerances += [None] * (len(rows) - count)
+        error = None
+        for row in np.flatnonzero(~passed).tolist() + list(range(count, len(rows))):
+            try:
+                tolerances[row] = _physicality_tolerance(*rows[row])
+            except Exception as exc:
+                rows, error = rows[:row], exc
+                break
+        mixtures += _scanned([(w, m, tol) for (w, m), tol in zip(rows, tolerances)])
+        if error is not None:
+            raise error
+    return mixtures
+
+
+def _fsums(rows) -> list[float]:
+    """``math.fsum`` of each row, up to the first whose sum raises."""
+    sums = []
+    try:
+        sums.extend(map(math.fsum, rows))
+    except (ValueError, OverflowError):  # inf - inf, or an intermediate overflow
+        pass
+    return sums
+
+
 def _scanned(block) -> list[SignedThermalMixture]:
     """The mixtures of ``(weights, means, tolerance)`` rows whose p_n all pass the scan.
 
@@ -262,19 +313,48 @@ def herald_state(nbar: float, efficiency: float, detectors: int, clicks: int) ->
 def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list[HeraldedState]:
     """``herald_state`` at each mean of ``nbars``, with the mixtures checked together.
 
-    A failing grid raises the error its first failing mean raises alone.
+    A grid of ``_ARRAY_ROWS`` or more floats, at a float efficiency, is
+    computed as arrays up to its first row that a check could fail; that row
+    and the rest are computed one at a time.  A failing grid raises the error
+    its first failing mean raises alone.
     """
-    probabilities = []
+    nbars, error = _listed(nbars)
+    mixtures, probabilities = [], []
+    if len(nbars) >= _ARRAY_ROWS and _floats([efficiency, *nbars]):
+        *table, probabilities = _herald_table(nbars, efficiency, detectors, clicks)
+        mixtures = _checked_table(*table)
 
-    def rows():
-        for nbar in nbars:
+    def rest():
+        for nbar in nbars[len(mixtures):]:
             weights, means, probability = _herald_row(nbar, efficiency, detectors, clicks)
             probabilities.append(probability)
             yield weights, means
+        if error is not None:
+            raise error
 
-    mixtures = checked_mixtures(rows())
-    return [HeraldedState(mixture, probability)
-            for mixture, probability in zip(mixtures, probabilities)]
+    mixtures += checked_mixtures(rest())
+    return list(map(HeraldedState, mixtures, probabilities))
+
+
+def _listed(items):
+    """The items of ``items`` in a list, up to the first whose taking raises, and its error."""
+    listed = []
+    try:
+        listed.extend(items)
+    except Exception as exc:
+        return listed, exc
+    return listed, None
+
+
+def _floats(values) -> bool:
+    """Whether every value is a float (``np.float64`` is one)."""
+    return set(map(type, values)) <= {float, np.float64}
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """The index of the first true entry of ``mask``, or ``default``."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
 
 
 def _herald_row(nbar: float, efficiency: float, detectors: int, clicks: int):
@@ -297,10 +377,63 @@ def _herald_row(nbar: float, efficiency: float, detectors: int, clicks: int):
         )
 
     weights = [t / denom for t in terms]
-    # Absorb the division-rounding residual into the smallest-magnitude weight,
-    # where one ulp is finest, so the stored trace is exactly one whenever
-    # doubles permit.
-    j = min(range(len(weights)), key=lambda i: abs(weights[i]))
+    _absorb_residual(weights)
+    probability = clamp_probability(math.comb(detectors, clicks) * denom / (1.0 + nbar))
+    return tuple(weights), tuple(means), probability
+
+
+def _herald_table(nbars: list, efficiency: float, detectors: int, clicks: int):
+    """``_herald_row`` of the float means ``nbars``, as arrays with a row per mean.
+
+    It stops before the first row that a check could fail.  Returns the rows'
+    weights and means as tuples and as arrays, and their probabilities.  Each
+    value comes from the row's own IEEE operations in the row's order; the
+    scales s_l, the signed binomials and C(N, k) are the column's.
+    """
+    check_mean(nbars[0], "mean photon number")
+    check_efficiency(efficiency)
+    check_outcome(detectors, clicks)
+    scales = np.array([efficiency * (detectors - l) / detectors for l in range(clicks + 1)])
+    signs = np.array([float(math.comb(clicks, l) * (-1) ** (clicks - l))
+                      for l in range(clicks + 1)])
+    nbar = np.array(nbars)
+    count = _first(~(np.isfinite(nbar) & (nbar >= 0.0)), len(nbars))
+    try:
+        combinations = float(math.comb(detectors, clicks))
+    except OverflowError:  # each row raises it after its own checks
+        combinations, count = 0.0, 0
+    # Python's float arithmetic overflows to inf, and inf / inf is nan, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        boosted = nbar[:count, None] * scales
+        means = (nbar[:count, None] - boosted) / (1.0 + boosted)
+        terms = signs * (1.0 + means)
+        denoms = np.array(_fsums(terms.tolist()))
+        count = _first(np.abs(denoms) < 1e-300, len(denoms))
+        weights = (terms[:count] / denoms[:count, None]).tolist()
+        totals = _fsums(weights)
+        count = len(totals)
+        for row in [row for row, total in enumerate(totals) if total != 1.0]:
+            try:
+                _absorb_residual(weights[row])
+            except (ValueError, OverflowError):
+                count = row
+                break
+        raw = combinations * denoms[:count] / (1.0 + nbar[:count])
+    count = _first(~((raw >= -_EXCURSION_TOL) & (raw <= 1.0 + _EXCURSION_TOL)), count)
+    probabilities = np.where(raw > 0.0, np.minimum(raw, 1.0), 0.0)  # clamp_probability's
+    weights = weights[:count]
+    return (list(map(tuple, weights)), list(map(tuple, means[:count].tolist())),
+            np.array(weights).reshape(count, clicks + 1), means[:count],
+            probabilities[:count].tolist())
+
+
+def _absorb_residual(weights: list) -> None:
+    """Absorb the division-rounding residual into the smallest-magnitude weight, in place.
+
+    One ulp is finest there, so the stored trace is exactly one whenever
+    doubles permit.
+    """
+    j = min(range(len(weights)), key=list(map(abs, weights)).__getitem__)
     for _ in range(4):
         residual = math.fsum(weights) - 1.0
         if residual == 0.0:
@@ -309,9 +442,6 @@ def _herald_row(nbar: float, efficiency: float, detectors: int, clicks: int):
         if adjusted == weights[j]:
             break
         weights[j] = adjusted
-
-    probability = clamp_probability(math.comb(detectors, clicks) * denom / (1.0 + nbar))
-    return tuple(weights), tuple(means), probability
 
 
 def mean_photon(state) -> float:

@@ -34,6 +34,39 @@ class TestTargetChannel:
             assert state.means[0] == nb
 
 
+CHANNELS = st.builds(TargetChannel, st.floats(0.01, 0.99), st.floats(0.0, 20.0))
+
+
+@st.composite
+def signed_mixtures(draw):
+    """A thermal state or a herald of up to four detectors: one to five components."""
+    nbar = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 20.0))
+    detectors = draw(st.integers(0, 4))
+    if detectors == 0 or nbar == 0.0:
+        return tmsv_marginal(nbar)
+    clicks = draw(st.integers(0, detectors))
+    return herald_state(nbar, draw(st.floats(0.5, 1.0)), detectors, clicks).state
+
+
+PAIRS = st.tuples(CHANNELS, signed_mixtures())
+
+
+@st.composite
+def herald_columns(draw):
+    """Pairs of 16 or more heralds of one outcome, as a grid column gives them."""
+    detectors = draw(st.integers(1, 4))
+    clicks, eta = draw(st.integers(0, detectors)), draw(st.floats(0.5, 1.0))
+    nbars = draw(st.lists(st.floats(0.01, 20.0), min_size=16, max_size=40))
+    return [(draw(CHANNELS), herald_state(nbar, eta, detectors, clicks).state) for nbar in nbars]
+
+
+COLUMNS = herald_columns()
+
+
+def hexed(mixture):
+    return [x.hex() for x in (*mixture.weights, *mixture.means)]
+
+
 class TestApplyChannel:
     def test_thermal_affine_map(self):
         out = apply_channel(TargetChannel(0.1, 3.0), tmsv_marginal(1.0))
@@ -67,13 +100,15 @@ class TestApplyChannel:
                 expected = ch.reflectivity * mean_photon(signal) + ch.background_mean
                 assert mean_photon(apply_channel(ch, signal)) == pytest.approx(expected, abs=1e-12)
 
-    def test_images_of_a_list_equal_single_images(self):
-        # mixtures of unequal component counts share one block, padded to the widest
-        channel = TargetChannel(0.1, 10.0)
-        signals = [tmsv_marginal(1.0), herald_state(1.0, 0.9, 4, 4).state,
-                   herald_state(2.0, 0.9, 4, 4).state, tmsv_marginal(3.0)]
-        images = channel_images((channel, s) for s in signals)
-        assert images == [apply_channel(channel, s) for s in signals]
+    @settings(max_examples=30, deadline=None)
+    @given(pairs=st.lists(PAIRS, max_size=8) | st.lists(PAIRS, min_size=16, max_size=40)
+           | COLUMNS)
+    def test_images_of_a_list_equal_single_images(self, pairs):
+        # mixtures of unequal component counts share one block, padded to the
+        # widest; a column of 16 or more pairs of one component count is
+        # mapped as arrays
+        images = channel_images(iter(pairs))
+        assert [hexed(image) for image in images] == [hexed(apply_channel(*pair)) for pair in pairs]
 
     def test_images_through_several_channels_equal_single_images(self):
         signal = herald_state(1.0, 0.9, 3, 3).state

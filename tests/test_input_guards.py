@@ -8,20 +8,21 @@ import numpy as np
 import pytest
 
 from qillum import cli, oracle
-from qillum.channel import TargetChannel
-from qillum.errors import NumericalInstabilityError, TruncationError
+from qillum.channel import TargetChannel, apply_channel, channel_images
+from qillum.errors import DegenerateHeraldingError, NumericalInstabilityError, TruncationError
 from qillum.matching import matched_mean
 from qillum.mc import TrajectoryConfig, average_trajectories
 from qillum.povm import ClickMultiplex, click_probability, normal_ordered_moment, povm_fock_diagonal
-from qillum.states import (DisplacedThermal, SignedThermalMixture, clamp_probability, fano_factor,
-                           herald_state, photon_number_distribution, second_moment,
-                           tmsv_marginal, wigner_slice)
+from qillum.states import (DisplacedThermal, SignedThermalMixture, checked_mixtures,
+                           clamp_probability, fano_factor, herald_state, herald_states,
+                           photon_number_distribution, second_moment, tmsv_marginal, wigner_slice)
 
 from fraction_reference import poisson_limit_reference
 from kernel_reference import oracle_beamsplitter_unitary
 from scalar_reference import posterior
 
 THERMAL = SignedThermalMixture.thermal(1.0)
+CHANNEL = TargetChannel(0.1, 1.0)
 
 
 def _wide_thermal():
@@ -321,7 +322,64 @@ GUARDS = {
         lambda tmp_path: clamp_probability(math.nan),
         NumericalInstabilityError, "probability evaluated to nan",
     ),
+    # a wrong class of state or channel raises TypeError, not AttributeError
+    "channel_images_displaced_signal": (
+        lambda tmp_path: channel_images([(CHANNEL, DisplacedThermal(1.0, 0.0))]),
+        TypeError, "channel undefined for DisplacedThermal",
+    ),
+    "channel_images_str_signal": (
+        lambda tmp_path: channel_images([(CHANNEL, "thermal")]),
+        TypeError, "channel undefined for str",
+    ),
+    "channel_images_none_channel": (
+        lambda tmp_path: channel_images([(None, THERMAL)]),
+        TypeError, "channel must be a TargetChannel, got NoneType",
+    ),
+    "channel_images_none_channel_in_a_column": (
+        lambda tmp_path: channel_images([(CHANNEL, THERMAL)] * 20 + [(None, THERMAL)]),
+        TypeError, "channel must be a TargetChannel, got NoneType",
+    ),
+    "apply_channel_none_channel": (
+        lambda tmp_path: apply_channel(None, THERMAL),
+        TypeError, "channel must be a TargetChannel, got NoneType",
+    ),
+    "apply_channel_none_channel_displaced_signal": (
+        lambda tmp_path: apply_channel(None, DisplacedThermal(1.0, 0.0)),
+        TypeError, "channel must be a TargetChannel, got NoneType",
+    ),
 }
+
+# herald_states and checked_mixtures, one short and one array-length column
+# each: a grid of 16 or more floats is computed as arrays, and np.asarray would
+# take True or '1' as 1.0 without a word
+for _prefix, _grid in (("", []), ("column_", [1.0] * 20)):
+    for _name, _bad, _error, _message in (
+        ("str", "1", TypeError, "must be real number, not str"),
+        ("none", None, TypeError, "must be real number, not NoneType"),
+        ("bool", True, ValueError, "mean photon number must be a real number, got True"),
+        ("numpy_bool", np.True_, ValueError, "mean photon number must be a real number, got np.True_"),
+        ("negative", -1.0, ValueError, "mean photon number must be finite and nonnegative, got -1.0"),
+        ("inf", math.inf, ValueError, "mean photon number must be finite and nonnegative, got inf"),
+        ("negative_zero", -0.0, DegenerateHeraldingError,
+         "herald normalization vanished for nbar=-0.0, eta=0.9, N=2, k=2"),
+        ("subnormal", 1e-320, DegenerateHeraldingError,
+         "herald normalization vanished for nbar=1e-320, eta=0.9, N=2, k=2"),
+    ):
+        GUARDS[f"herald_states_{_prefix}{_name}_mean"] = (
+            lambda tmp_path, grid=_grid + [_bad, 1.0]: herald_states(grid, 0.9, 2, 2),
+            _error, _message,
+        )
+    for _name, _row, _error, _message in (
+        ("str_weight", (("1",), (1.0,)), TypeError, "must be real number, not str"),
+        ("none_weight", ((None,), (1.0,)), TypeError, "must be real number, not NoneType"),
+        ("bool_mean", ((1.0,), (True,)), ValueError, "thermal mean must be a real number, got True"),
+        ("str_mean", ((1.0,), ("1",)), TypeError, "must be real number, not str"),
+        ("none_mean", ((1.0,), (None,)), TypeError, "must be real number, not NoneType"),
+    ):
+        GUARDS[f"checked_mixtures_{_prefix}{_name}"] = (
+            lambda tmp_path, rows=[((1.0,), (1.0,))] * len(_grid) + [_row]: checked_mixtures(rows),
+            _error, _message,
+        )
 
 
 @pytest.mark.parametrize("guard", sorted(GUARDS))
@@ -329,3 +387,17 @@ def test_guard_raises_its_error(guard, tmp_path):
     call, error, message = GUARDS[guard]
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("size", [3, 20])
+def test_herald_states_take_an_array_or_an_iterator(size):
+    grid = np.linspace(0.1, 5.0, size)
+    expected = herald_states(grid.tolist(), 0.9, 2, 2)
+    assert herald_states(grid, 0.9, 2, 2) == expected
+    assert herald_states(iter(grid.tolist()), 0.9, 2, 2) == expected
+
+
+def test_checked_mixtures_take_a_bool_weight():
+    # checked_mixtures stores a bool weight as given; only SignedThermalMixture's
+    # own check rejects one (mixture_bool_weight above)
+    assert checked_mixtures([((True,), (1.0,))])[0].weights == (True,)

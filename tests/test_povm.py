@@ -11,11 +11,13 @@ from qillum.povm import (
     ClickMultiplex,
     _thermal_outcome_values,
     click_distribution,
+    click_probabilities,
     click_probability,
     normal_ordered_moment,
     povm_fock_diagonal,
 )
-from qillum.states import DisplacedThermal, SignedThermalMixture, herald_state, tmsv_marginal
+from qillum.states import (DisplacedThermal, SignedThermalMixture, clamp_probability, herald_state,
+                           tmsv_marginal)
 
 from fraction_reference import poisson_limit_reference, thermal_outcome_value
 from kernel_reference import povm_fock_diagonal as povm_fock_diagonal_reference
@@ -70,6 +72,37 @@ class TestClickProbability:
             click_probability(ClickMultiplex(2, 0.9), 3, SignedThermalMixture.thermal(1.0))
 
 
+class TestClickProbabilities:
+    """A column of states through one evaluator: each value is the state's own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        detectors=st.integers(1, 4),
+        eta=st.floats(0.0, 1.0, exclude_min=True),
+        nbars=st.lists(st.floats(0.01, 20.0), max_size=12),
+    )
+    def test_column_equals_points(self, data, detectors, eta, nbars):
+        multiplex = ClickMultiplex(detectors, eta)
+        clicks = data.draw(st.integers(0, detectors))
+        channel = TargetChannel(0.1, 3.0)
+        states = [apply_channel(channel, herald_state(nbar, 0.9, 2, 1).state) for nbar in nbars]
+        states += [DisplacedThermal(nbar, 3.0) for nbar in nbars]
+        column = click_probabilities(multiplex, clicks, states)
+        thermal = [clamp_probability(math.fsum(
+            w * thermal_outcome_value(m, detectors, clicks, eta)
+            for w, m in zip(state.weights, state.means))) for state in states[:len(nbars)]]
+        displaced = [click_distribution(multiplex, state)[clicks] for state in states[len(nbars):]]
+        assert [p.hex() for p in column] == [float(p).hex() for p in thermal + displaced]
+
+    def test_column_raises_what_its_first_failing_state_raises(self):
+        multiplex = ClickMultiplex(2, 0.9)
+        with pytest.raises(ValueError, match="clicks must lie in"):
+            click_probabilities(multiplex, 3, [])
+        with pytest.raises(TypeError, match="^no click rule for str$"):
+            click_probabilities(multiplex, 1, [SignedThermalMixture.thermal(1.0), "thermal"])
+
+
 class TestThermalOutcomeValue:
     """The integer evaluators must return the Fraction reference's double."""
 
@@ -83,8 +116,11 @@ class TestThermalOutcomeValue:
     )
     def test_equals_fraction_reference(self, data, detectors, mean, eta):
         clicks = data.draw(st.integers(min_value=0, max_value=min(detectors, 64)))
-        got = _thermal_outcome_values(mean, detectors, clicks, eta)[clicks]
+        ratio = eta.as_integer_ratio()
+        got = _thermal_outcome_values([mean], detectors, clicks, ratio)[0][clicks]
         assert got == thermal_outcome_value(mean, detectors, clicks, eta)
+        # the value alone, as a column of click probabilities reads it
+        assert _thermal_outcome_values([mean], detectors, clicks, ratio, clicks) == [[got]]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -95,12 +131,12 @@ class TestThermalOutcomeValue:
     )
     def test_every_outcome_equals_fraction_reference(self, detectors, mean, eta):
         top = min(detectors, 64)
-        got = _thermal_outcome_values(mean, detectors, top, eta)
+        got = _thermal_outcome_values([mean], detectors, top, eta.as_integer_ratio())[0]
         assert got == [thermal_outcome_value(mean, detectors, k, eta) for k in range(top + 1)]
 
     def test_sub_resolution_difference(self):
         # N = 1e4, k = 4: an fsum of the rounded terms returns 0.0 here
-        got = _thermal_outcome_values(1.0, 10_000, 4, 0.9)[4]
+        got = _thermal_outcome_values([1.0], 10_000, 4, (0.9).as_integer_ratio())[0][4]
         assert got == thermal_outcome_value(1.0, 10_000, 4, 0.9)
         assert got > 0.0
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qillum.channel import TargetChannel, apply_channel
+from qillum.channel import TargetChannel, apply_channel, channel_images
 from qillum.errors import DegenerateHeraldingError, NumericalInstabilityError
 from qillum.povm import ClickMultiplex, click_distribution, click_probability, normal_ordered_moment
 from qillum.states import (
@@ -437,6 +437,35 @@ class TestHeraldStates:
             points = [herald_state(nbar, eta, detectors, clicks) for nbar in grid]
             assert [exact(h) for h in column] == [exact(h) for h in points]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        detectors=st.integers(1, 8),
+        eta=st.sampled_from([1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_drawn_grid_equals_points(self, data, detectors, eta):
+        # a grid of 16 or more means is computed as arrays, a shorter one row
+        # by row; either must equal its points hex for hex, and a grid with a
+        # failing point must raise what its first failing point raises alone
+        clicks = data.draw(st.integers(0, detectors))
+        nbars = st.sampled_from([0.0156, 1.0, 5.0]) | st.floats(0.01, 20.0)  # repeats, too
+        grid = data.draw(st.lists(nbars, max_size=8) | st.lists(nbars, min_size=16, max_size=40))
+        if data.draw(st.booleans()):  # nbar 0, which fails every herald with clicks
+            grid.insert(data.draw(st.integers(0, len(grid))), 0.0)
+        points, failure = [], None
+        for nbar in grid:
+            try:
+                points.append(exact(herald_state(nbar, eta, detectors, clicks)))
+            except Exception as exc:
+                failure = exc
+                break
+        if failure is None:
+            assert [exact(h) for h in herald_states(grid, eta, detectors, clicks)] == points
+        else:
+            with pytest.raises(type(failure)) as raised:
+                herald_states(grid, eta, detectors, clicks)
+            assert str(raised.value) == str(failure)
+
     def test_batched_scan_equals_one_row(self, monkeypatch):
         # blocks mix component counts 1 .. 9, padded to the widest row with
         # (weight 0, mean 0) components; a padded row's p_n must equal the row
@@ -488,12 +517,19 @@ class TestHeraldStates:
 
     def test_scan_memory_is_bounded(self):
         # the scan holds one block of running products at a time; a whole
-        # 500-point column at once would take about 10 MB
+        # 500-point column at once would take about 10 MB.  So does the scan
+        # of the column's channel images.
         grid, eta = FIGURE_GRIDS["herald_stats"]
+        channel = TargetChannel(0.1, 10.0)
+        pairs = [(channel, h.state) for h in herald_states(grid, eta, 4, 4)]
+        peaks = []
         tracemalloc.start()
         try:
-            herald_states(grid, eta, 4, 4)
-            _, peak = tracemalloc.get_traced_memory()
+            for column in (lambda: herald_states(grid, eta, 4, 4), lambda: channel_images(pairs)):
+                tracemalloc.reset_peak()
+                start, _ = tracemalloc.get_traced_memory()
+                column()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-        assert peak < 3_000_000
+        assert max(peaks) < 3_000_000
