@@ -102,7 +102,10 @@ def _require(ok: bool, value, what: str):
 
 def _number(value, allowed=lambda x: True, what="a number") -> float:
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return float(_require(numeric and allowed(value), value, what))
+    try:
+        return float(_require(numeric and allowed(value), value, what))
+    except OverflowError:  # an int past the largest double
+        raise ValueError(f"must be {what}, got {value!r}") from None
 
 
 def _integer(value, least=-math.inf, most=math.inf) -> int:

@@ -6,6 +6,11 @@ multiplex-click heralded TMSV signal mode) or a displaced thermal state (a
 coherent signal after mixing with thermal background).  Both are fully
 phase-insensitive for our purposes, so photon-number statistics and the
 rotationally symmetric Wigner function characterize them completely.
+
+Every signed mixture passes one physicality check, ``checked_mixtures``,
+which takes rows of weights and means and scans them in blocks.  A grid
+column of heralds (``herald_states``) is computed row by row into it, with
+the column's constants computed once.
 """
 
 from __future__ import annotations
@@ -37,10 +42,6 @@ _PHYSICALITY_TOL_PER_WEIGHT = 1e-15
 # would be 8 MB.
 _CHECK_BLOCK_ROWS = 64
 
-# A column of at least this many rows is computed and checked as arrays; a
-# shorter one row by row, which costs less than the arrays' fixed overhead.
-_ARRAY_ROWS = 16
-
 # Outcome counts are capped at 64 alternating terms.  The cap does not make the
 # double-precision displaced-thermal sums stable: at eta 0.9 a coherent click
 # distribution already loses completeness at 12 or 13 detectors, and at most
@@ -61,7 +62,11 @@ def check_mean(value: float, what: str) -> float:
     """A mean photon number: finite and nonnegative, and not a bool."""
     if type(value) is not float:  # a float is no bool: the common case skips the call
         check_real(value, what)
-    if not (math.isfinite(value) and value >= 0.0):
+    try:
+        ok = math.isfinite(value) and value >= 0.0
+    except OverflowError:  # an int or a Fraction past the largest double
+        ok = False
+    if not ok:
         raise ValueError(f"{what} must be finite and nonnegative, got {value}")
     return value
 
@@ -152,8 +157,6 @@ class SignedThermalMixture:
     means: tuple[float, ...]
 
     def __post_init__(self):
-        for weight in self.weights:
-            check_real(weight, "component weight")
         checked_mixtures([(self.weights, self.means)])
 
     @classmethod
@@ -164,9 +167,10 @@ class SignedThermalMixture:
 def checked_mixtures(rows) -> list[SignedThermalMixture]:
     """One mixture per ``(weights, means)`` pair of ``rows``, checked in one pass.
 
-    Each row gets the cheap checks in order (components, finite weights,
-    ``check_mean``, trace); every ``_CHECK_BLOCK_ROWS`` rows are then scanned
-    together for p_n >= -tolerance on levels 0 .. PHYSICALITY_CHECK_LEVELS.
+    Each row gets the cheap checks in order (components, real and finite
+    weights, ``check_mean``, trace); every ``_CHECK_BLOCK_ROWS`` rows are
+    then scanned together for p_n >= -tolerance on levels 0 ..
+    PHYSICALITY_CHECK_LEVELS.
     ``rows`` may be a generator that raises.  When it or a cheap check raises,
     the rows before are scanned first, so the error is the one the first
     failing row raises alone.
@@ -191,6 +195,8 @@ def _physicality_tolerance(weights, means) -> float:
     if len(weights) != len(means):
         raise ValueError(f"{len(weights)} weights but {len(means)} means")
     for weight, mean in zip(weights, means):
+        if type(weight) is not float:  # a float is no bool: the common case skips the call
+            check_real(weight, "component weight")
         if not math.isfinite(weight):
             raise ValueError(f"component weight must be finite, got {weight}")
         check_mean(mean, "thermal mean")
@@ -200,50 +206,6 @@ def _physicality_tolerance(weights, means) -> float:
     if abs(trace - 1.0) > trace_bound:
         raise ValueError(f"mixture trace {trace!r} deviates from 1 beyond {trace_bound}")
     return _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
-
-
-def _checked_table(weights, means, weight_table, mean_table) -> list[SignedThermalMixture]:
-    """``checked_mixtures`` of the rows ``zip(weights, means)``, given also as float arrays.
-
-    ``weight_table`` and ``mean_table`` hold the rows' entries, one row each.
-    The cheap checks of a block run on the arrays, with an ``fsum`` per row
-    for its scale and trace.  A row they flag, or whose ``fsum`` raises, is
-    checked alone by ``_physicality_tolerance`` for its error, after the rows
-    before it are scanned.
-    """
-    mixtures = []
-    for start in range(0, len(weights), _CHECK_BLOCK_ROWS):
-        block = slice(start, start + _CHECK_BLOCK_ROWS)
-        rows = list(zip(weights[block], means[block]))
-        table, mean = weight_table[block], mean_table[block]
-        scales, traces = _fsums(np.abs(table).tolist()), _fsums(table.tolist())
-        count = min(len(scales), len(traces))
-        scale, trace = np.array(scales[:count]), np.array(traces[:count])
-        passed = (np.isfinite(table) & np.isfinite(mean) & (mean >= 0.0)).all(axis=1)[:count]
-        passed &= np.abs(trace - 1.0) <= _TRACE_TOL_FLOOR + _TRACE_TOL_PER_WEIGHT * scale
-        tolerances = (_PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale).tolist()
-        tolerances += [None] * (len(rows) - count)
-        error = None
-        for row in np.flatnonzero(~passed).tolist() + list(range(count, len(rows))):
-            try:
-                tolerances[row] = _physicality_tolerance(*rows[row])
-            except Exception as exc:
-                rows, error = rows[:row], exc
-                break
-        mixtures += _scanned([(w, m, tol) for (w, m), tol in zip(rows, tolerances)])
-        if error is not None:
-            raise error
-    return mixtures
-
-
-def _fsums(rows) -> list[float]:
-    """``math.fsum`` of each row, up to the first whose sum raises."""
-    sums = []
-    try:
-        sums.extend(map(math.fsum, rows))
-    except (ValueError, OverflowError):  # inf - inf, or an intermediate overflow
-        pass
-    return sums
 
 
 def _scanned(block) -> list[SignedThermalMixture]:
@@ -313,118 +275,39 @@ def herald_state(nbar: float, efficiency: float, detectors: int, clicks: int) ->
 def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list[HeraldedState]:
     """``herald_state`` at each mean of ``nbars``, with the mixtures checked together.
 
-    A grid of ``_ARRAY_ROWS`` or more floats, at a float efficiency, is
-    computed as arrays up to its first row that a check could fail; that row
-    and the rest are computed one at a time.  A failing grid raises the error
-    its first failing mean raises alone.
+    The column's scales s_l, signed binomials and C(N, k) are computed once,
+    after its first mean passes ``check_mean``.  Each row is computed on the
+    mean as a double.  A failing grid raises the error its first failing
+    mean raises alone.
     """
-    nbars, error = _listed(nbars)
-    mixtures, probabilities = [], []
-    if len(nbars) >= _ARRAY_ROWS and _floats([efficiency, *nbars]):
-        *table, probabilities = _herald_table(nbars, efficiency, detectors, clicks)
-        mixtures = _checked_table(*table)
+    probabilities = []
 
-    def rest():
-        for nbar in nbars[len(mixtures):]:
-            weights, means, probability = _herald_row(nbar, efficiency, detectors, clicks)
-            probabilities.append(probability)
-            yield weights, means
-        if error is not None:
-            raise error
+    def rows():
+        scales = None
+        for nbar in nbars:
+            check_mean(nbar, "mean photon number")
+            if scales is None:
+                check_efficiency(efficiency)
+                check_outcome(detectors, clicks)
+                scales = [efficiency * (detectors - l) / detectors for l in range(clicks + 1)]
+                signs = [float(math.comb(clicks, l) * (-1) ** (clicks - l))
+                         for l in range(clicks + 1)]
+                combinations = math.comb(detectors, clicks)
+            x = float(nbar)
+            means = [(x - x * s) / (1.0 + x * s) for s in scales]
+            terms = [sign * (1.0 + mean) for sign, mean in zip(signs, means)]
+            denom = math.fsum(terms)
+            if abs(denom) < 1e-300:
+                raise DegenerateHeraldingError(
+                    f"herald normalization vanished for nbar={nbar}, eta={efficiency}, "
+                    f"N={detectors}, k={clicks}"
+                )
+            weights = [t / denom for t in terms]
+            _absorb_residual(weights)
+            probabilities.append(clamp_probability(combinations * denom / (1.0 + x)))
+            yield tuple(weights), tuple(means)
 
-    mixtures += checked_mixtures(rest())
-    return list(map(HeraldedState, mixtures, probabilities))
-
-
-def _listed(items):
-    """The items of ``items`` in a list, up to the first whose taking raises, and its error."""
-    listed = []
-    try:
-        listed.extend(items)
-    except Exception as exc:
-        return listed, exc
-    return listed, None
-
-
-def _floats(values) -> bool:
-    """Whether every value is a float (``np.float64`` is one)."""
-    return set(map(type, values)) <= {float, np.float64}
-
-
-def _first(mask: np.ndarray, default: int) -> int:
-    """The index of the first true entry of ``mask``, or ``default``."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else default
-
-
-def _herald_row(nbar: float, efficiency: float, detectors: int, clicks: int):
-    """The weights, means and probability of one herald, before the physicality check."""
-    check_mean(nbar, "mean photon number")
-    check_efficiency(efficiency)
-    check_outcome(detectors, clicks)
-
-    scales = [efficiency * (detectors - l) / detectors for l in range(clicks + 1)]
-    means = [(nbar - nbar * s) / (1.0 + nbar * s) for s in scales]
-    terms = [
-        math.comb(clicks, l) * (-1) ** (clicks - l) * (1.0 + means[l])
-        for l in range(clicks + 1)
-    ]
-    denom = math.fsum(terms)
-    if abs(denom) < 1e-300:
-        raise DegenerateHeraldingError(
-            f"herald normalization vanished for nbar={nbar}, eta={efficiency}, "
-            f"N={detectors}, k={clicks}"
-        )
-
-    weights = [t / denom for t in terms]
-    _absorb_residual(weights)
-    probability = clamp_probability(math.comb(detectors, clicks) * denom / (1.0 + nbar))
-    return tuple(weights), tuple(means), probability
-
-
-def _herald_table(nbars: list, efficiency: float, detectors: int, clicks: int):
-    """``_herald_row`` of the float means ``nbars``, as arrays with a row per mean.
-
-    It stops before the first row that a check could fail.  Returns the rows'
-    weights and means as tuples and as arrays, and their probabilities.  Each
-    value comes from the row's own IEEE operations in the row's order; the
-    scales s_l, the signed binomials and C(N, k) are the column's.
-    """
-    check_mean(nbars[0], "mean photon number")
-    check_efficiency(efficiency)
-    check_outcome(detectors, clicks)
-    scales = np.array([efficiency * (detectors - l) / detectors for l in range(clicks + 1)])
-    signs = np.array([float(math.comb(clicks, l) * (-1) ** (clicks - l))
-                      for l in range(clicks + 1)])
-    nbar = np.array(nbars)
-    count = _first(~(np.isfinite(nbar) & (nbar >= 0.0)), len(nbars))
-    try:
-        combinations = float(math.comb(detectors, clicks))
-    except OverflowError:  # each row raises it after its own checks
-        combinations, count = 0.0, 0
-    # Python's float arithmetic overflows to inf, and inf / inf is nan, without a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        boosted = nbar[:count, None] * scales
-        means = (nbar[:count, None] - boosted) / (1.0 + boosted)
-        terms = signs * (1.0 + means)
-        denoms = np.array(_fsums(terms.tolist()))
-        count = _first(np.abs(denoms) < 1e-300, len(denoms))
-        weights = (terms[:count] / denoms[:count, None]).tolist()
-        totals = _fsums(weights)
-        count = len(totals)
-        for row in [row for row, total in enumerate(totals) if total != 1.0]:
-            try:
-                _absorb_residual(weights[row])
-            except (ValueError, OverflowError):
-                count = row
-                break
-        raw = combinations * denoms[:count] / (1.0 + nbar[:count])
-    count = _first(~((raw >= -_EXCURSION_TOL) & (raw <= 1.0 + _EXCURSION_TOL)), count)
-    probabilities = np.where(raw > 0.0, np.minimum(raw, 1.0), 0.0)  # clamp_probability's
-    weights = weights[:count]
-    return (list(map(tuple, weights)), list(map(tuple, means[:count].tolist())),
-            np.array(weights).reshape(count, clicks + 1), means[:count],
-            probabilities[:count].tolist())
+    return list(map(HeraldedState, checked_mixtures(rows()), probabilities))
 
 
 def _absorb_residual(weights: list) -> None:
@@ -497,13 +380,14 @@ def _mixture_distribution(weights, means, n_max: int) -> np.ndarray:
     must cancel to ~1e-12 absolute, hence extended precision.  Each component
     is a running product, 1/(1+m) times n factors m/(1+m); a vacuum component
     is [1, 0, ...].  Leading axes of ``weights`` and ``means`` are rows of
-    mixtures, each computed as a row alone is.
+    mixtures, each computed as a row alone is.  Entries are read as doubles,
+    as the rest of the package reads a mixture, and then widened.
     """
-    m = np.array(means, dtype=np.longdouble)[..., None]
+    m = np.array(means, dtype=float).astype(np.longdouble)[..., None]
     comp = np.repeat(m / (1.0 + m), n_max + 1, axis=-1)
     comp[..., :1] = 1.0 / (1.0 + m)
     np.multiply.accumulate(comp, axis=-1, out=comp)
-    weights = np.array(weights, dtype=np.longdouble)
+    weights = np.array(weights, dtype=float).astype(np.longdouble)
     return (weights[..., None, :] @ comp)[..., 0, :]
 
 

@@ -416,6 +416,15 @@ def _herald_stats_row(outcomes):
     return argv
 
 
+def _herald_stats_grid(grid):
+    def argv(tmp_path):
+        config = tmp_path / "stats.json"
+        config.write_text(json.dumps({"nbar_grid": grid}))
+        return ["herald-stats", "--config", str(config)]
+
+    return argv
+
+
 def _click_prob_row(signals):
     def argv(tmp_path):
         config = tmp_path / "click.json"
@@ -444,6 +453,9 @@ class TestBoundaryDefects:
         "seed_bool": (_trajectories_row(seed=True), "seed"),
         "seed_negative": (_trajectories_row(seed=-1), "seed: "),
         "seed_beyond_64_bits": (_trajectories_row(seed=2**64), "seed: "),
+        # float() and math.isfinite raised a bare OverflowError
+        "nbar_int_past_the_largest_double": (_trajectories_row(nbar=10**400), "nbar: "),
+        "nbar_grid_int_past_the_largest_double": (_herald_stats_grid([10**400]), "nbar_grid: "),
         "threads_zero": (lambda tmp_path: _trajectories_row()(tmp_path) + ["--threads", "0"],
                          "--threads: "),
         "receiver_detectors_65": (_trajectories_row(receiver_detectors=65), "receiver_detectors: "),

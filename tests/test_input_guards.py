@@ -13,7 +13,7 @@ from qillum.errors import DegenerateHeraldingError, NumericalInstabilityError, T
 from qillum.matching import matched_mean
 from qillum.mc import TrajectoryConfig, average_trajectories
 from qillum.povm import ClickMultiplex, click_probability, normal_ordered_moment, povm_fock_diagonal
-from qillum.states import (DisplacedThermal, SignedThermalMixture, checked_mixtures,
+from qillum.states import (DisplacedThermal, SignedThermalMixture, check_mean, checked_mixtures,
                            clamp_probability, fano_factor, herald_state, herald_states,
                            photon_number_distribution, second_moment, tmsv_marginal, wigner_slice)
 
@@ -274,6 +274,16 @@ GUARDS = {
         lambda tmp_path: SignedThermalMixture((True,), (1.0,)),
         ValueError, "component weight must be a real number, got True",
     ),
+    # checked_mixtures once stored a bool weight as given
+    "checked_mixtures_bool_weight": (
+        lambda tmp_path: checked_mixtures([((True,), (1.0,))]),
+        ValueError, "component weight must be a real number, got True",
+    ),
+    # math.isfinite raised a bare OverflowError for an int past the largest double
+    "check_mean_int_past_the_largest_double": (
+        lambda tmp_path: check_mean(10**400, "m"),
+        ValueError, f"m must be finite and nonnegative, got {10**400}",
+    ),
     "wigner_slice_bool_q": (
         lambda tmp_path: wigner_slice(THERMAL, True),
         ValueError, "q must be a real number, got True",
@@ -349,9 +359,8 @@ GUARDS = {
     ),
 }
 
-# herald_states and checked_mixtures, one short and one array-length column
-# each: a grid of 16 or more floats is computed as arrays, and np.asarray would
-# take True or '1' as 1.0 without a word
+# herald_states and checked_mixtures, a bad value alone and after 20 good ones:
+# np.asarray would take True or '1' as 1.0 without a word
 for _prefix, _grid in (("", []), ("column_", [1.0] * 20)):
     for _name, _bad, _error, _message in (
         ("str", "1", TypeError, "must be real number, not str"),
@@ -395,9 +404,3 @@ def test_herald_states_take_an_array_or_an_iterator(size):
     expected = herald_states(grid.tolist(), 0.9, 2, 2)
     assert herald_states(grid, 0.9, 2, 2) == expected
     assert herald_states(iter(grid.tolist()), 0.9, 2, 2) == expected
-
-
-def test_checked_mixtures_take_a_bool_weight():
-    # checked_mixtures stores a bool weight as given; only SignedThermalMixture's
-    # own check rejects one (mixture_bool_weight above)
-    assert checked_mixtures([((True,), (1.0,))])[0].weights == (True,)

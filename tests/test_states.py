@@ -265,6 +265,25 @@ class TestPhotonNumberDistribution:
         for n, (p, q) in enumerate(zip(got, exact)):
             assert abs(Fraction(*p.as_integer_ratio()) - q) <= bound, n
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), width=st.integers(0, 8), rows=st.integers(1, 4))
+    def test_scan_widens_doubles_as_a_direct_conversion(self, data, width, rows):
+        # the scan widens doubles through a float array; the longdouble values
+        # must be those a direct np.longdouble conversion of the floats gives
+        def block(values):
+            row = st.lists(values, min_size=width, max_size=width).map(tuple)
+            return tuple(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+
+        weights, means = block(st.floats(-1e8, 1e8)), block(st.floats(0.0, 1e3))
+        m = np.array(means, dtype=np.longdouble)[..., None]
+        comp = np.repeat(m / (1.0 + m), PHYSICALITY_CHECK_LEVELS + 1, axis=-1)
+        comp[..., :1] = 1.0 / (1.0 + m)
+        np.multiply.accumulate(comp, axis=-1, out=comp)
+        expected = (np.array(weights, dtype=np.longdouble)[..., None, :] @ comp)[..., 0, :]
+        got = _mixture_distribution(weights, means, PHYSICALITY_CHECK_LEVELS)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, expected)
+
 
 class TestFanoFactor:
     def test_thermal(self):
@@ -496,6 +515,12 @@ class TestHeraldStates:
         alone = [_mixture_distribution(w, m, PHYSICALITY_CHECK_LEVELS).astype(float)
                  for w, m in rows]
         assert np.array_equal(batched, np.array(alone))
+
+    def test_a_float32_mean_is_read_as_a_double(self):
+        # float32 arithmetic once made this physical herald's p_n reach -1.2e-8
+        assert herald_state(np.float32(1.0), 0.9, 1, 1) == herald_state(1.0, 0.9, 1, 1)
+        with pytest.raises(DegenerateHeraldingError, match=r"nbar=0, eta"):  # the mean as given
+            herald_state(Fraction(0), 0.9, 2, 2)
 
     def test_grid_reports_the_first_failing_point(self):
         with pytest.raises(DegenerateHeraldingError) as alone:
