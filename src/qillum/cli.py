@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
@@ -435,6 +435,7 @@ COMMANDS = {
 }
 
 
+@cache  # parsing leaves the parser as it was, so a process builds it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qillum",
                      description="Quantum illumination with multiplexed click photodetection")

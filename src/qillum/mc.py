@@ -12,9 +12,12 @@ stream keyed by an integer mix of (seed, trial_index), so a trajectory is a
 pure function of (config, trial_index) and ensembles reduce identically for
 any degree of parallelism.  The signals of one run share seed, trials and
 shots, so they read the same per-trial uniforms: ``average_trajectories``
-draws each trial's block once and hands it to every signal as a
-``TrialDraws``: the coherent prefix and contiguous herald and receiver
-columns.
+draws each trial's block once into a chunk's ``WorkingSet`` and hands it to
+every signal: the coherent prefix and contiguous herald and receiver columns.
+A chunk allocates its eight-byte-per-shot arrays once and every trial
+refills them; a trial allocates only one-byte-per-shot rows, which stay below
+glibc's 128 KB mmap threshold up to 131072 shots, so they come from the heap,
+not from fresh mappings.
 
 An ensemble's output is its mean posterior curve alone; the shot at which a
 curve first reaches a threshold is ``first_crossing(curve, threshold)``.
@@ -22,11 +25,10 @@ curve first reaches a threshold is ``first_crossing(curve, threshold)``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -131,21 +133,33 @@ class CompensatedVectorSum:
     """Neumaier-compensated elementwise accumulator for ndarray partial sums.
 
     Used to reduce Monte-Carlo trial chunks in a fixed order so the ensemble
-    mean is independent of how many workers produced the chunks.
+    mean is independent of how many workers produced the chunks.  The first
+    row added becomes the total, not a copy: a Neumaier add onto zeros leaves
+    a total equal to it and a zero compensation for every finite value but
+    -0.0, which a sum of posteriors never is.  The compensation row is
+    allocated when a second row arrives.
     """
 
-    def __init__(self, size: int):
-        self._total = np.zeros(size)
-        self._comp = np.zeros(size)
+    def __init__(self):
+        self._total = None
+        self._comp = None
 
     def add(self, values: np.ndarray) -> None:
+        if self._total is None:
+            self._total = values
+            return
+        if self._comp is None:
+            self._comp = np.zeros_like(self._total)
         t = self._total + values
         swap = np.abs(self._total) >= np.abs(values)
         self._comp += np.where(swap, (self._total - t) + values, (values - t) + self._total)
         self._total = t
 
     def result(self) -> np.ndarray:
-        return self._total + self._comp
+        """The compensated sum, written into the total's row."""
+        if self._comp is not None:
+            self._total += self._comp
+        return self._total
 
 
 def splitmix64(value: int) -> int:
@@ -220,34 +234,38 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
     return LikelihoodTables(herald, l0, l1)
 
 
-class TrialDraws(NamedTuple):
-    """One trial's uniforms, as the signals of a run read them.
+class WorkingSet:
+    """The arrays a chunk's trials refill, allocated once per chunk.
 
-    ``coherent`` is the first ``shots`` uniforms of the trial's stream;
-    ``herald`` and ``receiver`` are contiguous copies of the two columns of a
-    ``(shots, 2)`` block, or None when no signal of the run is heralded.
+    ``draw`` refills ``block`` with a trial's uniforms: ``(shots, 2)`` when
+    any signal of the run is heralded, else ``(shots,)``.  ``coherent`` is the
+    block's first ``shots`` uniforms; ``herald`` and ``receiver`` are
+    contiguous copies of a ``(shots, 2)`` block's columns, or None.  The rest
+    is ``run_trajectory``'s scratch: ``index``, its ``intp`` row (herald rows,
+    then the flat cell index), ``curve``, the gathered edges and then the
+    increments, prefix sums and posterior, and ``exp``.
     """
 
-    coherent: np.ndarray
-    herald: Optional[np.ndarray]
-    receiver: Optional[np.ndarray]
+    def __init__(self, shots: int, heralded: bool):
+        self.block = np.empty((shots, 2) if heralded else shots)
+        self.coherent = self.block.ravel()[:shots]
+        self.herald = np.empty(shots) if heralded else None
+        self.receiver = np.empty(shots) if heralded else None
+        self.index = np.empty(shots, dtype=np.intp)
+        self.curve = np.empty(shots)
+        self.exp = np.empty(shots)
 
+    def draw(self, seed: int, trial_index: int) -> None:
+        """Refill the block from the trial's stream, then the columns from the block.
 
-def _trial_draws(seed: int, trial_index: int, shots: int, heralded: bool) -> TrialDraws:
-    """One trial's Philox block: ``random((shots, 2))`` when heralded, else ``random(shots)``.
-
-    Philox fills an array in stream order, so the first ``shots`` entries of
-    the raveled ``(shots, 2)`` block are bit for bit ``random(shots)``.
-    """
-    rng = trial_stream(seed, trial_index)
-    if not heralded:
-        return TrialDraws(rng.random(shots), None, None)
-    block = rng.random((shots, 2))
-    return TrialDraws(
-        block.ravel()[:shots],
-        np.ascontiguousarray(block[:, 0]),
-        np.ascontiguousarray(block[:, 1]),
-    )
+        Philox fills an array in stream order, so the block is bit for bit
+        ``random((shots, 2))`` or ``random(shots)``, and the first ``shots``
+        entries of a raveled ``(shots, 2)`` block are ``random(shots)``.
+        """
+        trial_stream(seed, trial_index).random(out=self.block)
+        if self.herald is not None:
+            np.copyto(self.herald, self.block[:, 0])
+            np.copyto(self.receiver, self.block[:, 1])
 
 
 def _counts(draws: np.ndarray, cdf: np.ndarray, dtype=np.uint8) -> np.ndarray:
@@ -266,13 +284,15 @@ def _counts(draws: np.ndarray, cdf: np.ndarray, dtype=np.uint8) -> np.ndarray:
 
 
 def run_trajectory(
-    config: TrajectoryConfig, trial_index: int, draws: Optional[TrialDraws] = None
+    config: TrajectoryConfig, trial_index: int, work: Optional[WorkingSet] = None
 ) -> np.ndarray:
     """Posterior Pr(H1) after each of ``config.shots`` shots, for one trial.
 
     Deterministic given (config.seed, trial_index).  Starts from equal priors,
-    Pr(H1) = 1/2.  ``draws`` is the trial's ``_trial_draws``, drawn here when
-    not given.  Heralded signals read ``(shots, 2)`` uniforms (herald outcome,
+    Pr(H1) = 1/2.  ``work`` is a ``WorkingSet`` holding the trial's draws;
+    the curve returned is its ``curve`` row, which the next run on it
+    overwrites.  Without ``work`` the trial is drawn into a fresh one.
+    Heralded signals read ``(shots, 2)`` uniforms (herald outcome,
     then receiver outcome, per shot); coherent signals read the first
     ``shots`` uniforms of the stream.  The receiver outcome is sampled from
     the cdf of the physically realized state: the H1 row of the sampled
@@ -295,48 +315,55 @@ def run_trajectory(
     the herald count is multiplied by the row length in that type, which
     cannot wrap.  It becomes ``intp`` only for ``take``: once for the herald
     rows a present target's edges are gathered by, and once for the final
-    take of increments.  A narrow index costs ``take`` a cast per element:
-    30000 entries take about 90 us with ``uint8`` against 15 us with
-    ``intp`` (2-core Xeon, numpy 2.4).  The increments come from
+    take of increments, each into the working set's ``index`` row; ``take``
+    writes into its ``out`` row in ``clip`` mode, as ``raise`` mode would
+    copy it (every index is in range).  A narrow index costs ``take`` a cast
+    per element: 30000 entries take about 90 us with ``uint8`` against 15 us
+    with ``intp`` (2-core Xeon, numpy 2.4).  The increments come from
     ``neg_log_ratio``, so the prefix sums are the negated log-odds, equal to
     them bit for bit up to the sign of an exact zero: negation is exact and
     round-to-nearest is symmetric.  ``exp`` reads either zero as 1.
     """
     tables = config.tables
-    if draws is None:
-        draws = _trial_draws(config.seed, trial_index, config.shots, tables.herald_cdf is not None)
+    if work is None:
+        work = WorkingSet(config.shots, tables.herald_cdf is not None)
+        work.draw(config.seed, trial_index)
 
     dtype = np.min_scalar_type(tables.log_ratio.size - 1)
     if tables.herald_cdf is None:
         cdf = tables.cdf_h1[0] if config.target_present else tables.cdf_h0
-        index = _counts(draws.coherent, cdf, dtype)
+        index = _counts(work.coherent, cdf, dtype)
     else:
-        herald = _counts(draws.herald, tables.herald_cdf, dtype)
+        herald = _counts(work.herald, tables.herald_cdf, dtype)
         index = herald * dtype.type(tables.log_ratio.shape[1])
         if config.target_present:
-            rows = herald.astype(np.intp)
+            rows = work.index
+            np.copyto(rows, herald)
             for column in tables.cdf_h1[:, :-1].T:
-                index += (draws.receiver > column.take(rows)).view(np.uint8)
+                edges = column.take(rows, out=work.curve, mode="clip")
+                index += (work.receiver > edges).view(np.uint8)
         else:
-            index += _counts(draws.receiver, tables.cdf_h0)
+            index += _counts(work.receiver, tables.cdf_h0)
 
-    increments = tables.neg_log_ratio.take(index.astype(np.intp))
+    np.copyto(work.index, index)
+    increments = tables.neg_log_ratio.take(work.index, out=work.curve, mode="clip")
     neg_log_odds = np.cumsum(increments, out=increments)
-    return _expit_of_negated(neg_log_odds)
+    return _expit_of_negated(neg_log_odds, work.exp)
 
 
-def _expit_of_negated(x: np.ndarray) -> np.ndarray:
+def _expit_of_negated(x: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """The logistic function of -x, 1 / (1 + exp(x)), in place on a 1-D float array.
 
     Bit for bit ``1 / (1 + math.exp(-v))`` per element of ``v = -x``, as
     scipy's ``expit`` computes it.  numpy's contiguous ``exp`` takes a SIMD
     path that differs from libm in the last bit of about 2% of doubles; on a
     negative-stride input it runs its scalar libm loop, so ``exp`` reads the
-    reversed view into a fresh buffer.  Running it in place on that view does
-    not work: numpy then flips both strides and takes the SIMD path again.
+    reversed view into a separate contiguous row: ``scratch``, or a fresh one.
+    Running it in place on that view does not work: numpy then flips both
+    strides and takes the SIMD path again.
     """
     with np.errstate(over="ignore"):
-        e = np.exp(x[::-1])
+        e = np.exp(x[::-1], out=scratch)
     e += 1.0
     return np.divide(1.0, e[::-1], out=x)
 
@@ -351,21 +378,34 @@ def first_crossing(curve: np.ndarray, threshold: float) -> Optional[int]:
 def _chunk_worker(configs, start, stop):
     """Per-config curve sums of trials [start, stop).
 
-    Each trial's uniforms are drawn once and read by every config.  A sum
-    starts at zero and adds the curves in trial order.
+    Each trial's uniforms are drawn once into the chunk's working set and
+    read by every config.  A sum starts at zero and adds the curves in trial
+    order.
     """
     seed, shots = configs[0].seed, configs[0].shots
-    heralded = any(config.tables.herald_cdf is not None for config in configs)
+    work = WorkingSet(shots, any(config.tables.herald_cdf is not None for config in configs))
     sums = [np.zeros(shots) for _ in configs]
     for trial in range(start, stop):
-        draws = _trial_draws(seed, trial, shots, heralded)
+        work.draw(seed, trial)
         for config, total in zip(configs, sums):
             # Bound to a name before the add: ``total += run_trajectory(...)``
             # as one expression made the trajectories benchmark about 7% slower
             # (cause not established).
-            curve = run_trajectory(config, trial, draws)
+            curve = run_trajectory(config, trial, work)
             total += curve
     return sums
+
+
+def _chunk_sums(worker, starts, stops, threads: int):
+    """``worker``'s chunk sums in chunk index order: on the calling thread at one
+    thread, else on a pool of ``threads`` worker threads."""
+    if threads == 1:
+        yield from map(worker, starts, stops)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(worker, starts, stops)
 
 
 def average_trajectories(
@@ -375,9 +415,10 @@ def average_trajectories(
 
     The configs must share ``seed``, ``trials`` and ``shots``; each trial's
     uniforms are drawn once and every config reads them, so a config's
-    curve is the one it gets when run alone.  Chunks run on a pool of
-    ``threads`` worker threads and are reduced in chunk index order, so any
-    thread count yields identical output.
+    curve is the one it gets when run alone.  Chunks run on the calling
+    thread at one thread, else on a pool of ``threads`` worker threads, and
+    are reduced in chunk index order, so any thread count yields identical
+    output.
     """
     configs = list(configs)
     if not configs:
@@ -393,11 +434,12 @@ def average_trajectories(
     starts = range(0, first.trials, CHUNK_SIZE)
     stops = [min(start + CHUNK_SIZE, first.trials) for start in starts]
 
-    accumulators = [CompensatedVectorSum(first.shots) for _ in configs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # Chunk sums arrive in index order and are dropped once added.
-        for sums in pool.map(partial(_chunk_worker, configs), starts, stops):
-            for accumulator, total in zip(accumulators, sums):
-                accumulator.add(total)
-    return [accumulator.result() / config.trials
-            for config, accumulator in zip(configs, accumulators)]
+    accumulators = [CompensatedVectorSum() for _ in configs]
+    # Chunk sums arrive in index order and are dropped once added.
+    for sums in _chunk_sums(partial(_chunk_worker, configs), starts, stops, threads):
+        for accumulator, total in zip(accumulators, sums):
+            accumulator.add(total)
+    means = [accumulator.result() for accumulator in accumulators]
+    for mean in means:
+        mean /= first.trials
+    return means

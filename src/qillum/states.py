@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -130,11 +131,17 @@ def check_count(value, what: str) -> int:
 
 
 def check_outcome(detectors: int, clicks: int) -> None:
-    """An outcome of an N-detector multiplex: integers N >= 1 and 0 <= k <= min(N, 64)."""
+    """An outcome of an N-detector multiplex: integers N >= 1 and 0 <= k <= min(N, 64).
+
+    N must not exceed the largest double: the closed forms read it as one.
+    """
     check_integer(detectors, "detector count")
     check_integer(clicks, "click count")
     if detectors < 1:
         raise ValueError(f"need at least one detector, got {detectors}")
+    if detectors > sys.float_info.max:  # only a Python int gets here
+        raise ValueError("detector count must not exceed the largest double, got an integer "
+                         f"of {detectors.bit_length()} bits")
     if not (0 <= clicks <= detectors):
         raise ValueError(f"clicks must lie in [0, {detectors}], got {clicks}")
     if clicks > MAX_ALTERNATING_TERMS:

@@ -496,6 +496,20 @@ class TestBoundaryDefects:
         # herald outcomes past the 64-term alternating-sum cap
         "outcomes_past_term_cap": (_herald_stats_row([[70, 66]]), "outcomes: "),
         "click_prob_signal_past_term_cap": (_click_prob_row(["70,66"]), "signals: "),
+        # the herald scales read N as a double: a bare OverflowError once
+        "outcomes_detectors_past_the_largest_double": (
+            _herald_stats_row([[10**400, 1]]),
+            "outcomes: detector count must not exceed the largest double",
+        ),
+        "click_prob_signal_detectors_past_the_largest_double": (
+            _click_prob_row([f"{10**400},1"]),
+            "signals: detector count must not exceed the largest double",
+        ),
+        "wigner_herald_detectors_past_the_largest_double": (
+            lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1",
+                              "--detectors", str(10**400), "--clicks", "1"],
+            "--nbar, --eta, --detectors, --clicks: detector count must not exceed",
+        ),
         "wigner_herald_past_term_cap": (
             lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1",
                               "--detectors", "70", "--clicks", "66"],
@@ -589,6 +603,33 @@ class TestRuntimeImports:
                               text=True, check=True)
         assert done.stdout == "[]\n"
 
+    def test_one_thread_runs_on_the_calling_thread(self, tmp_path):
+        # concurrent.futures loads only for a pool, which only --threads 2 or more starts
+        config = TestTrajectories().make_config(tmp_path, shots=300, trials=130)
+        script = textwrap.dedent("""
+            import sys, threading
+            started = []
+            start = threading.Thread.start
+            threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]
+            from qillum.cli import main
+            loaded = "concurrent.futures" in sys.modules
+            code = main(sys.argv[1:])
+            print(loaded, code, "concurrent.futures" in sys.modules, len(started))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).parent.parent))
+        outputs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads-{threads}.csv"
+            argv = ["trajectories", "--config", str(config), "--out", str(out),
+                    "--threads", str(threads)]
+            done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs[threads] = done.stdout.split(), out.read_bytes()
+        assert outputs[1][0] == ["False", "0", "False", "0"]
+        loaded, code, pooled, started = outputs[2][0]
+        assert (loaded, code, pooled) == ("False", "0", "True") and int(started) >= 1
+        assert outputs[1][1] == outputs[2][1]
+
     def test_package_runs_as_a_module(self):
         # python -m qillum runs __main__.py, the one entry point no in-process call reaches
         env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).parent.parent))
@@ -637,6 +678,9 @@ class TestParser:
         }
         assert flags == self.FLAGS
         assert sum(map(len, flags.values())) == 29
+
+    def test_built_once_per_process(self):
+        assert _build_parser() is _build_parser()
 
     @pytest.mark.parametrize(
         "argv",

@@ -284,6 +284,23 @@ GUARDS = {
         lambda tmp_path: check_mean(10**400, "m"),
         ValueError, f"m must be finite and nonnegative, got {10**400}",
     ),
+    # the herald scales and C(N, k) read N as a double: a bare OverflowError once
+    "herald_state_detectors_past_the_largest_double": (
+        lambda tmp_path: herald_state(1.0, 0.9, 10**400, 1),
+        ValueError, "detector count must not exceed the largest double, got an integer of 1329 bits",
+    ),
+    "herald_state_detectors_2_to_the_1024": (
+        lambda tmp_path: herald_state(1.0, 0.9, 2**1024, 0),
+        ValueError, "detector count must not exceed the largest double, got an integer of 1025 bits",
+    ),
+    "click_probability_detectors_past_the_largest_double": (
+        lambda tmp_path: click_probability(ClickMultiplex(10**400, 0.9), 1, DisplacedThermal(1.0, 0.0)),
+        ValueError, "detector count must not exceed the largest double",
+    ),
+    "povm_fock_diagonal_detectors_past_the_largest_double": (
+        lambda tmp_path: povm_fock_diagonal(10**400, 1, 0.9, 5),
+        ValueError, "detector count must not exceed the largest double",
+    ),
     "wigner_slice_bool_q": (
         lambda tmp_path: wigner_slice(THERMAL, True),
         ValueError, "q must be a real number, got True",

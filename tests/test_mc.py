@@ -503,6 +503,72 @@ class TestAverageTrajectories:
         assert curve[3999] < curve[99]
 
 
+def _neumaier(values):
+    """Textbook Neumaier sum of a sequence of floats, in order."""
+    total = compensation = 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
+class TestReduction:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("trials", [64, 100, 150])
+    def test_equals_chunk_sums_reduced_in_chunk_order(self, trials, threads):
+        # 1, 2 and 3 chunks: the first adopted, the compensation row from the
+        # second on, the mean divided in place
+        configs = [
+            base_config(trials=trials, shots=40),
+            base_config(trials=trials, shots=40, signal_kind=SignalKind.COHERENT,
+                        target_present=False),
+        ]
+        got = average_trajectories(configs, threads=threads)
+        for config, mean in zip(configs, got):
+            chunks = []
+            for start in range(0, trials, mc.CHUNK_SIZE):
+                total = np.zeros(config.shots)
+                for trial in range(start, min(start + mc.CHUNK_SIZE, trials)):
+                    total += run_trajectory(config, trial)
+                chunks.append(total.tolist())
+            expected = np.array([_neumaier(column) / trials for column in zip(*chunks)])
+            assert mean.tobytes() == expected.tobytes()
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("shots", [1, 2, 30000])
+    @pytest.mark.parametrize("heralded", [True, False])
+    def test_refilled_draws_equal_fresh_streams(self, shots, heralded):
+        work = mc.WorkingSet(shots, heralded)
+        for trial in (3, 4, 3):  # each draw refills the arrays of the one before
+            work.draw(20260808, trial)
+            block = trial_stream(20260808, trial).random((shots, 2))
+            single = trial_stream(20260808, trial).random(shots)
+            assert work.coherent.tobytes() == block.ravel()[:shots].tobytes() == single.tobytes()
+            if heralded:
+                assert work.block.tobytes() == block.tobytes()
+                assert work.herald.tobytes() == block[:, 0].tobytes()
+                assert work.receiver.tobytes() == block[:, 1].tobytes()
+            else:
+                assert work.block.tobytes() == single.tobytes()
+                assert work.herald is None and work.receiver is None
+
+    def test_reused_working_set_equals_fresh_runs(self):
+        configs = [base_config(target_present=present, signal_kind=kind, shots=300)
+                   for present in (True, False) for kind in SignalKind]
+        work = mc.WorkingSet(300, heralded=True)
+        for trial in range(3):
+            work.draw(configs[0].seed, trial)
+            for config in configs:
+                curve = run_trajectory(config, trial, work)
+                assert curve is work.curve
+                assert curve.tobytes() == run_trajectory(config, trial).tobytes()
+
+
 class TestSharedDraws:
     @settings(max_examples=60, deadline=None)
     @given(
