@@ -292,7 +292,9 @@ def cmd_click_prob(v) -> int:
             images = [apply_channel(channel, DisplacedThermal(nbar, 0.0)) for nbar in v.nbar_grid]
         else:
             heralded = herald_states(v.nbar_grid, v.eta, sig["detectors"], sig["clicks"])
-            images = channel_images((channel, h.state) for h in heralded)
+            # an image mean kappa * m + n_B can overflow for a grid mean and background in range
+            with _blame(v.named["nbar_grid"], v.named["kappa"], v.named["nbar_b"]):
+                images = channel_images((channel, h.state) for h in heralded)
         columns.append(click_probabilities(receiver, 1, images))
     _write_csv(v.out, header, columns)
     return 0

@@ -133,7 +133,8 @@ def check_count(value, what: str) -> int:
 def check_outcome(detectors: int, clicks: int) -> None:
     """An outcome of an N-detector multiplex: integers N >= 1 and 0 <= k <= min(N, 64).
 
-    N must not exceed the largest double: the closed forms read it as one.
+    N and C(N, k) must not exceed the largest double: the closed forms read
+    both as doubles.
     """
     check_integer(detectors, "detector count")
     check_integer(clicks, "click count")
@@ -149,6 +150,10 @@ def check_outcome(detectors: int, clicks: int) -> None:
             f"click counts beyond {MAX_ALTERNATING_TERMS} exceed the stable "
             f"alternating-sum range, got {clicks}"
         )
+    combinations = math.comb(detectors, clicks)
+    if combinations > sys.float_info.max:  # int against float: an exact comparison
+        raise ValueError(f"C(N, k) must not exceed the largest double, got an integer of "
+                         f"{combinations.bit_length()} bits at k = {clicks}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class SignedThermalMixture:
 
     @classmethod
     def thermal(cls, mean: float) -> "SignedThermalMixture":
-        return cls((1.0,), (float(mean),))
+        return cls((1.0,), (float(check_mean(mean, "thermal mean")),))
 
 
 def checked_mixtures(rows) -> list[SignedThermalMixture]:
@@ -341,43 +346,6 @@ def mean_photon(state) -> float:
     if isinstance(state, DisplacedThermal):
         return state.coherent_mean + state.thermal_mean
     raise TypeError(f"mean_photon undefined for {type(state).__name__}")
-
-
-def second_moment(state) -> float:
-    """Second moment <n^2> (2m^2 + m per thermal component); ValueError if it overflows."""
-    try:
-        if isinstance(state, SignedThermalMixture):
-            value = math.fsum(w * (2.0 * m**2 + m) for w, m in zip(state.weights, state.means))
-        elif isinstance(state, DisplacedThermal):
-            mu, m = state.coherent_mean, state.thermal_mean
-            value = mu * (1.0 + 2.0 * m) + m * (1.0 + m) + (mu + m) ** 2
-        else:
-            raise TypeError(f"second_moment undefined for {type(state).__name__}")
-    except (OverflowError, ValueError):  # ValueError: fsum met inf - inf
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"second moment overflows a double at mean {mean_photon(state)!r}")
-    return value
-
-
-def fano_factor(state) -> float:
-    """Photon-number variance divided by the mean; < 1 flags sub-Poissonian light."""
-    mean = mean_photon(state)
-    if mean <= 0.0:
-        raise ValueError("Fano factor is undefined for zero mean photon number")
-    if isinstance(state, DisplacedThermal):
-        mu, m = state.coherent_mean, state.thermal_mean
-        # variance/mean = 1 + m + m mu/(mu + m), no term above the result; mu + m can overflow,
-        # so the share is 1/(1 + m/mu), and m/mu overflows only where the share rounds to 0
-        value = 1.0 + m + m * (1.0 / (1.0 + m / mu) if mu > 0.0 else 0.0)
-    else:
-        try:
-            value = (second_moment(state) - mean**2) / mean
-        except (OverflowError, ValueError):
-            value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"Fano factor overflows a double at mean {mean!r}")
-    return value
 
 
 def _mixture_distribution(weights, means, n_max: int) -> np.ndarray:

@@ -505,6 +505,21 @@ class TestBoundaryDefects:
             _click_prob_row([f"{10**400},1"]),
             "signals: detector count must not exceed the largest double",
         ),
+        # N is below the largest double and C(N, k) above it: a bare OverflowError once
+        "outcomes_outcome_count_past_the_largest_double": (
+            _herald_stats_row([[10**100, 4]]),
+            "outcomes: C(N, k) must not exceed the largest double",
+        ),
+        "click_prob_signal_outcome_count_past_the_largest_double": (
+            _click_prob_row([f"{10**100},4"]),
+            "signals: C(N, k) must not exceed the largest double",
+        ),
+        # grid mean and background in range, but the (1, 1) herald's image mean
+        # kappa * m + n_B overflows: a traceback once
+        "click_prob_image_mean_overflows": (
+            lambda tmp_path: ["click-prob", "--grid", "1.7e308", "--nbar-b", "1.7e308"],
+            "--grid, --kappa, --nbar-b: thermal mean must be finite and nonnegative, got inf",
+        ),
         "wigner_herald_detectors_past_the_largest_double": (
             lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1",
                               "--detectors", str(10**400), "--clicks", "1"],

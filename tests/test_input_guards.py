@@ -14,8 +14,8 @@ from qillum.matching import matched_mean
 from qillum.mc import TrajectoryConfig, average_trajectories
 from qillum.povm import ClickMultiplex, click_probability, normal_ordered_moment, povm_fock_diagonal
 from qillum.states import (DisplacedThermal, SignedThermalMixture, check_mean, checked_mixtures,
-                           clamp_probability, fano_factor, herald_state, herald_states,
-                           photon_number_distribution, second_moment, tmsv_marginal, wigner_slice)
+                           clamp_probability, herald_state, herald_states,
+                           photon_number_distribution, tmsv_marginal, wigner_slice)
 
 from fraction_reference import poisson_limit_reference
 from kernel_reference import oracle_beamsplitter_unitary
@@ -301,6 +301,19 @@ GUARDS = {
         lambda tmp_path: povm_fock_diagonal(10**400, 1, 0.9, 5),
         ValueError, "detector count must not exceed the largest double",
     ),
+    # N is below the largest double and C(N, k) above it: a bare OverflowError once
+    "herald_state_outcome_count_past_the_largest_double": (
+        lambda tmp_path: herald_state(1.0, 0.9, 10**100, 4),
+        ValueError, "C(N, k) must not exceed the largest double, got an integer of 1325 bits at k = 4",
+    ),
+    "click_probability_displaced_outcome_count_past_the_largest_double": (
+        lambda tmp_path: click_probability(ClickMultiplex(10**100, 0.9), 4, DisplacedThermal(1.0, 0.0)),
+        ValueError, "C(N, k) must not exceed the largest double",
+    ),
+    "povm_fock_diagonal_outcome_count_past_the_largest_double": (
+        lambda tmp_path: povm_fock_diagonal(10**100, 4, 0.9, 5),
+        ValueError, "C(N, k) must not exceed the largest double",
+    ),
     "wigner_slice_bool_q": (
         lambda tmp_path: wigner_slice(THERMAL, True),
         ValueError, "q must be a real number, got True",
@@ -314,20 +327,6 @@ GUARDS = {
         lambda tmp_path: oracle.displaced_thermal_diag(-1.0, 1.0),
         ValueError, "coherent mean must be finite and nonnegative, got -1.0",
     ),
-    # mean**2 raised a bare OverflowError
-    "fano_factor_mean_1e200": (
-        lambda tmp_path: fano_factor(tmsv_marginal(1e200)),
-        ValueError, "Fano factor overflows a double at mean 1e+200",
-    ),
-    # m**2 and mean**2 raised a bare OverflowError
-    "second_moment_thermal_mean_1e200": (
-        lambda tmp_path: second_moment(tmsv_marginal(1e200)),
-        ValueError, "second moment overflows a double at mean 1e+200",
-    ),
-    "second_moment_displaced_mean_1e200": (
-        lambda tmp_path: second_moment(DisplacedThermal(1e200, 0.0)),
-        ValueError, "second moment overflows a double at mean 1e+200",
-    ),
     # a wrong type raises TypeError, with the message of math or of the comparison
     "tmsv_marginal_str_mean": (
         lambda tmp_path: tmsv_marginal("1"),
@@ -335,6 +334,23 @@ GUARDS = {
     ),
     "tmsv_marginal_none_mean": (
         lambda tmp_path: tmsv_marginal(None),
+        TypeError, "must be real number, not NoneType",
+    ),
+    # SignedThermalMixture.thermal converted the mean with float() before any check
+    "thermal_bool_mean": (
+        lambda tmp_path: SignedThermalMixture.thermal(True),
+        ValueError, "thermal mean must be a real number, got True",
+    ),
+    "thermal_str_mean": (
+        lambda tmp_path: SignedThermalMixture.thermal("1"),
+        TypeError, "must be real number, not str",
+    ),
+    "thermal_bytes_mean": (
+        lambda tmp_path: SignedThermalMixture.thermal(b"2"),
+        TypeError, "must be real number, not bytes",
+    ),
+    "thermal_none_mean": (
+        lambda tmp_path: SignedThermalMixture.thermal(None),
         TypeError, "must be real number, not NoneType",
     ),
     "click_multiplex_str_efficiency": (
@@ -363,7 +379,7 @@ GUARDS = {
         TypeError, "channel must be a TargetChannel, got NoneType",
     ),
     "channel_images_none_channel_in_a_column": (
-        lambda tmp_path: channel_images([(CHANNEL, THERMAL)] * 20 + [(None, THERMAL)]),
+        lambda tmp_path: channel_images([(CHANNEL, THERMAL)] * 70 + [(None, THERMAL)]),
         TypeError, "channel must be a TargetChannel, got NoneType",
     ),
     "apply_channel_none_channel": (
@@ -376,9 +392,10 @@ GUARDS = {
     ),
 }
 
-# herald_states and checked_mixtures, a bad value alone and after 20 good ones:
-# np.asarray would take True or '1' as 1.0 without a word
-for _prefix, _grid in (("", []), ("column_", [1.0] * 20)):
+# herald_states and checked_mixtures, a bad value alone and after 70 good ones:
+# the good rows fill one 64-row scan block (states._CHECK_BLOCK_ROWS), which is
+# scanned before the bad row raises its own error
+for _prefix, _grid in (("", []), ("column_", [1.0] * 70)):
     for _name, _bad, _error, _message in (
         ("str", "1", TypeError, "must be real number, not str"),
         ("none", None, TypeError, "must be real number, not NoneType"),

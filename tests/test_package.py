@@ -1,5 +1,6 @@
-"""Every public name has one home: the module that defines it."""
+"""Every public name has one home, the module that defines it, and a caller."""
 
+import ast
 import types
 from pathlib import Path
 
@@ -25,3 +26,39 @@ def test_each_public_name_has_one_home():
         for line in path.read_text(errors="replace").splitlines() if ALIAS in line
     ]
     assert hits == [("src/qillum/channel.py", f"def {ALIAS}")]
+
+
+# perfbench/tracer.py wraps channel.receiver_click_prob by name; it goes with
+# that entry, when the benchmark's traced names change (ROADMAP items 1 and 16)
+UNCALLED = {"receiver_click_prob"}
+
+
+def _referenced(node) -> set:
+    """Every name ``node`` reads: names, attribute names and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in sub.names)
+    return names
+
+
+def test_every_top_level_definition_has_a_caller():
+    # a def or class nothing in the package or the scripts reads is dead code,
+    # whatever tests call it; a reference from inside its own body is no caller
+    package = sorted((ROOT / "src" / "qillum").glob("*.py"))
+    defined, referenced = [], set()
+    for path in package + sorted((ROOT / "scripts").glob("*.py")):
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _referenced(statement)
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                if path in package:
+                    defined.append((statement.name, f"{path.stem}.{statement.name}"))
+                names.discard(statement.name)
+            referenced |= names
+    uncalled = sorted(home for name, home in defined
+                      if name not in referenced and name not in UNCALLED)
+    assert not uncalled, uncalled

@@ -17,12 +17,10 @@ from qillum.states import (
     SignedThermalMixture,
     _mixture_distribution,
     checked_mixtures,
-    fano_factor,
     herald_state,
     herald_states,
     mean_photon,
     photon_number_distribution,
-    second_moment,
     tmsv_marginal,
     wigner_slice,
 )
@@ -39,8 +37,6 @@ ETAS = (0.5, 0.9, 1.0)
 # Every function that takes a state, applied to ``state`` with in-range other arguments.
 STATE_FUNCTIONS = {
     "mean_photon": mean_photon,
-    "second_moment": second_moment,
-    "fano_factor": fano_factor,
     "photon_number_distribution": lambda state: photon_number_distribution(state, 5),
     "wigner_slice": lambda state: wigner_slice(state, [0.0]),
     "normal_ordered_moment": lambda state: normal_ordered_moment(state, 0.5),
@@ -226,7 +222,9 @@ class TestPhotonNumberDistribution:
     def test_more_detectors_concentrate_distribution(self):
         # with many detectors and fixed clicks the state approaches a Fock state
         def variance(state):
-            return second_moment(state) - mean_photon(state) ** 2
+            p = photon_number_distribution(state, PHYSICALITY_CHECK_LEVELS)
+            n = np.arange(p.size)
+            return p @ (n * n) - (p @ n) ** 2
 
         wide = herald_state(1.0, 0.9, 2, 2).state
         narrow = herald_state(1.0, 0.9, 10, 2).state
@@ -283,40 +281,6 @@ class TestPhotonNumberDistribution:
         got = _mixture_distribution(weights, means, PHYSICALITY_CHECK_LEVELS)
         assert got.dtype == np.longdouble
         assert np.array_equal(got, expected)
-
-
-class TestFanoFactor:
-    def test_thermal(self):
-        for nbar in (0.2, 1.0, 4.0):
-            assert fano_factor(tmsv_marginal(nbar)) == pytest.approx(1.0 + nbar, abs=1e-12)
-
-    def test_coherent_is_poissonian(self):
-        assert fano_factor(DisplacedThermal(2.3, 0.0)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_two_click_herald_is_sub_poissonian(self):
-        assert fano_factor(herald_state(0.1, 0.9, 2, 2).state) < 1.0
-
-    def test_zero_mean_rejected(self):
-        with pytest.raises(ValueError):
-            fano_factor(tmsv_marginal(0.0))
-
-    def test_coherent_at_the_largest_mean(self):
-        # variance over mean, with no mean**2 to overflow (an OverflowError once)
-        assert fano_factor(DisplacedThermal(1e308, 0.0)) == 1.0
-
-    @pytest.mark.parametrize("thermal", [1e200, 1e308])
-    def test_thermal_part_at_a_large_mean(self, thermal):
-        # 1 + m fits a double; the variance m(1 + m) does not
-        assert fano_factor(DisplacedThermal(0.0, thermal)) == thermal
-
-    def test_displaced_both_parts_at_a_large_mean(self):
-        # mu + m overflows a double, the Fano factor 1 + m + m/2 does not
-        assert fano_factor(DisplacedThermal(1e308, 1e308)) == 1.5e308
-
-    @pytest.mark.parametrize("mu, m", [(0.3, 0.0), (1.3, 0.7), (0.09, 3.0), (5.0, 1e-3)])
-    def test_displaced_equals_variance_over_mean(self, mu, m):
-        variance = mu * (1.0 + 2.0 * m) + m * (1.0 + m)
-        assert fano_factor(DisplacedThermal(mu, m)) == pytest.approx(variance / (mu + m), rel=1e-15)
 
 
 class TestWignerSlice:
@@ -463,12 +427,13 @@ class TestHeraldStates:
         eta=st.sampled_from([1.0]) | st.floats(0.0, 1.0, exclude_min=True),
     )
     def test_drawn_grid_equals_points(self, data, detectors, eta):
-        # a grid of 16 or more means is computed as arrays, a shorter one row
-        # by row; either must equal its points hex for hex, and a grid with a
-        # failing point must raise what its first failing point raises alone
+        # a grid of 60-70 means ends on either side of the 64-row scan block,
+        # so a failing point may fall after a full block; any grid must equal
+        # its points hex for hex, and a grid with a failing point must raise
+        # what its first failing point raises alone
         clicks = data.draw(st.integers(0, detectors))
         nbars = st.sampled_from([0.0156, 1.0, 5.0]) | st.floats(0.01, 20.0)  # repeats, too
-        grid = data.draw(st.lists(nbars, max_size=8) | st.lists(nbars, min_size=16, max_size=40))
+        grid = data.draw(st.lists(nbars, max_size=8) | st.lists(nbars, min_size=60, max_size=70))
         if data.draw(st.booleans()):  # nbar 0, which fails every herald with clicks
             grid.insert(data.draw(st.integers(0, len(grid))), 0.0)
         points, failure = [], None
