@@ -3,11 +3,11 @@
 
 Thin wrapper over the CLI so each dataset's exact invocation is on record.
 Every command runs in this one process, so ``qillum`` must be importable
-(``PYTHONPATH=src``).  In one measured run on a 2-core Xeon VM the two
-trajectory configs took 8.7 s (4 ensembles) and 7.2 s (5 ensembles) on one
-thread, 6.3 s and 4.9 s with --threads 2; pass --skip-trajectories to produce
-only the closed-form datasets, about 0.65 s for the whole process (0.47 s of
-it the seven commands).
+(``PYTHONPATH=src``).  In one measured run on a 2-core Xeon VM (Python
+3.11.7, numpy 2.4.6) the two trajectory configs took 7.9 s (4 ensembles) and
+5.9 s (5 ensembles) on one thread, 6.1 s and 5.2 s with --threads 2; pass
+--skip-trajectories to produce only the closed-form datasets, about 0.41 s
+for the whole process (0.33 s of it the seven commands).
 """
 
 import argparse

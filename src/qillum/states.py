@@ -25,8 +25,13 @@ import numpy as np
 
 from .errors import DegenerateHeraldingError, NumericalInstabilityError
 
-# Physicality of a signed mixture is spot-checked on this many Fock levels;
-# beyond it thermal tails decay monotonically and need no check.
+# Physicality of a signed mixture is checked on Fock levels 0 .. this many at
+# most.  A mixture whose largest-mean component has positive weight (and no
+# tie) is positive past the level where that component dominates
+# (``_dominance_level``), so scanning up to that level checks every level.
+# Any other mixture is checked up to here only, and its tail past this level
+# is not: 2*thermal(10) - thermal(10.5) first turns negative at n = 171, but
+# 2*thermal(10) - thermal(10.2) only at n = 399, which this check never reads.
 PHYSICALITY_CHECK_LEVELS = 200
 
 # Near-degenerate heralds carry weights of magnitude ~1/denominator, and a sum
@@ -181,8 +186,8 @@ def checked_mixtures(rows) -> list[SignedThermalMixture]:
 
     Each row gets the cheap checks in order (components, real and finite
     weights, ``check_mean``, trace); every ``_CHECK_BLOCK_ROWS`` rows are
-    then scanned together for p_n >= -tolerance on levels 0 ..
-    PHYSICALITY_CHECK_LEVELS.
+    then scanned together for p_n >= -tolerance on levels 0 up to the
+    block's largest ``_dominance_level``, at most PHYSICALITY_CHECK_LEVELS.
     ``rows`` may be a generator that raises.  When it or a cheap check raises,
     the rows before are scanned first, so the error is the one the first
     failing row raises alone.
@@ -225,13 +230,22 @@ def _scanned(block) -> list[SignedThermalMixture]:
 
     Rows are padded to the widest with weight-0, mean-0 components, whose
     running product is [1, 0, ...]: each adds exactly zero to every p_n.
+    The block is scanned up to the largest ``_dominance_level`` of its rows,
+    computed on the doubles the scan reads; every p_n past a row's level is
+    positive, so it can neither fail the row nor be the minimum a failing
+    row reports.
     """
     if not block:
         return []
     width = max(len(weights) for weights, _, _ in block)
-    padded = [(weights + (0.0,) * (width - len(weights)), means + (0.0,) * (width - len(means)))
-              for weights, means, _ in block]
-    probs = _mixture_distribution(*zip(*padded), PHYSICALITY_CHECK_LEVELS)
+    padded_weights = np.array([w + (0.0,) * (width - len(w)) for w, _, _ in block], dtype=float)
+    padded_means = np.array([m + (0.0,) * (width - len(m)) for _, m, _ in block], dtype=float)
+    levels = 0
+    for row in zip(padded_weights.tolist(), padded_means.tolist()):
+        levels = max(levels, _dominance_level(*row))
+        if levels == PHYSICALITY_CHECK_LEVELS:
+            break
+    probs = _mixture_distribution(padded_weights, padded_means, levels)
     mixtures = []
     for value, (weights, means, tol) in zip(probs.min(axis=-1).astype(float).tolist(), block):
         if not (value >= -tol):  # a NaN p_n fails too
@@ -243,6 +257,39 @@ def _scanned(block) -> list[SignedThermalMixture]:
         object.__setattr__(mixture, "means", means)
         mixtures.append(mixture)
     return mixtures
+
+
+def _dominance_level(weights: list, means: list) -> int:
+    """A level past which every p_n of a row of doubles is positive, capped at the full scan.
+
+    With a_l = w_l/(1+m_l) and r_l = m_l/(1+m_l), p_n = sum_l a_l r_l^n.  Let t
+    be the component of largest mean and c the number of other nonzero
+    weights.  From n0 = ceil(max_l log(4 c |a_l| / a_t) / log(r_t / r_l)) + 1
+    on, the other components sum to at most a_t r_t^n / 4 in magnitude, so
+    p_n >= 3/4 a_t r_t^n > 0.  The factor 2 under 1/2 covers evaluating n0 in
+    doubles; the scan's longdouble sums err by about 1e-17 relative.  A
+    vacuum component adds to p_0 alone.  A row with a_t <= 0, m_t = 0, or
+    another mean equal to m_t (or whose r_l rounds to r_t) gets
+    PHYSICALITY_CHECK_LEVELS.
+    """
+    top_mean = max(means)
+    top_a = weights[means.index(top_mean)] / (1.0 + top_mean)
+    if not (top_a > 0.0 and top_mean > 0.0) or means.count(top_mean) > 1:
+        return PHYSICALITY_CHECK_LEVELS
+    top_r = top_mean / (1.0 + top_mean)
+    scale = 4.0 * (len(weights) - weights.count(0.0) - 1) / top_a
+    level = 0.0
+    for weight, mean in zip(weights, means):
+        if weight and 0.0 < mean < top_mean:
+            ratio = top_r * (1.0 + mean) / mean  # r_t / r_l
+            bound = scale * abs(weight) / (1.0 + mean)  # 4 c |a_l| / a_t
+            if not (ratio > 1.0 and bound < math.inf):
+                return PHYSICALITY_CHECK_LEVELS
+            if bound > 1.0:  # else the bound holds from n = 0
+                level = max(level, math.log(bound, ratio))
+    if level >= PHYSICALITY_CHECK_LEVELS - 1:
+        return PHYSICALITY_CHECK_LEVELS
+    return math.ceil(level) + 1
 
 
 @dataclass(frozen=True)
@@ -289,8 +336,9 @@ def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list
 
     The column's scales s_l, signed binomials and C(N, k) are computed once,
     after its first mean passes ``check_mean``.  Each row is computed on the
-    mean as a double.  A failing grid raises the error its first failing
-    mean raises alone.
+    mean as a double.  A row whose mean is negative (``_mean_is_negative``)
+    raises ``NumericalInstabilityError``.  A failing grid raises the error its
+    first failing mean raises alone.
     """
     probabilities = []
 
@@ -317,9 +365,36 @@ def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list
             weights = [t / denom for t in terms]
             _absorb_residual(weights)
             probabilities.append(clamp_probability(combinations * denom / (1.0 + x)))
+            if _mean_is_negative(weights, means):
+                raise NumericalInstabilityError(
+                    f"herald mean {math.fsum(map(operator.mul, weights, means))!r} is negative "
+                    f"for nbar={nbar}, eta={efficiency}, N={detectors}, k={clicks}"
+                )
             yield tuple(weights), tuple(means)
 
     return list(map(HeraldedState, checked_mixtures(rows()), probabilities))
+
+
+def _mean_is_negative(weights: list, means: list) -> bool:
+    """Whether the mean sum_l w_l m_l of a row of doubles is negative, evaluated exactly.
+
+    A true herald mean is nonnegative; a negative one is cancellation in the
+    weights.  Each product rounds by at most 2^-53 of itself (2^-1075 when
+    subnormal) and ``math.fsum`` rounds the sum once, so a rounded mean above
+    twice that bound is positive.  A mean at or below it is summed again in
+    integers, each double as its exact multiple of 2^-1074, so the exact 0.0
+    mean of a k = 0 herald at eta 1 passes.
+    """
+    products = list(map(operator.mul, weights, means))
+    bound = 2.0 ** -52 * math.fsum(map(abs, products)) + len(products) * 2.0 ** -1074
+    if math.fsum(products) > bound:
+        return False
+
+    def units(x: float) -> int:
+        numerator, denominator = x.as_integer_ratio()  # the denominator is a power of 2
+        return (numerator << 1074) // denominator
+
+    return sum(units(w) * units(m) for w, m in zip(weights, means)) < 0
 
 
 def _absorb_residual(weights: list) -> None:

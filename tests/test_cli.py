@@ -350,6 +350,18 @@ class TestExitCodes:
             "error: probability -1.0185911520184703e-10 is outside [0, 1]")
         assert not out.exists()
 
+    def test_negative_herald_mean_is_an_error(self, tmp_path, capsys):
+        # the (16, 8) herald at nbar 0.001 was once written with mean -0.000324
+        config = tmp_path / "stats.json"
+        config.write_text(json.dumps({"outcomes": [[16, 8]]}))
+        out = tmp_path / "out.csv"
+        argv = ["herald-stats", "--grid", "0.001", "--config", str(config), "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: herald mean -0.000324249267578125 is negative for nbar=0.001, eta=0.95, "
+            "N=16, k=8\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [

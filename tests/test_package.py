@@ -1,6 +1,8 @@
 """Every public name has one home, the module that defines it, and a caller."""
 
 import ast
+import importlib
+import pkgutil
 import types
 from pathlib import Path
 
@@ -12,7 +14,10 @@ ALIAS = "receiver_click_prob"
 
 def test_each_public_name_has_one_home():
     # the package re-exports nothing: the only public names it binds are its
-    # submodules, bound there by their own import
+    # submodules, bound there by their own import.  Each is imported here, so
+    # the check does not depend on which test files ran before.
+    for module in pkgutil.iter_modules(qillum.__path__):
+        importlib.import_module(f"qillum.{module.name}")
     public = {name: value for name, value in vars(qillum).items() if not name.startswith("_")}
     assert public and all(isinstance(value, types.ModuleType) and value.__name__ == f"qillum.{name}"
                           for name, value in public.items()), sorted(public)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -15,7 +15,10 @@ from qillum.states import (
     PHYSICALITY_CHECK_LEVELS,
     DisplacedThermal,
     SignedThermalMixture,
+    _absorb_residual,
+    _mean_is_negative,
     _mixture_distribution,
+    _physicality_tolerance,
     checked_mixtures,
     herald_state,
     herald_states,
@@ -356,11 +359,12 @@ class TestMixtureValidation:
                 herald_state(bad, 0.9, 2, 2)
 
     def test_non_finite_distribution_fails_check(self, monkeypatch):
-        # finite inputs cannot give a NaN p_n, so one is injected at level 3
-        # of each row the check reads; the check must reject it, not pass it
+        # finite inputs cannot give a NaN p_n, so one is injected at the last
+        # level the check reads of each row (level 1 of a thermal state); the
+        # check must reject it, not pass it
         def with_nan(weights, means, n_max):
             probs = _mixture_distribution(weights, means, n_max)
-            probs[..., 3] = np.nan
+            probs[..., -1] = np.nan
             return probs
 
         monkeypatch.setattr("qillum.states._mixture_distribution", with_nan)
@@ -395,6 +399,82 @@ class TestMixtureValidation:
         # raise a RuntimeWarning (an error under this suite's settings)
         with pytest.raises(ValueError, match="thermal mean must be finite"):
             checked_mixtures([((1.0,), (1.0,)), ((1.0,), (math.inf,)), ((1.5, -0.5), (0.0, 1.0))])
+
+
+def herald_row(nbar, eta, detectors, clicks):
+    """The (weights, means) row of ``herald_state`` before any check, or None if degenerate."""
+    means = [(nbar - nbar * s) / (1.0 + nbar * s)
+             for s in (eta * (detectors - l) / detectors for l in range(clicks + 1))]
+    terms = [math.comb(clicks, l) * (-1) ** (clicks - l) * (1.0 + m) for l, m in enumerate(means)]
+    denom = math.fsum(terms)
+    if abs(denom) < 1e-300:
+        return None
+    weights = [t / denom for t in terms]
+    _absorb_residual(weights)
+    return tuple(weights), tuple(means)
+
+
+@st.composite
+def herald_rows(draw):
+    detectors = draw(st.integers(1, 16))
+    nbar = draw(st.sampled_from([0.02, 1.0, 20.0]) | st.floats(1e-4, 1e3))
+    eta = draw(st.sampled_from([1.0, 0.9]) | st.floats(0.05, 1.0))
+    row = herald_row(nbar, eta, detectors, draw(st.integers(0, detectors)))
+    assume(row is not None)
+    return row
+
+
+@st.composite
+def image_rows(draw):
+    # a herald row through a target channel; n_B = 0 keeps the herald's shape
+    weights, means = draw(herald_rows())
+    kappa = draw(st.sampled_from([0.1, 0.8]) | st.floats(0.01, 0.99))
+    background = draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 20.0))
+    return weights, tuple(kappa * m + background for m in means)
+
+
+@st.composite
+def signed_rows(draw):
+    # negative or tied top components, zero means and weights, weights near
+    # 1e7; the last weight makes the trace one
+    size = draw(st.integers(1, 6))
+    mean = st.sampled_from([0.0, 1.0, 10.0, 10.5]) | st.floats(0.0, 50.0)
+    means = draw(st.lists(mean, min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        means[0] = max(means)
+    weight = st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e7, -1e7]) | st.floats(-1e7, 1e7)
+    weights = draw(st.lists(weight, min_size=size - 1, max_size=size - 1))
+    weights.append(1.0 - math.fsum(weights))
+    order = draw(st.permutations(range(size)))
+    return tuple(weights[i] for i in order), tuple(means[i] for i in order)
+
+
+def full_scan(rows):
+    """``checked_mixtures`` with each row scanned alone on every level to PHYSICALITY_CHECK_LEVELS."""
+    mixtures = []
+    for weights, means in rows:
+        tol = _physicality_tolerance(weights, means)
+        value = float(_mixture_distribution(weights, means, PHYSICALITY_CHECK_LEVELS).min())
+        if not (value >= -tol):
+            raise ValueError(
+                f"mixture is unphysical: p_n reaches {value:.3e} (tolerance {tol:.1e})"
+            )
+        mixtures.append((tuple(weights), tuple(means)))
+    return mixtures
+
+
+def scanned_levels(monkeypatch, build):
+    """The number of levels each scanned block of ``build()`` reads."""
+    levels = []
+
+    def recorded(weights, means, n_max):
+        levels.append(n_max + 1)
+        return _mixture_distribution(weights, means, n_max)
+
+    monkeypatch.setattr("qillum.states._mixture_distribution", recorded)
+    build()
+    monkeypatch.undo()
+    return levels
 
 
 # The herald grids of scripts/make_figure_data.py: herald-stats, and the two
@@ -452,15 +532,13 @@ class TestHeraldStates:
 
     def test_batched_scan_equals_one_row(self, monkeypatch):
         # blocks mix component counts 1 .. 9, padded to the widest row with
-        # (weight 0, mean 0) components; a padded row's p_n must equal the row
-        # computed alone.  The deep-tail mixture comes last and still fails.
-        rows = []
-        for nbar, eta, detectors, clicks in herald_grid((0.01, 0.1, 1.0, 5.0, 20.0), 8):
-            try:
-                state = herald_state(nbar, eta, detectors, clicks).state
-            except DegenerateHeraldingError:
-                continue
-            rows.append((state.weights, state.means))
+        # (weight 0, mean 0) components, and each block is scanned to its own
+        # level; a padded row's p_n must equal the row computed alone to that
+        # level.  The rows are the heralds' before their checks, so those
+        # herald_state refuses for a negative mean are scanned too.  The
+        # deep-tail mixture comes last and still fails.
+        rows = [row for args in herald_grid((0.01, 0.1, 1.0, 5.0, 20.0), 8)
+                if (row := herald_row(*args)) is not None]
         near_degenerate = herald_state(0.01, 0.9, 8, 8).state
         assert (near_degenerate.weights, near_degenerate.means) in rows
         rows.append(((2.0, -1.0), (10.0, 10.5)))  # deep-tail negativity
@@ -476,10 +554,15 @@ class TestHeraldStates:
             checked_mixtures(rows)
         monkeypatch.undo()
         assert len(blocks) > 1 and len({len(w) for w, _ in rows[:len(blocks[0])]}) > 1
-        batched = np.concatenate(blocks)
-        alone = [_mixture_distribution(w, m, PHYSICALITY_CHECK_LEVELS).astype(float)
-                 for w, m in rows]
-        assert np.array_equal(batched, np.array(alone))
+        assert len({block.shape[-1] for block in blocks}) > 1  # blocks of different levels
+        assert sum(map(len, blocks)) == len(rows)
+        start = 0
+        for block in blocks:
+            n_max = block.shape[-1] - 1
+            alone = [_mixture_distribution(w, m, n_max).astype(float)
+                     for w, m in rows[start:start + len(block)]]
+            assert np.array_equal(block, np.array(alone))
+            start += len(block)
 
     def test_a_float32_mean_is_read_as_a_double(self):
         # float32 arithmetic once made this physical herald's p_n reach -1.2e-8
@@ -505,6 +588,36 @@ class TestHeraldStates:
         with pytest.raises(NumericalInstabilityError, match="outside"):
             herald_state(0.1, 0.9, 20, 10)
 
+    def test_negative_mean_raises(self):
+        # cancellation in the weights once gave these heralds negative means
+        with pytest.raises(NumericalInstabilityError) as alone:
+            herald_state(0.001, 0.95, 16, 8)  # at herald probability 0
+        assert str(alone.value) == (
+            "herald mean -0.000324249267578125 is negative for nbar=0.001, eta=0.95, N=16, k=8")
+        with pytest.raises(NumericalInstabilityError) as together:
+            herald_states([1.0, 0.001, math.nan], 0.95, 16, 8)
+        assert str(together.value) == str(alone.value)
+        with pytest.raises(NumericalInstabilityError,
+                           match=r"herald mean -0\.1045117974281311 is negative for "
+                                 r"nbar=0\.007715338519134527, eta=0\.19194523493065202, "
+                                 r"N=38, k=23"):
+            herald_state(0.007715338519134527, 0.19194523493065202, 38, 23)
+        # a k = 0 herald at eta 1 is vacuum, of mean exactly 0
+        assert mean_photon(herald_state(0.5, 1.0, 3, 0).state) == 0.0
+        assert mean_photon(herald_states([0.0, 2.0], 1.0, 1, 0)[1].state) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=herald_rows() | signed_rows())
+    @example(row=((1.0, -1.0), (1.0, 1.0 + 2.0 ** -52)))  # exactly -2^-52
+    @example(row=((1.0, -1.0), (1.0 + 2.0 ** -52, 1.0)))
+    @example(row=((0.1, -0.1), (3.0, 3.0)))  # exactly 0
+    @example(row=((1.0, -1.0), (5e-324, 1e-323)))  # subnormal products
+    @example(row=((0.1, 0.7, 0.2), (1e-310, 0.0, 3e-310)))
+    def test_negative_mean_is_decided_exactly(self, row):
+        weights, means = row
+        exact = sum(Fraction(w) * Fraction(m) for w, m in zip(weights, means))
+        assert _mean_is_negative(list(weights), list(means)) == (exact < 0)
+
     def test_scan_memory_is_bounded(self):
         # the scan holds one block of running products at a time; a whole
         # 500-point column at once would take about 10 MB.  So does the scan
@@ -523,3 +636,49 @@ class TestHeraldStates:
         finally:
             tracemalloc.stop()
         assert max(peaks) < 3_000_000
+
+
+class TestScanLevels:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=st.lists(herald_rows() | image_rows() | signed_rows(), min_size=1, max_size=8)
+           | st.lists(herald_rows() | image_rows(), min_size=60, max_size=70))
+    @example(rows=[((2.0, -1.0), (10.0, 10.5))])  # p_n turns negative at n = 171
+    @example(rows=[((1.5, -0.5), (0.0, 1.0)), ((1.0,), (1.0,))])
+    # a positive top whose middle component drives p_3 and p_4 negative: the
+    # scan must reach the dominance level, 18
+    @example(rows=[((1.0, -0.2, 0.2), (0.25, 3.0, 9.0))])
+    # tied top means of net weight -0.01 turn p_n negative only from n = 12
+    @example(rows=[((10.0, -10.01, 1.01), (5.0, 5.0, 1.0))])
+    def test_verdicts_equal_the_full_scan(self, rows):
+        # a block read only to its rows' dominance levels returns the same
+        # mixtures, or raises the same message, as every row read to the end
+        try:
+            expected = full_scan(rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                checked_mixtures(rows)
+            assert str(raised.value) == str(exc)
+        else:
+            assert [(m.weights, m.means) for m in checked_mixtures(rows)] == expected
+
+    def test_herald_blocks_stop_where_the_top_component_dominates(self, monkeypatch):
+        grid = FIGURE_GRIDS["click_prob"][0]
+        levels = scanned_levels(monkeypatch, lambda: herald_states(grid, 0.9, 4, 4))
+        assert len(levels) == 8 and max(levels) <= 20
+        assert scanned_levels(monkeypatch, lambda: herald_states(grid, 0.9, 1, 0)) == [2] * 8
+
+    def test_image_blocks_through_a_bright_background_read_every_level(self, monkeypatch):
+        grid = FIGURE_GRIDS["click_prob"][0]
+        heralded = herald_states(grid, 0.9, 4, 4)
+        channel = TargetChannel(0.1, 10.0)
+        levels = scanned_levels(
+            monkeypatch, lambda: channel_images((channel, h.state) for h in heralded))
+        assert levels == [PHYSICALITY_CHECK_LEVELS + 1] * 8
+
+    def test_deep_tail_mixture_reads_every_level(self, monkeypatch):
+        # its top component has a negative weight, so no level dominates
+        def build():
+            with pytest.raises(ValueError, match="unphysical"):
+                SignedThermalMixture((2.0, -1.0), (10.0, 10.5))
+
+        assert scanned_levels(monkeypatch, build) == [PHYSICALITY_CHECK_LEVELS + 1]
