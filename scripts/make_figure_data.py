@@ -3,11 +3,13 @@
 
 Thin wrapper over the CLI so each dataset's exact invocation is on record.
 Every command runs in this one process, so ``qillum`` must be importable
-(``PYTHONPATH=src``).  In one measured run on a 2-core Xeon VM (Python
-3.11.7, numpy 2.4.6) the two trajectory configs took 7.9 s (4 ensembles) and
-5.9 s (5 ensembles) on one thread, 6.1 s and 5.2 s with --threads 2; pass
---skip-trajectories to produce only the closed-form datasets, about 0.41 s
-for the whole process (0.33 s of it the seven commands).
+(``PYTHONPATH=src``), and the κ = 0.8 click-prob table reuses the herald
+columns the κ = 0.1 table built.  Measured on a 2-core Xeon VM (Python
+3.11.7, numpy 2.4.6), each trajectory config run alone took 7.6 s (4
+ensembles) and 5.3 s (5 ensembles) on one thread, 4.8 s and 4.7 s with
+--threads 2; pass --skip-trajectories to produce only the closed-form
+datasets, a median of 0.37 s for the whole process over 10 runs (0.17 s of
+it the seven commands, 45 ms of that the κ = 0.8 table).
 """
 
 import argparse

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
@@ -37,6 +37,9 @@ from .states import (DisplacedThermal, check_efficiency, check_mean, check_outco
 
 CSV_BLOCK_ROWS = 4096
 REQUIRED = object()
+# click-prob herald columns kept per process (the default table has five): a
+# second table on the same grid, herald efficiency and outcomes reuses them.
+HERALD_COLUMNS_KEPT = 8
 
 
 class ConfigError(Exception):
@@ -280,6 +283,18 @@ def cmd_herald_stats(v) -> int:
     return 0
 
 
+@lru_cache(maxsize=HERALD_COLUMNS_KEPT)
+def _herald_column(grid: tuple, eta: str, detectors: int, clicks: int) -> tuple:
+    """The herald-conditioned states of one click-prob column, built once per process.
+
+    The grid means and ``eta`` come as ``float.hex`` strings, so the key holds
+    their exact bits (0.0 and -0.0 are two keys).  A column that raises is not
+    kept, and raises again on the next call.
+    """
+    nbars = list(map(float.fromhex, grid))
+    return tuple(h.state for h in herald_states(nbars, float.fromhex(eta), detectors, clicks))
+
+
 def cmd_click_prob(v) -> int:
     """Receiver single-click probabilities under H1 for a family of signals."""
     channel = TargetChannel(v.kappa, v.nbar_b)
@@ -287,14 +302,15 @@ def cmd_click_prob(v) -> int:
     pr_h0 = click_probability(receiver, 1, background_state(channel))
     header = ["nbar", "pr_h0"] + [f"pr_{s['label']}" for s in v.signals]
     columns = [v.nbar_grid, [pr_h0] * len(v.nbar_grid)]
+    grid = tuple(map(float.hex, v.nbar_grid))
     for sig in v.signals:
         if sig["kind"] == "coherent":
             images = [apply_channel(channel, DisplacedThermal(nbar, 0.0)) for nbar in v.nbar_grid]
         else:
-            heralded = herald_states(v.nbar_grid, v.eta, sig["detectors"], sig["clicks"])
+            states = _herald_column(grid, v.eta.hex(), sig["detectors"], sig["clicks"])
             # an image mean kappa * m + n_B can overflow for a grid mean and background in range
             with _blame(v.named["nbar_grid"], v.named["kappa"], v.named["nbar_b"]):
-                images = channel_images((channel, h.state) for h in heralded)
+                images = channel_images((channel, state) for state in states)
         columns.append(click_probabilities(receiver, 1, images))
     _write_csv(v.out, header, columns)
     return 0

@@ -65,8 +65,9 @@ def check_real(value, what: str):
 
 
 def check_mean(value: float, what: str) -> float:
-    """A mean photon number: finite and nonnegative, and not a bool."""
-    if type(value) is not float:  # a float is no bool: the common case skips the call
+    """A mean photon number: finite and nonnegative, and not a bool; returned as a float."""
+    exact = type(value) is float  # a float is no bool: the common case skips the call
+    if not exact:
         check_real(value, what)
     try:
         ok = math.isfinite(value) and value >= 0.0
@@ -74,7 +75,7 @@ def check_mean(value: float, what: str) -> float:
         ok = False
     if not ok:
         raise ValueError(f"{what} must be finite and nonnegative, got {value}")
-    return value
+    return value if exact else float(value)
 
 
 # A computed probability further than this outside [0, 1] means the
@@ -167,27 +168,31 @@ class SignedThermalMixture:
 
     Weights may be negative but must sum to one; the combination must still
     describe a valid density matrix, which is spot-checked through the
-    photon-number distribution on construction.
+    photon-number distribution on construction.  Weights and means are
+    stored as tuples of floats, whatever sequences of numbers they came in.
     """
 
     weights: tuple[float, ...]
     means: tuple[float, ...]
 
     def __post_init__(self):
-        checked_mixtures([(self.weights, self.means)])
+        checked, = checked_mixtures([(self.weights, self.means)])
+        object.__setattr__(self, "weights", checked.weights)
+        object.__setattr__(self, "means", checked.means)
 
     @classmethod
     def thermal(cls, mean: float) -> "SignedThermalMixture":
-        return cls((1.0,), (float(check_mean(mean, "thermal mean")),))
+        return cls((1.0,), (check_mean(mean, "thermal mean"),))
 
 
 def checked_mixtures(rows) -> list[SignedThermalMixture]:
     """One mixture per ``(weights, means)`` pair of ``rows``, checked in one pass.
 
     Each row gets the cheap checks in order (components, real and finite
-    weights, ``check_mean``, trace); every ``_CHECK_BLOCK_ROWS`` rows are
-    then scanned together for p_n >= -tolerance on levels 0 up to the
-    block's largest ``_dominance_level``, at most PHYSICALITY_CHECK_LEVELS.
+    weights, ``check_mean``, trace) and is kept as tuples of floats; every
+    ``_CHECK_BLOCK_ROWS`` rows are then scanned together for p_n >= -tolerance
+    on levels 0 up to the block's largest ``_dominance_level``, at most
+    PHYSICALITY_CHECK_LEVELS.
     ``rows`` may be a generator that raises.  When it or a cheap check raises,
     the rows before are scanned first, so the error is the one the first
     failing row raises alone.
@@ -195,7 +200,7 @@ def checked_mixtures(rows) -> list[SignedThermalMixture]:
     mixtures, block = [], []
     try:
         for weights, means in rows:
-            block.append((tuple(weights), tuple(means), _physicality_tolerance(weights, means)))
+            block.append(_checked_row(tuple(weights), tuple(means)))
             if len(block) == _CHECK_BLOCK_ROWS:
                 full, block = block, []
                 mixtures += _scanned(full)
@@ -205,24 +210,38 @@ def checked_mixtures(rows) -> list[SignedThermalMixture]:
     return mixtures + _scanned(block)
 
 
-def _physicality_tolerance(weights, means) -> float:
-    """Check one row's components and trace; return its p_n tolerance."""
+def _checked_row(weights: tuple, means: tuple) -> tuple:
+    """Check one row's components and trace; return its weights, means and p_n tolerance.
+
+    Weights and means that are not all floats are returned as floats.
+    """
     if not weights:
         raise ValueError("a mixture needs at least one component")
     if len(weights) != len(means):
         raise ValueError(f"{len(weights)} weights but {len(means)} means")
+    floats = True
     for weight, mean in zip(weights, means):
         if type(weight) is not float:  # a float is no bool: the common case skips the call
             check_real(weight, "component weight")
-        if not math.isfinite(weight):
-            raise ValueError(f"component weight must be finite, got {weight}")
-        check_mean(mean, "thermal mean")
+            floats = False
+        try:
+            finite = math.isfinite(weight)
+        except OverflowError:  # an int or a Fraction past the largest double
+            finite = False
+        if not finite:
+            shown = f"an integer of {weight.bit_length()} bits" if isinstance(weight, int) else weight
+            raise ValueError(f"component weight must be finite, got {shown}")
+        if not (type(mean) is float and 0.0 <= mean < math.inf):  # the common case skips the call
+            check_mean(mean, "thermal mean")
+            floats = False
+    if not floats:
+        weights, means = tuple(map(float, weights)), tuple(map(float, means))
     scale = math.fsum(map(abs, weights))
     trace = math.fsum(weights)
     trace_bound = _TRACE_TOL_FLOOR + _TRACE_TOL_PER_WEIGHT * scale
     if abs(trace - 1.0) > trace_bound:
         raise ValueError(f"mixture trace {trace!r} deviates from 1 beyond {trace_bound}")
-    return _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
+    return weights, means, _PHYSICALITY_TOL_FLOOR + _PHYSICALITY_TOL_PER_WEIGHT * scale
 
 
 def _scanned(block) -> list[SignedThermalMixture]:
@@ -294,14 +313,17 @@ def _dominance_level(weights: list, means: list) -> int:
 
 @dataclass(frozen=True)
 class DisplacedThermal:
-    """Coherent signal of mean |beta|^2 photons on top of a thermal background."""
+    """Coherent signal of mean |beta|^2 photons on top of a thermal background.
+
+    Both means are stored as floats, whatever numbers they came in.
+    """
 
     coherent_mean: float
     thermal_mean: float
 
     def __post_init__(self):
-        check_mean(self.coherent_mean, "coherent mean")
-        check_mean(self.thermal_mean, "thermal mean")
+        object.__setattr__(self, "coherent_mean", check_mean(self.coherent_mean, "coherent mean"))
+        object.__setattr__(self, "thermal_mean", check_mean(self.thermal_mean, "thermal mean"))
 
 
 class HeraldedState(NamedTuple):
@@ -345,7 +367,7 @@ def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list
     def rows():
         scales = None
         for nbar in nbars:
-            check_mean(nbar, "mean photon number")
+            x = check_mean(nbar, "mean photon number")
             if scales is None:
                 check_efficiency(efficiency)
                 check_outcome(detectors, clicks)
@@ -353,7 +375,6 @@ def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list
                 signs = [float(math.comb(clicks, l) * (-1) ** (clicks - l))
                          for l in range(clicks + 1)]
                 combinations = math.comb(detectors, clicks)
-            x = float(nbar)
             means = [(x - x * s) / (1.0 + x * s) for s in scales]
             terms = [sign * (1.0 + mean) for sign, mean in zip(signs, means)]
             denom = math.fsum(terms)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qillum
-from qillum import mc, verify
+from qillum import cli, mc, verify
 from qillum.cli import _build_parser, check_thresholds, main
 from qillum.matching import matched_mean
 
@@ -131,6 +131,53 @@ class TestClickProb:
         assert row[header.index("pr_coherent")] == pytest.approx(
             1 - math.exp(-0.3), abs=1e-12
         )
+
+
+class TestHeraldColumnCache:
+    """click-prob builds each herald column once per process (``cli._herald_column``)."""
+
+    FIGURE = ["--grid", "lin:0.02:20:500", "--nbar-b", "10", "--eta", "0.9", "--eta-s", "0.9"]
+
+    def table(self, tmp_path, kappa):
+        out = tmp_path / f"k{kappa}.csv"
+        assert run_cli(["click-prob", *self.FIGURE, "--kappa", kappa, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_reused_columns_give_the_tracked_bytes(self, tmp_path):
+        tracked = (SCRIPTS.parent / "out" / "click_prob_k08.csv").read_bytes()
+        cli._herald_column.cache_clear()
+        assert self.table(tmp_path, "0.8") == tracked
+        assert cli._herald_column.cache_info().hits == 0
+        cli._herald_column.cache_clear()
+        self.table(tmp_path, "0.1")
+        assert self.table(tmp_path, "0.8") == tracked
+        info = cli._herald_column.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (5, 5, 5)
+
+    def test_negative_zero_is_its_own_key(self, tmp_path):
+        config = tmp_path / "click.json"
+        config.write_text(json.dumps({"signals": ["1,0"]}))
+        cli._herald_column.cache_clear()
+        for grid in ([0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]):
+            argv = ["click-prob", "--grid=" + ",".join(map(str, grid)), "--config", str(config),
+                    "--out", str(tmp_path / "x.csv")]
+            assert run_cli(argv) == 0
+        info = cli._herald_column.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+    def test_a_failing_column_is_not_kept(self, tmp_path, capsys):
+        cli._herald_column.cache_clear()
+        out = tmp_path / "x.csv"
+        errors = []
+        for _ in range(2):
+            assert run_cli(["click-prob", "--grid=-0,0,1", "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "error: herald normalization vanished for nbar=-0.0, eta=0.9, N=2, k=1\n")
+        assert not out.exists()
+        # the 1,0 column is kept and read again; the failing 2,1 column is built twice
+        info = cli._herald_column.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
 
 
 class TestMatch:

@@ -274,6 +274,11 @@ GUARDS = {
         lambda tmp_path: SignedThermalMixture((True,), (1.0,)),
         ValueError, "component weight must be a real number, got True",
     ),
+    # an integer weight past the largest double was a bare OverflowError
+    "mixture_int_weight_past_the_largest_double": (
+        lambda tmp_path: SignedThermalMixture((10**400, 1 - 10**400), (1.0, 2.0)),
+        ValueError, "component weight must be finite, got an integer of 1329 bits",
+    ),
     # checked_mixtures once stored a bool weight as given
     "checked_mixtures_bool_weight": (
         lambda tmp_path: checked_mixtures([((True,), (1.0,))]),
@@ -418,6 +423,8 @@ for _prefix, _grid in (("", []), ("column_", [1.0] * 70)):
         ("bool_mean", ((1.0,), (True,)), ValueError, "thermal mean must be a real number, got True"),
         ("str_mean", ((1.0,), ("1",)), TypeError, "must be real number, not str"),
         ("none_mean", ((1.0,), (None,)), TypeError, "must be real number, not NoneType"),
+        ("int_weight_past_the_largest_double", ((10**400, 1 - 10**400), (1.0, 2.0)),
+         ValueError, "component weight must be finite, got an integer of 1329 bits"),
     ):
         GUARDS[f"checked_mixtures_{_prefix}{_name}"] = (
             lambda tmp_path, rows=[((1.0,), (1.0,))] * len(_grid) + [_row]: checked_mixtures(rows),

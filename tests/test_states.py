@@ -16,9 +16,9 @@ from qillum.states import (
     DisplacedThermal,
     SignedThermalMixture,
     _absorb_residual,
+    _checked_row,
     _mean_is_negative,
     _mixture_distribution,
-    _physicality_tolerance,
     checked_mixtures,
     herald_state,
     herald_states,
@@ -371,6 +371,32 @@ class TestMixtureValidation:
         with pytest.raises(ValueError, match="unphysical"):
             SignedThermalMixture.thermal(1.0)
 
+    def test_a_built_mixture_keeps_what_it_was_given(self):
+        # the mixture once stored the caller's lists: a later edit changed a
+        # validated mixture, and the frozen mixture could not be hashed
+        weights, means = [0.5, 0.5], [1.0, 2.0]
+        mixture = SignedThermalMixture(weights, means)
+        weights[0], means[0] = 5.0, 7.0
+        assert (mixture.weights, mixture.means) == ((0.5, 0.5), (1.0, 2.0))
+        assert hash(mixture) == hash(SignedThermalMixture((0.5, 0.5), (1.0, 2.0)))
+
+    def test_float32_components_are_stored_as_doubles(self):
+        # float32 weights once made the mean 1.5499999523162842
+        mixture = SignedThermalMixture((np.float32(0.5),) * 2, (1.0, np.float32(2.0)))
+        assert all(type(x) is float for x in mixture.weights + mixture.means)
+        wide = SignedThermalMixture((np.float32(0.5),) * 2, (1.0, 2.1))
+        assert mean_photon(wide) == math.fsum([0.5 * 1.0, 0.5 * 2.1]) == 1.55
+        assert checked_mixtures([((np.float32(1.0),), (np.float32(1.5),))]) == [
+            SignedThermalMixture((1.0,), (1.5,))]
+
+    def test_float32_displaced_means_are_stored_as_doubles(self):
+        # a float32 coherent mean once gave a click probability 4e-9 off
+        state = DisplacedThermal(np.float32(1.1), np.float32(0.5))
+        assert (type(state.coherent_mean), type(state.thermal_mean)) == (float, float)
+        wide = DisplacedThermal(float(np.float32(1.1)), 0.5)
+        receiver = ClickMultiplex(1, 0.9)
+        assert click_probability(receiver, 1, state) == click_probability(receiver, 1, wide)
+
     def test_rows_report_the_first_failing_row(self):
         # the unphysical row fails only the scan, the next one a cheap check:
         # the rows raise what the unphysical row raises alone
@@ -453,7 +479,7 @@ def full_scan(rows):
     """``checked_mixtures`` with each row scanned alone on every level to PHYSICALITY_CHECK_LEVELS."""
     mixtures = []
     for weights, means in rows:
-        tol = _physicality_tolerance(weights, means)
+        _, _, tol = _checked_row(weights, means)
         value = float(_mixture_distribution(weights, means, PHYSICALITY_CHECK_LEVELS).min())
         if not (value >= -tol):
             raise ValueError(
