@@ -121,16 +121,39 @@ def _items(value, read, what: str) -> list:
     return [read(item) for item in _require(isinstance(value, list), value, f"a list of {what}")]
 
 
+def _checked_span(start: float, stop: float, read, names=("start", "stop")) -> tuple:
+    """``(start, stop)`` of a linspace, once ``read`` passes both and stop - start is finite.
+
+    numpy's linspace over an infinite span warns and returns inf or NaN.
+    """
+    for name, end in zip(names, (start, stop)):
+        try:
+            read(end)
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+    if not math.isfinite(stop - start):
+        raise ValueError(f"span {names[1]} - {names[0]} must be finite, got {stop - start}")
+    return start, stop
+
+
+def _linspace(start: float, stop: float, count: int) -> list:
+    """``np.linspace`` over a ``_checked_span`` as a list of floats."""
+    # (count - 1) * step may round past the largest double; numpy then sets that point to stop
+    with np.errstate(over="ignore"):
+        return np.linspace(start, stop, count).tolist()
+
+
 def _grid(value) -> list:
     """A JSON list of numbers, or text: a comma list or 'lin:start:stop:count'."""
+    nonnegative = partial(_number, allowed=lambda x: 0 <= x < math.inf, what="finite, >= 0")
     if isinstance(value, str) and value.startswith("lin:"):
         parts = value.split(":")
         if len(parts) != 4:
             raise ValueError(f"bad linspace grid {value!r}; want lin:start:stop:count")
-        value = np.linspace(float(parts[1]), float(parts[2]), int(parts[3])).tolist()
+        value = _linspace(*_checked_span(float(parts[1]), float(parts[2]), nonnegative),
+                          int(parts[3]))
     elif isinstance(value, str):
         value = [float(v) for v in value.split(",")] if value else []
-    nonnegative = partial(_number, allowed=lambda x: 0 <= x < math.inf, what="finite, >= 0")
     return _items(value, nonnegative, "numbers")
 
 
@@ -333,8 +356,12 @@ def cmd_wigner(v) -> int:
     with _blame(v.named["nbar"], v.named["eta"], v.named["detectors"], v.named["clicks"]):
         model = (herald_state(v.nbar, v.eta, v.detectors, v.clicks).state
                  if v.state == "herald" else tmsv_marginal(v.nbar))
-    q = np.linspace(v.q_min, v.q_max, v.q_points)
-    _write_csv(v.out, ["q", "w"], [q, wigner_slice(model, q)])
+    with _blame(v.named["q_min"], v.named["q_max"]):
+        span = _checked_span(v.q_min, v.q_max, FINITE.read, ("q_min", "q_max"))
+    q = _linspace(*span, v.q_points)
+    with _blame(v.named["nbar"]):  # a mean past about 2.9e307 has no finite Wigner norm
+        w = wigner_slice(model, q)
+    _write_csv(v.out, ["q", "w"], [q, w])
     return 0
 
 

@@ -25,6 +25,7 @@ curve first reaches a threshold is ``first_crossing(curve, threshold)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -116,7 +117,10 @@ class LikelihoodTables:
 
     def __post_init__(self):
         # Both logs read values clipped at 1e-300, so equal likelihoods give exactly 0.0.
-        log_l0, log_l1 = (np.log(np.clip(rows, 1e-300, None)) for rows in (self.l0, self.l1))
+        # Each log is libm's, so the tables do not depend on numpy's SIMD level.
+        clipped = (np.clip(rows, 1e-300, None) for rows in (self.l0, self.l1))
+        log_l0, log_l1 = (np.reshape([math.log(x) for x in c.ravel().tolist()], c.shape)
+                          for c in clipped)
         log_ratio = np.clip(log_l1 - log_l0, -_LOG_RATIO_CLIP, _LOG_RATIO_CLIP)
         derived = dict(
             herald_cdf=None if self.herald is None else _pinned_cumsum(self.herald, "herald"),

@@ -174,8 +174,10 @@ def _povm_table(detectors: int, clicks: int, efficiency: float, n_max: int) -> n
 
     def fill(table, have):
         rows, size = table.shape
-        # povm_fock_diagonal takes its powers from the whole grid, so a wider
-        # table rebuilds every row; a taller one builds only its new rows.
+        # A wider table rebuilds every row; a taller one builds only its new rows.
+        # A row's leading entries do not depend on its width (tests/test_povm.py),
+        # so rows could grow by columns, but a cold verify sweep's 134 row builds
+        # for 42 kept rows cost only 11-14 ms, and growing by columns saved none.
         for k in range(have[0] if have[1] == size else 0, rows):
             table[k] = povm_fock_diagonal(detectors, k, efficiency, size - 1)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalInstabilityError
 from .states import (DisplacedThermal, SignedThermalMixture, check_count, check_efficiency,
-                     check_outcome, check_real, clamp_probability)
+                     check_outcome, check_real, clamp_probability, expansion_terms)
 
 
 @dataclass(frozen=True)
@@ -49,20 +49,18 @@ class ClickMultiplex:
         check_efficiency(self.efficiency)
 
 
-def normal_ordered_moment(state, s: float) -> float:
-    """Normally ordered exponential moment <:exp(-s n):>.
+def normal_ordered_moment(state: DisplacedThermal, s: float) -> float:
+    """<:exp(-s n):> of a displaced thermal state, exp(-s mu / (1 + s m)) / (1 + s m).
 
-    Thermal component of mean m contributes 1 / (1 + s m); a displaced thermal
-    state gives exp(-s mu / (1 + s m)) / (1 + s m).
+    A thermal mixture's click probabilities take the exact product form
+    (``_thermal_outcome_values``) instead of its moments 1 / (1 + s m).
     """
     if not (0.0 <= check_real(s, "moment parameter") <= 1.0):
         raise ValueError(f"moment parameter must lie in [0, 1], got {s}")
-    if isinstance(state, SignedThermalMixture):
-        return math.fsum(w / (1.0 + s * m) for w, m in zip(state.weights, state.means))
-    if isinstance(state, DisplacedThermal):
-        denom = 1.0 + s * state.thermal_mean
-        return math.exp(-s * state.coherent_mean / denom) / denom
-    raise TypeError(f"no moment rule for {type(state).__name__}")
+    if not isinstance(state, DisplacedThermal):
+        raise TypeError(f"no moment rule for {type(state).__name__}")
+    denom = 1.0 + s * state.thermal_mean
+    return math.exp(-s * state.coherent_mean / denom) / denom
 
 
 def _thermal_outcome_values(means, detector_count: int, clicks: int,
@@ -92,13 +90,30 @@ def _thermal_outcome_values(means, detector_count: int, clicks: int,
     return rows
 
 
-def _displaced_outcome_value(state: DisplacedThermal, detector_count: int, clicks: int,
-                             efficiency: float) -> float:
-    """Pr_{N,k} of a displaced thermal state, the alternating sum in doubles, before clamping."""
-    n = detector_count
-    return math.comb(n, clicks) * math.fsum(
-        (-1) ** (clicks - l) * math.comb(clicks, l)
-        * normal_ordered_moment(state, efficiency * (n - l) / n) for l in range(clicks + 1))
+def _outcome_values(multiplex: ClickMultiplex, states, first: int, last: int):
+    """Yield the clamped Pr_{N,k}, k = first .. last, of each state; the caller checks k.
+
+    A thermal mixture is exact, every outcome of a component from one pass.  A
+    displaced thermal state takes its moments at s_l once, for l <= last.
+    """
+    n, eta = multiplex.detector_count, multiplex.efficiency
+    ratio, terms = float(eta).as_integer_ratio(), None
+    for state in states:
+        if isinstance(state, SignedThermalMixture):
+            rows = _thermal_outcome_values(state.means, n, last, ratio, first)
+            yield [clamp_probability(math.fsum(map(mul, state.weights, column)))
+                   for column in zip(*rows)]
+        elif isinstance(state, DisplacedThermal):
+            if terms is None:  # check_outcome returns C(N, k)
+                scales = expansion_terms(n, last, eta)[1]
+                terms = [(check_outcome(n, k), expansion_terms(n, k, eta)[0])
+                         for k in range(first, last + 1)]
+            moments = [normal_ordered_moment(state, s) for s in scales]
+            # map stops at the k + 1 signs of outcome k
+            yield [clamp_probability(combinations * math.fsum(map(mul, signs, moments)))
+                   for combinations, signs in terms]
+        else:
+            raise TypeError(f"no click rule for {type(state).__name__}")
 
 
 def click_probability(multiplex: ClickMultiplex, clicks: int, state) -> float:
@@ -109,41 +124,19 @@ def click_probability(multiplex: ClickMultiplex, clicks: int, state) -> float:
 def click_probabilities(multiplex: ClickMultiplex, clicks: int, states) -> list[float]:
     """``click_probability`` of each of ``states``, the outcome checked once for the column.
 
-    A thermal component's value keeps its exact integer running product; only
-    the efficiency's integer ratio is shared by the column.
+    The column shares constants only: the efficiency's ratio and the expansion's terms.
     """
     check_outcome(multiplex.detector_count, clicks)
-    n, eta = multiplex.detector_count, multiplex.efficiency
-    ratio = float(eta).as_integer_ratio()
-    probabilities = []
-    for state in states:
-        if isinstance(state, SignedThermalMixture):
-            values = _thermal_outcome_values(state.means, n, clicks, ratio, clicks)
-            raw = math.fsum(w * value for w, (value,) in zip(state.weights, values))
-        elif isinstance(state, DisplacedThermal):
-            raw = _displaced_outcome_value(state, n, clicks, eta)
-        else:
-            raise TypeError(f"no click rule for {type(state).__name__}")
-        probabilities.append(clamp_probability(raw))
-    return probabilities
+    return [value for value, in _outcome_values(multiplex, states, clicks, clicks)]
 
 
 def click_distribution(multiplex: ClickMultiplex, state) -> np.ndarray:
     """All N+1 outcome probabilities, each ``click_probability``'s; they must sum to one."""
-    n, eta = multiplex.detector_count, multiplex.efficiency
+    n = multiplex.detector_count
     check_outcome(n, n)
-    if isinstance(state, SignedThermalMixture):  # every outcome of a component from one pass
-        ratio = float(eta).as_integer_ratio()
-        columns = list(zip(*_thermal_outcome_values(state.means, n, n, ratio)))
-        probs = np.array([clamp_probability(math.fsum(map(mul, state.weights, column)))
-                          for column in columns])
-        scale = max(1.0, float(np.sum(np.abs(state.weights))))
-    elif isinstance(state, DisplacedThermal):
-        probs = np.array([clamp_probability(_displaced_outcome_value(state, n, k, eta))
-                          for k in range(n + 1)])
-        scale = 1.0
-    else:
-        raise TypeError(f"no click rule for {type(state).__name__}")
+    probs = np.array(next(_outcome_values(multiplex, [state], 0, n)))
+    weights = state.weights if isinstance(state, SignedThermalMixture) else ()
+    scale = max(1.0, float(np.sum(np.abs(weights))))
     total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-12 * scale:
         raise NumericalInstabilityError(
@@ -160,21 +153,21 @@ def povm_fock_diagonal(detector_count: int, clicks: int, efficiency: float, n_ma
     polynomial; physically, n photons cannot fire more than n detectors), so
     those entries are exactly zero; every other row of signed powers gets one fsum.
     """
-    check_outcome(detector_count, clicks)
+    combinations = check_outcome(detector_count, clicks)
     check_efficiency(efficiency)
     check_count(n_max, "n_max")
 
     coeffs = np.zeros(n_max + 1)
     if n_max < clicks:
         return coeffs
-    signs = np.array([float((-1) ** (clicks - l) * math.comb(clicks, l))
-                      for l in range(clicks + 1)])
-    xs = np.array([1.0 - efficiency * (detector_count - l) / detector_count
-                   for l in range(clicks + 1)])
-    # All n_max + 1 rows: numpy's power may round an entry differently in another shape.
-    terms = (xs[None, :] ** np.arange(n_max + 1)[:, None])[clicks:] * signs
+    signs, scales = map(np.array, expansion_terms(detector_count, clicks, efficiency))
+    # Powers of every n from 0, then the rows n < k dropped.  No entry depends
+    # on n_max: each leading block of a width-700 row equalled the narrower
+    # call (N <= 4, every k, eta 0.5, 0.9 and 1, at default SIMD dispatch and
+    # with AVX512 disabled), and tests/test_povm.py pins this for N <= 8.
+    terms = ((1.0 - scales)[None, :] ** np.arange(n_max + 1)[:, None])[clicks:] * signs
     sums = np.array([math.fsum(row) for row in terms.tolist()])
-    values = float(math.comb(detector_count, clicks)) * sums
+    values = float(combinations) * sums
     clamped = np.where(values > 0.0, np.minimum(values, 1.0), 0.0)  # -0.0 too becomes 0.0
     for value in values[values != clamped].tolist():
         clamp_probability(value)  # raises at the first excursion beyond its tolerance

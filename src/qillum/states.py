@@ -136,11 +136,11 @@ def check_count(value, what: str) -> int:
     return value
 
 
-def check_outcome(detectors: int, clicks: int) -> None:
+def check_outcome(detectors: int, clicks: int) -> int:
     """An outcome of an N-detector multiplex: integers N >= 1 and 0 <= k <= min(N, 64).
 
     N and C(N, k) must not exceed the largest double: the closed forms read
-    both as doubles.
+    both as doubles.  Returns C(N, k), the outcome's prefactor.
     """
     check_integer(detectors, "detector count")
     check_integer(clicks, "click count")
@@ -160,6 +160,14 @@ def check_outcome(detectors: int, clicks: int) -> None:
     if combinations > sys.float_info.max:  # int against float: an exact comparison
         raise ValueError(f"C(N, k) must not exceed the largest double, got an integer of "
                          f"{combinations.bit_length()} bits at k = {clicks}")
+    return combinations
+
+
+def expansion_terms(detectors: int, clicks: int, efficiency: float) -> tuple[list, list]:
+    """Signed binomials C(k,l) (-1)^(k-l) as floats and scales s_l = eta (N - l) / N, l <= k,
+    of the expansion Pr_{N,k} = C(N,k) sum_l C(k,l) (-1)^(k-l) <:exp(-s_l n):>."""
+    signs = [float(math.comb(clicks, l) * (-1) ** (clicks - l)) for l in range(clicks + 1)]
+    return signs, [efficiency * (detectors - l) / detectors for l in range(clicks + 1)]
 
 
 @dataclass(frozen=True)
@@ -370,11 +378,8 @@ def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list
             x = check_mean(nbar, "mean photon number")
             if scales is None:
                 check_efficiency(efficiency)
-                check_outcome(detectors, clicks)
-                scales = [efficiency * (detectors - l) / detectors for l in range(clicks + 1)]
-                signs = [float(math.comb(clicks, l) * (-1) ** (clicks - l))
-                         for l in range(clicks + 1)]
-                combinations = math.comb(detectors, clicks)
+                combinations = check_outcome(detectors, clicks)
+                signs, scales = expansion_terms(detectors, clicks, efficiency)
             means = [(x - x * s) / (1.0 + x * s) for s in scales]
             terms = [sign * (1.0 + mean) for sign, mean in zip(signs, means)]
             denom = math.fsum(terms)
@@ -484,13 +489,18 @@ def wigner_slice(state, q_grid) -> np.ndarray:
 
     Convention: W_vac(q, p) = exp(-q^2 - p^2) / pi, so a thermal component of
     mean m contributes w * exp(-q^2 / (2m + 1)) / (pi * (2m + 1)) and the full
-    2-D integral of each component equals its weight.
+    2-D integral of each component equals its weight.  Each exp is libm's, so
+    the slice does not depend on numpy's SIMD level.
     """
     if not isinstance(state, SignedThermalMixture):
         raise TypeError("wigner_slice is defined for signed thermal mixtures")
     q = check_coordinates(q_grid)
+    for mean in state.means:
+        if not math.isfinite(math.pi * (2.0 * mean + 1.0)):
+            raise ValueError(f"Wigner norm pi * (2m + 1) is not finite at thermal mean m = {mean!r}")
     widths = 2.0 * np.array(state.means) + 1.0
     # q^2 overflows to inf at |q| beyond about 1e154, and exp(-inf) is the limit, 0.
     with np.errstate(over="ignore"):
-        gauss = np.exp(-np.square(q)[None, :] / widths[:, None])
+        exponents = -np.square(q)[None, :] / widths[:, None]
+    gauss = np.array([list(map(math.exp, row)) for row in exponents.tolist()])
     return (np.array(state.weights) / (np.pi * widths)) @ gauss

@@ -629,6 +629,56 @@ class TestBoundaryDefects:
         assert captured.out == ""
         assert not out.exists()
 
+    # numpy overflowed on these: RuntimeWarnings and a traceback once, or a
+    # W(q) of the wrong sign or 0 with exit 0.  Each runs as a process, so
+    # stderr holds all that a user would see.
+    PROCESS_ROWS = {
+        "wigner_q_span_overflows": (
+            ["wigner", "--q-min=-1e308", "--q-max", "1e308", "--q-points", "3"],
+            "--q-min, --q-max: span q_max - q_min must be finite, got inf",
+        ),
+        "grid_stop_inf": (["herald-stats", "--grid", "lin:0:inf:3"],
+                          "--grid: stop must be finite, >= 0, got inf"),
+        "grid_span_overflows": (["herald-stats", "--grid", "lin:1e308:-1e308:3"],
+                                "--grid: stop must be finite, >= 0, got -1e+308"),
+        "wigner_herald_width_overflows": (
+            ["wigner", "--state", "herald", "--nbar", "1e308", "--q-points", "3"],
+            "--nbar: Wigner norm pi * (2m + 1) is not finite at thermal mean m = 1e+308",
+        ),
+        "wigner_thermal_width_overflows": (
+            ["wigner", "--state", "thermal", "--nbar", "1e308", "--q-points", "3"],
+            "--nbar: Wigner norm pi * (2m + 1) is not finite at thermal mean m = 1e+308",
+        ),
+        # 2m + 1 is finite here, pi * (2m + 1) is not
+        "wigner_thermal_norm_overflows": (
+            ["wigner", "--state", "thermal", "--nbar", "8e307", "--q-points", "3"],
+            "--nbar: Wigner norm pi * (2m + 1) is not finite at thermal mean m = 8e+307",
+        ),
+    }
+
+    @staticmethod
+    def run_process(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(qillum.__file__).parent.parent))
+        return subprocess.run([sys.executable, "-m", "qillum", *argv], env=env,
+                              capture_output=True, text=True)
+
+    @pytest.mark.parametrize("row", sorted(PROCESS_ROWS))
+    def test_one_config_error_line_without_warnings(self, row, tmp_path):
+        argv, message = self.PROCESS_ROWS[row]
+        out = tmp_path / "out.csv"
+        done = self.run_process(argv + ["--out", str(out)])
+        assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"config error: {message}\n")
+        assert not out.exists()
+
+    def test_grid_to_the_largest_double_warns_nothing(self, tmp_path):
+        # (count - 1) * step rounds past the largest double in numpy, which warned
+        out = tmp_path / "out.csv"
+        done = self.run_process(["herald-stats", "--grid", "lin:0.5:1.7976931348623157e308:7",
+                                 "--out", str(out)])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert read(out).splitlines()[-1].startswith("1.79769313486e+308,")
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -10,12 +10,16 @@ is pinned the same way, and so is their stderr, whose worst-case lines depend
 on the first-max rule; the full report's digest is the benchmark's
 ``verify_report``.  The benchmark's figure commands and digests must stay
 those of ``scripts/make_figure_data.py`` and the tracked ``out/*.csv``.
+All but the full report are pinned with numpy's SIMD dispatch lowered too.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -113,3 +117,69 @@ def test_benchmark_figure_contract(tmp_path, monkeypatch):
     assert sorted(digests) == sorted(path.name for path in (ROOT / "out").glob("*.csv"))
     for name, digest in digests.items():
         assert hashlib.sha256((ROOT / "out" / name).read_bytes()).hexdigest() == digest, name
+
+
+# Runs the figure commands, the one-thread trajectory documents and ``verify
+# --quick`` of the JSON plan on stdin, and prints the digest of each output
+# with the SIMD groups that numpy still dispatches.
+LOWERED_CHILD = textwrap.dedent("""
+    import contextlib, hashlib, io, json, sys
+    from pathlib import Path
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    from qillum import cli
+
+    plan, tmp = json.load(sys.stdin), Path(sys.argv[1])
+    digests = {"dispatched": [group for group in __cpu_dispatch__ if __cpu_features__.get(group)]}
+    for name, argv in plan["figures"].items():
+        assert cli.main(argv + ["--out", str(tmp / name)]) == 0, name
+        digests[name] = hashlib.sha256((tmp / name).read_bytes()).hexdigest()
+    for label, document in plan["trajectories"].items():
+        config, out = tmp / f"{label}.json", tmp / f"{label}.csv"
+        config.write_text(json.dumps(document))
+        argv = ["trajectories", "--config", str(config), "--threads", "1", "--out", str(out)]
+        assert cli.main(argv) == 0, label
+        for path in (out, tmp / f"{out.name}.meta.json"):
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert cli.main(["verify", "--quick"]) == 0
+    digests["verify --quick stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    digests["verify --quick stderr"] = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
+    print(json.dumps(digests))
+""")
+
+
+def _host_groups(level: str) -> list:
+    """numpy's dispatched SIMD groups that this CPU runs: the AVX512 ones, or every one."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    groups = [group for group in __cpu_dispatch__ if __cpu_features__.get(group)]
+    if level == "avx512":
+        groups = [group for group in groups if group.startswith("AVX512") or group == "X86_V4"]
+    return groups
+
+
+@pytest.mark.parametrize("level", ["avx512", "every"])
+def test_pinned_bytes_at_lowered_dispatch(level, tmp_path):
+    # numpy's AVX512 exp and log differ from libm in the last bit of some
+    # doubles, so these bytes must come from basic IEEE operations or libm.
+    # The full verify report joins once the oracle's exp takes that path too
+    # (ROADMAP item 19); on an AVX512 host it differs today.
+    disabled = _host_groups(level)
+    if not disabled:
+        pytest.skip(f"numpy dispatches no {level} SIMD group above its baseline on this CPU")
+    trials = workloads.TRAJECTORY_TRIALS
+    plan = {"figures": workloads.FIGURE_COMMANDS, "trajectories": {
+        label: dict(document, seed=workloads.DEFAULT_SEED, trials=trials)
+        for label, document in workloads.TRAJECTORY_DOCS.items()}}
+    expected = {"dispatched": [group for group in _host_groups("every") if group not in disabled],
+                **workloads.EXPECTED["figure_tables"], **workloads.EXPECTED["trajectories"][str(trials)],
+                "verify --quick stdout": VERIFY_DIGESTS["quick"],
+                "verify --quick stderr": VERIFY_STDERR_DIGESTS["quick"]}
+    # groups this process already runs without stay disabled in the child
+    already = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(already + disabled),
+               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", LOWERED_CHILD, str(tmp_path)], env=env,
+                          input=json.dumps(plan), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == expected, disabled

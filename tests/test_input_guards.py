@@ -263,7 +263,7 @@ GUARDS = {
         ValueError, "coherent mean must be a real number, got True",
     ),
     "normal_ordered_moment_bool_s": (
-        lambda tmp_path: normal_ordered_moment(THERMAL, True),
+        lambda tmp_path: normal_ordered_moment(DisplacedThermal(1.0, 0.0), True),
         ValueError, "moment parameter must be a real number, got True",
     ),
     "matched_mean_numpy_bool_eavesdropper_efficiency": (
@@ -322,6 +322,15 @@ GUARDS = {
     "wigner_slice_bool_q": (
         lambda tmp_path: wigner_slice(THERMAL, True),
         ValueError, "q must be a real number, got True",
+    ),
+    # 2m + 1 overflowed to inf, or pi * (2m + 1) did, and W(q) lost that component
+    "wigner_slice_width_past_the_largest_double": (
+        lambda tmp_path: wigner_slice(SignedThermalMixture.thermal(1e308), [0.0]),
+        ValueError, "Wigner norm pi * (2m + 1) is not finite at thermal mean m = 1e+308",
+    ),
+    "wigner_slice_norm_past_the_largest_double": (
+        lambda tmp_path: wigner_slice(herald_state(8e307, 0.9, 2, 2).state, [0.0]),
+        ValueError, "Wigner norm pi * (2m + 1) is not finite at thermal mean m = 8e+307",
     ),
     "oracle_wigner_numpy_bool_q": (
         lambda tmp_path: oracle.oracle_wigner(oracle.thermal_diag(1.0), np.True_),

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from qillum.channel import TargetChannel, apply_channel, channel_images
 from qillum.errors import DegenerateHeraldingError, NumericalInstabilityError
-from qillum.povm import ClickMultiplex, click_distribution, click_probability, normal_ordered_moment
+from qillum.povm import ClickMultiplex, click_distribution, click_probability
 from qillum.states import (
     PHYSICALITY_CHECK_LEVELS,
     DisplacedThermal,
@@ -42,7 +42,6 @@ STATE_FUNCTIONS = {
     "mean_photon": mean_photon,
     "photon_number_distribution": lambda state: photon_number_distribution(state, 5),
     "wigner_slice": lambda state: wigner_slice(state, [0.0]),
-    "normal_ordered_moment": lambda state: normal_ordered_moment(state, 0.5),
     "click_probability": lambda state: click_probability(ClickMultiplex(2, 0.9), 1, state),
     "click_distribution": lambda state: click_distribution(ClickMultiplex(2, 0.9), state),
     "poisson_limit_reference": lambda state: poisson_limit_reference(1, 0.9, state),
