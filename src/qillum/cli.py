@@ -35,7 +35,7 @@ from .povm import ClickMultiplex, click_probabilities, click_probability
 from .states import (DisplacedThermal, check_efficiency, check_mean, check_outcome, herald_state,
                      herald_states, mean_photon, tmsv_marginal, wigner_slice)
 
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 512
 REQUIRED = object()
 # click-prob herald columns kept per process (the default table has five): a
 # second table on the same grid, herald efficiency and outcomes reuses them.
@@ -150,8 +150,16 @@ def _grid(value) -> list:
         parts = value.split(":")
         if len(parts) != 4:
             raise ValueError(f"bad linspace grid {value!r}; want lin:start:stop:count")
-        value = _linspace(*_checked_span(float(parts[1]), float(parts[2]), nonnegative),
-                          int(parts[3]))
+        span = _checked_span(float(parts[1]), float(parts[2]), nonnegative)
+        try:
+            count = int(parts[3])
+        except ValueError:  # _integer names the text it rejects
+            count = parts[3]
+        try:
+            count = _integer(count, least=0)
+        except ValueError as exc:
+            raise ValueError(f"count {exc}") from None
+        value = _linspace(*span, count)
     elif isinstance(value, str):
         value = [float(v) for v in value.split(",")] if value else []
     return _items(value, nonnegative, "numbers")

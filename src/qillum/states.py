@@ -15,6 +15,7 @@ the column's constants computed once.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -25,13 +26,11 @@ import numpy as np
 
 from .errors import DegenerateHeraldingError, NumericalInstabilityError
 
-# Physicality of a signed mixture is checked on Fock levels 0 .. this many at
-# most.  A mixture whose largest-mean component has positive weight (and no
-# tie) is positive past the level where that component dominates
-# (``_dominance_level``), so scanning up to that level checks every level.
-# Any other mixture is checked up to here only, and its tail past this level
-# is not: 2*thermal(10) - thermal(10.5) first turns negative at n = 171, but
-# 2*thermal(10) - thermal(10.2) only at n = 399, which this check never reads.
+# Physicality of a signed mixture is checked on Fock levels 0 .. this many.
+# Past them, a mixture whose largest-mean component has positive weight (and
+# no tie) is positive once that component dominates; any other may turn
+# negative unseen: 2*thermal(10) - thermal(10.5) first turns negative at
+# n = 171, but 2*thermal(10) - thermal(10.2) only at n = 399.
 PHYSICALITY_CHECK_LEVELS = 200
 
 # Near-degenerate heralds carry weights of magnitude ~1/denominator, and a sum
@@ -199,8 +198,8 @@ def checked_mixtures(rows) -> list[SignedThermalMixture]:
     Each row gets the cheap checks in order (components, real and finite
     weights, ``check_mean``, trace) and is kept as tuples of floats; every
     ``_CHECK_BLOCK_ROWS`` rows are then scanned together for p_n >= -tolerance
-    on levels 0 up to the block's largest ``_dominance_level``, at most
-    PHYSICALITY_CHECK_LEVELS.
+    on levels 0 .. PHYSICALITY_CHECK_LEVELS, in doubles wherever a rounding
+    bound decides a level and in longdouble where it does not (``_scanned``).
     ``rows`` may be a generator that raises.  When it or a cheap check raises,
     the rows before are scanned first, so the error is the one the first
     failing row raises alone.
@@ -256,28 +255,40 @@ def _scanned(block) -> list[SignedThermalMixture]:
     """The mixtures of ``(weights, means, tolerance)`` rows whose p_n all pass the scan.
 
     Rows are padded to the widest with weight-0, mean-0 components, whose
-    running product is [1, 0, ...]: each adds exactly zero to every p_n.
-    The block is scanned up to the largest ``_dominance_level`` of its rows,
-    computed on the doubles the scan reads; every p_n past a row's level is
-    positive, so it can neither fail the row nor be the minimum a failing
-    row reports.
+    running product is [1, 0, ...]: each adds exactly zero to every p_n.  A
+    doubles pass reads every level, the weights stacked as [w, |w|] so that
+    the same running products give p_n and S_n = sum_l |w_l| a_l r_l^n.  A
+    level is decided, passed by every evaluation, when p_n + tolerance (summed
+    first, so the subnormal term survives) exceeds twice the doubles and the
+    longdouble ``_rounding_error``; the 2 covers rounding.  A NaN or an inf
+    leaves it open.  Open rows are read again in longdouble up to the block's
+    last open level; a failing row's minimum is open, so that pass alone fails it.
     """
     if not block:
         return []
     width = max(len(weights) for weights, _, _ in block)
-    padded_weights = np.array([w + (0.0,) * (width - len(w)) for w, _, _ in block], dtype=float)
-    padded_means = np.array([m + (0.0,) * (width - len(m)) for _, m, _ in block], dtype=float)
-    levels = 0
-    for row in zip(padded_weights.tolist(), padded_means.tolist()):
-        levels = max(levels, _dominance_level(*row))
-        if levels == PHYSICALITY_CHECK_LEVELS:
-            break
-    probs = _mixture_distribution(padded_weights, padded_means, levels)
+    stacked = np.empty((2, len(block), width))
+    weights, sizes = stacked
+    weights[...] = [w + (0.0,) * (width - len(w)) for w, _, _ in block]
+    np.abs(weights, out=sizes)
+    means = np.array([m + (0.0,) * (width - len(m)) for _, m, _ in block], dtype=float)
+    relative, absolute = _rounding_error(width, np.float64, np.longdouble)
+    tols = np.array([tol for _, _, tol in block])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs, sums = _mixture_distribution(stacked, means, PHYSICALITY_CHECK_LEVELS, np.float64)
+        floors = 2 * absolute * (1.0 + sizes.sum(axis=-1, keepdims=True))
+        decided = probs + tols - 2 * relative * sums > floors
+    minima = {}
+    if not decided.all():
+        reread = np.flatnonzero(~decided.all(axis=-1))
+        last = np.flatnonzero(~decided.all(axis=0))[-1]
+        probs = _mixture_distribution(weights[reread], means[reread], last)
+        minima = dict(zip(reread.tolist(), probs.min(axis=-1).astype(float).tolist()))
     mixtures = []
-    for value, (weights, means, tol) in zip(probs.min(axis=-1).astype(float).tolist(), block):
-        if not (value >= -tol):  # a NaN p_n fails too
+    for row, (weights, means, tol) in enumerate(block):
+        if row in minima and not (minima[row] >= -tol):  # a NaN p_n fails too
             raise ValueError(
-                f"mixture is unphysical: p_n reaches {value:.3e} (tolerance {tol:.1e})"
+                f"mixture is unphysical: p_n reaches {minima[row]:.3e} (tolerance {tol:.1e})"
             )
         mixture = object.__new__(SignedThermalMixture)
         object.__setattr__(mixture, "weights", weights)
@@ -286,37 +297,24 @@ def _scanned(block) -> list[SignedThermalMixture]:
     return mixtures
 
 
-def _dominance_level(weights: list, means: list) -> int:
-    """A level past which every p_n of a row of doubles is positive, capped at the full scan.
+@functools.cache
+def _rounding_error(width: int, *dtypes) -> tuple[np.ndarray, float]:
+    """``(gamma_K, K tiny)`` of the scanned p_n of width-W rows, summed over ``dtypes``.
 
-    With a_l = w_l/(1+m_l) and r_l = m_l/(1+m_l), p_n = sum_l a_l r_l^n.  Let t
-    be the component of largest mean and c the number of other nonzero
-    weights.  From n0 = ceil(max_l log(4 c |a_l| / a_t) / log(r_t / r_l)) + 1
-    on, the other components sum to at most a_t r_t^n / 4 in magnitude, so
-    p_n >= 3/4 a_t r_t^n > 0.  The factor 2 under 1/2 covers evaluating n0 in
-    doubles; the scan's longdouble sums err by about 1e-17 relative.  A
-    vacuum component adds to p_0 alone.  A row with a_t <= 0, m_t = 0, or
-    another mean equal to m_t (or whose r_l rounds to r_t) gets
-    PHYSICALITY_CHECK_LEVELS.
+    In ``_mixture_distribution`` a_l r_l^n is 1/(1+m_l) (two roundings) times
+    n factors m_l/(1+m_l) (three each); weighting and summing W components,
+    in any order, with or without FMA, adds at most W.  So with K = 3n + W + 2
+    and unit roundoff u, |p_n - exact| <= K u / (1 - K u) S_n + K tiny
+    (1 + sum_l |w_l|) (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 3.1 and 4.2), tiny the smallest subnormal, here at the last K.
     """
-    top_mean = max(means)
-    top_a = weights[means.index(top_mean)] / (1.0 + top_mean)
-    if not (top_a > 0.0 and top_mean > 0.0) or means.count(top_mean) > 1:
-        return PHYSICALITY_CHECK_LEVELS
-    top_r = top_mean / (1.0 + top_mean)
-    scale = 4.0 * (len(weights) - weights.count(0.0) - 1) / top_a
-    level = 0.0
-    for weight, mean in zip(weights, means):
-        if weight and 0.0 < mean < top_mean:
-            ratio = top_r * (1.0 + mean) / mean  # r_t / r_l
-            bound = scale * abs(weight) / (1.0 + mean)  # 4 c |a_l| / a_t
-            if not (ratio > 1.0 and bound < math.inf):
-                return PHYSICALITY_CHECK_LEVELS
-            if bound > 1.0:  # else the bound holds from n = 0
-                level = max(level, math.log(bound, ratio))
-    if level >= PHYSICALITY_CHECK_LEVELS - 1:
-        return PHYSICALITY_CHECK_LEVELS
-    return math.ceil(level) + 1
+    relative = absolute = 0
+    for info in map(np.finfo, dtypes):
+        roundings = 3 * np.arange(PHYSICALITY_CHECK_LEVELS + 1, dtype=info.dtype) + width + 2
+        unit = roundings * (info.eps / 2)
+        relative = relative + unit / (1 - unit)
+        absolute = absolute + roundings[-1] * info.smallest_subnormal
+    return relative.astype(float), float(absolute)
 
 
 @dataclass(frozen=True)
@@ -449,21 +447,22 @@ def mean_photon(state) -> float:
     raise TypeError(f"mean_photon undefined for {type(state).__name__}")
 
 
-def _mixture_distribution(weights, means, n_max: int) -> np.ndarray:
-    """Longdouble p_0 .. p_{n_max} of sum_i w_i m_i^n / (1 + m_i)^(n+1).
+def _mixture_distribution(weights, means, n_max: int, dtype=np.longdouble) -> np.ndarray:
+    """p_0 .. p_{n_max} of sum_i w_i m_i^n / (1 + m_i)^(n+1), evaluated in ``dtype``.
 
     Near-degenerate heralds carry weights of magnitude ~1e7 whose signed sum
-    must cancel to ~1e-12 absolute, hence extended precision.  Each component
-    is a running product, 1/(1+m) times n factors m/(1+m); a vacuum component
-    is [1, 0, ...].  Leading axes of ``weights`` and ``means`` are rows of
-    mixtures, each computed as a row alone is.  Entries are read as doubles,
-    as the rest of the package reads a mixture, and then widened.
+    must cancel to ~1e-12 absolute, hence longdouble unless doubles are shown
+    enough.  Each component is a running product, 1/(1+m) times n factors
+    m/(1+m); a vacuum component is [1, 0, ...].  Leading axes are rows of
+    mixtures, each computed as a row alone is; ``weights`` may lead with one
+    more, weightings of the same products.  Entries are read as doubles.
     """
-    m = np.array(means, dtype=float).astype(np.longdouble)[..., None]
-    comp = np.repeat(m / (1.0 + m), n_max + 1, axis=-1)
-    comp[..., :1] = 1.0 / (1.0 + m)
+    m = np.asarray(means, dtype=float).astype(dtype, copy=False)[..., None]
+    total = 1.0 + m
+    comp = np.repeat(m / total, n_max + 1, axis=-1)
+    comp[..., :1] = 1.0 / total
     np.multiply.accumulate(comp, axis=-1, out=comp)
-    weights = np.array(weights, dtype=float).astype(np.longdouble)
+    weights = np.asarray(weights, dtype=float).astype(dtype, copy=False)
     return (weights[..., None, :] @ comp)[..., 0, :]
 
 

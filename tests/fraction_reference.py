@@ -30,11 +30,16 @@ def thermal_outcome_value(mean: float, detector_count: int, clicks: int, efficie
     return float(math.comb(detector_count, clicks) * total)
 
 
-def mixture_distribution(weights, means, n_max: int) -> list[Fraction]:
-    """Exact p_0 .. p_{n_max} of the signed thermal mixture."""
-    probs = [Fraction(0)] * (n_max + 1)
+def mixture_distribution(weights, means, n_max: int, number=Fraction) -> list:
+    """Exact p_0 .. p_{n_max} of the signed thermal mixture, or in ``number`` arithmetic.
+
+    ``number=Decimal`` evaluates the same sums in the current decimal context,
+    each operation exact to its precision and no value underflowing, much
+    faster than ``Fraction`` at hundreds of levels.
+    """
+    probs = [number(0)] * (n_max + 1)
     for w, m in zip(weights, means):
-        w, m = Fraction(float(w)), Fraction(float(m))
+        w, m = number(float(w)), number(float(m))
         ratio, term = m / (1 + m), w / (1 + m)
         for n in range(n_max + 1):
             probs[n] += term

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,19 @@ class TestHeraldStats:
         monkeypatch.setattr("qillum.cli.CSV_BLOCK_ROWS", 3)
         assert write("blocks.csv") == whole
         assert whole.count("\n") == 8
+
+    def test_csv_memory_is_one_block_of_rows(self, tmp_path):
+        # a 30000-row table's text once peaked at 1.64 MB, formatted 4096 rows at a time
+        columns = [np.linspace(0.1, 1.0, 30000) * (i + 1) for i in range(6)]
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            cli._write_csv(tmp_path / "wide.csv", list("abcdef"), columns)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert read(tmp_path / "wide.csv").count("\n") == 30001
+        assert peak < 500_000
 
     def test_csv_format_contract(self, tmp_path):
         out = tmp_path / "stats.csv"
@@ -641,6 +655,11 @@ class TestBoundaryDefects:
                           "--grid: stop must be finite, >= 0, got inf"),
         "grid_span_overflows": (["herald-stats", "--grid", "lin:1e308:-1e308:3"],
                                 "--grid: stop must be finite, >= 0, got -1e+308"),
+        # numpy's and int()'s own messages once
+        "grid_count_negative": (["herald-stats", "--grid", "lin:0:1:-3"],
+                                "--grid: count must be an integer >= 0, got -3"),
+        "grid_count_not_an_integer": (["herald-stats", "--grid", "lin:0:1:1.5"],
+                                      "--grid: count must be an integer >= 0, got '1.5'"),
         "wigner_herald_width_overflows": (
             ["wigner", "--state", "herald", "--nbar", "1e308", "--q-points", "3"],
             "--nbar: Wigner norm pi * (2m + 1) is not finite at thermal mean m = 1e+308",

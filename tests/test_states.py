@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from qillum.states import (
     _checked_row,
     _mean_is_negative,
     _mixture_distribution,
+    _rounding_error,
     checked_mixtures,
     herald_state,
     herald_states,
@@ -359,10 +361,10 @@ class TestMixtureValidation:
 
     def test_non_finite_distribution_fails_check(self, monkeypatch):
         # finite inputs cannot give a NaN p_n, so one is injected at the last
-        # level the check reads of each row (level 1 of a thermal state); the
-        # check must reject it, not pass it
-        def with_nan(weights, means, n_max):
-            probs = _mixture_distribution(weights, means, n_max)
+        # level each pass reads, in doubles and in longdouble; the check must
+        # reject the row, not pass it
+        def with_nan(weights, means, n_max, dtype=np.longdouble):
+            probs = _mixture_distribution(weights, means, n_max, dtype)
             probs[..., -1] = np.nan
             return probs
 
@@ -488,18 +490,19 @@ def full_scan(rows):
     return mixtures
 
 
-def scanned_levels(monkeypatch, build):
-    """The number of levels each scanned block of ``build()`` reads."""
-    levels = []
+def longdouble_reads(monkeypatch, build):
+    """The (rows, levels) that each longdouble pass of ``build()`` reads."""
+    reads = []
 
-    def recorded(weights, means, n_max):
-        levels.append(n_max + 1)
-        return _mixture_distribution(weights, means, n_max)
+    def recorded(weights, means, n_max, dtype=np.longdouble):
+        if dtype == np.longdouble:
+            reads.append((len(means), n_max + 1))
+        return _mixture_distribution(weights, means, n_max, dtype)
 
     monkeypatch.setattr("qillum.states._mixture_distribution", recorded)
     build()
     monkeypatch.undo()
-    return levels
+    return reads
 
 
 # The herald grids of scripts/make_figure_data.py: herald-stats, and the two
@@ -557,21 +560,24 @@ class TestHeraldStates:
 
     def test_batched_scan_equals_one_row(self, monkeypatch):
         # blocks mix component counts 1 .. 9, padded to the widest row with
-        # (weight 0, mean 0) components, and each block is scanned to its own
-        # level; a padded row's p_n must equal the row computed alone to that
-        # level.  The rows are the heralds' before their checks, so those
-        # herald_state refuses for a negative mean are scanned too.  The
-        # deep-tail mixture comes last and still fails.
+        # (weight 0, mean 0) components; the doubles pass reads every row,
+        # and a padded row read again in longdouble must equal the row
+        # computed alone to that level.  The rows are the heralds' before
+        # their checks, so those herald_state refuses for a negative mean are
+        # scanned too.  The deep-tail mixture comes last and still fails.
         rows = [row for args in herald_grid((0.01, 0.1, 1.0, 5.0, 20.0), 8)
                 if (row := herald_row(*args)) is not None]
         near_degenerate = herald_state(0.01, 0.9, 8, 8).state
         assert (near_degenerate.weights, near_degenerate.means) in rows
         rows.append(((2.0, -1.0), (10.0, 10.5)))  # deep-tail negativity
-        blocks = []
+        blocks, rereads = [], []
 
-        def recorded(weights, means, n_max):
-            probs = _mixture_distribution(weights, means, n_max)
-            blocks.append(probs.astype(float))
+        def recorded(weights, means, n_max, dtype=np.longdouble):
+            probs = _mixture_distribution(weights, means, n_max, dtype)
+            if dtype == np.longdouble:
+                rereads.append((weights.tolist(), means.tolist(), probs))
+            else:
+                blocks.append(means)
             return probs
 
         monkeypatch.setattr("qillum.states._mixture_distribution", recorded)
@@ -579,15 +585,14 @@ class TestHeraldStates:
             checked_mixtures(rows)
         monkeypatch.undo()
         assert len(blocks) > 1 and len({len(w) for w, _ in rows[:len(blocks[0])]}) > 1
-        assert len({block.shape[-1] for block in blocks}) > 1  # blocks of different levels
         assert sum(map(len, blocks)) == len(rows)
-        start = 0
-        for block in blocks:
-            n_max = block.shape[-1] - 1
-            alone = [_mixture_distribution(w, m, n_max).astype(float)
-                     for w, m in rows[start:start + len(block)]]
-            assert np.array_equal(block, np.array(alone))
-            start += len(block)
+        assert len(rereads) > 1
+        for weights, means, probs in rereads:
+            for w, m, padded in zip(weights, means, probs):
+                while w[-1] == m[-1] == 0.0:  # no row ends in a (0, 0) component
+                    w.pop(), m.pop()
+                assert (tuple(w), tuple(m)) in rows
+                assert np.array_equal(padded, _mixture_distribution(w, m, len(padded) - 1))
 
     def test_a_float32_mean_is_read_as_a_double(self):
         # float32 arithmetic once made this physical herald's p_n reach -1.2e-8
@@ -646,7 +651,8 @@ class TestHeraldStates:
     def test_scan_memory_is_bounded(self):
         # the scan holds one block of running products at a time; a whole
         # 500-point column at once would take about 10 MB.  So does the scan
-        # of the column's channel images.
+        # of the column's channel images, which peaked at 1.38 MB when every
+        # level was read in longdouble and at 0.97 MB read in doubles.
         grid, eta = FIGURE_GRIDS["herald_stats"]
         channel = TargetChannel(0.1, 10.0)
         pairs = [(channel, h.state) for h in herald_states(grid, eta, 4, 4)]
@@ -660,7 +666,7 @@ class TestHeraldStates:
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-        assert max(peaks) < 3_000_000
+        assert max(peaks) < 1_200_000
 
 
 class TestScanLevels:
@@ -669,14 +675,20 @@ class TestScanLevels:
            | st.lists(herald_rows() | image_rows(), min_size=60, max_size=70))
     @example(rows=[((2.0, -1.0), (10.0, 10.5))])  # p_n turns negative at n = 171
     @example(rows=[((1.5, -0.5), (0.0, 1.0)), ((1.0,), (1.0,))])
-    # a positive top whose middle component drives p_3 and p_4 negative: the
-    # scan must reach the dominance level, 18
+    # a positive top whose middle component drives p_3 and p_4 negative
     @example(rows=[((1.0, -0.2, 0.2), (0.25, 3.0, 9.0))])
     # tied top means of net weight -0.01 turn p_n negative only from n = 12
     @example(rows=[((10.0, -10.01, 1.01), (5.0, 5.0, 1.0))])
+    @example(rows=[herald_row(0.01, 0.9, 8, 8)])  # near-degenerate: weights near 1e7
+    # +-1e7 weights: an exact thermal state, and a row negative from p_0 to p_200
+    @example(rows=[((1e7, -1e7, 1.0), (1.0, 1.0, 1.0)), ((-1e7, 10000001.0), (10.5, 0.0))])
+    # minima 5e-14 above and below -tolerance, at p_1
+    @example(rows=[((1.000000000003804, -3.804068171575636e-12), (0.0, 1.0)),
+                   ((1.000000000004204, -4.203970505045618e-12), (0.0, 1.0))])
     def test_verdicts_equal_the_full_scan(self, rows):
-        # a block read only to its rows' dominance levels returns the same
-        # mixtures, or raises the same message, as every row read to the end
+        # a block decided in doubles wherever the rounding bound allows returns
+        # the same mixtures, or raises the same message, as every row read to
+        # the end in longdouble
         try:
             expected = full_scan(rows)
         except ValueError as exc:
@@ -686,24 +698,49 @@ class TestScanLevels:
         else:
             assert [(m.weights, m.means) for m in checked_mixtures(rows)] == expected
 
-    def test_herald_blocks_stop_where_the_top_component_dominates(self, monkeypatch):
-        grid = FIGURE_GRIDS["click_prob"][0]
-        levels = scanned_levels(monkeypatch, lambda: herald_states(grid, 0.9, 4, 4))
-        assert len(levels) == 8 and max(levels) <= 20
-        assert scanned_levels(monkeypatch, lambda: herald_states(grid, 0.9, 1, 0)) == [2] * 8
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(row=herald_rows() | image_rows() | signed_rows())
+    def test_doubles_lie_within_their_rounding_error(self, row):
+        # the scan decides a level in doubles only through this bound on p_n
+        # and S_n, so it must hold at every level, near-degenerate rows too.
+        # The reference sums carry 60 digits: they are off by less than
+        # 1e-50 S_n, which the assertion leaves as slack.
+        weights, means = row
+        sizes = np.abs(weights)
+        got = _mixture_distribution([weights, sizes], means, PHYSICALITY_CHECK_LEVELS, np.float64)
+        relative, absolute = _rounding_error(len(weights), np.float64)
+        with localcontext() as context:
+            context.prec = 60
+            floor = 1 + sum(map(Decimal, sizes))
+            scale = mixture_distribution(sizes, means, PHYSICALITY_CHECK_LEVELS, Decimal)
+            for signed, doubles in zip((weights, sizes), got.tolist()):
+                exact = mixture_distribution(signed, means, PHYSICALITY_CHECK_LEVELS, Decimal)
+                for n, (value, e, s) in enumerate(zip(doubles, exact, scale)):
+                    bound = Decimal(relative[n]) * s + Decimal(absolute) * floor
+                    assert abs(Decimal(value) - e) + s.scaleb(-50) <= bound, n
 
-    def test_image_blocks_through_a_bright_background_read_every_level(self, monkeypatch):
-        grid = FIGURE_GRIDS["click_prob"][0]
-        heralded = herald_states(grid, 0.9, 4, 4)
-        channel = TargetChannel(0.1, 10.0)
-        levels = scanned_levels(
-            monkeypatch, lambda: channel_images((channel, h.state) for h in heralded))
-        assert levels == [PHYSICALITY_CHECK_LEVELS + 1] * 8
+    # Measured: 31 herald-stats rows and 17 click-prob rows, all of the
+    # (2, 2) and (4, 4) columns at small nbar, are read again at p_0 alone.
+    @pytest.mark.parametrize("figure, most", [("herald_stats", 35), ("click_prob", 18)])
+    def test_figure_herald_columns_read_few_rows_again(self, monkeypatch, figure, most):
+        grid, eta = FIGURE_GRIDS[figure]
+        reads = longdouble_reads(
+            monkeypatch, lambda: [herald_states(grid, eta, *o) for o in FIGURE_OUTCOMES])
+        assert 0 < sum(rows for rows, _ in reads) <= most
+        assert {levels for _, levels in reads} == {1}
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.8])
+    def test_bright_background_images_are_decided_in_doubles(self, monkeypatch, kappa):
+        grid, eta = FIGURE_GRIDS["click_prob"]
+        columns = [herald_states(grid, eta, *outcome) for outcome in FIGURE_OUTCOMES]
+        channel = TargetChannel(kappa, 10.0)
+        build = lambda: [channel_images((channel, h.state) for h in column) for column in columns]
+        assert longdouble_reads(monkeypatch, build) == []
 
     def test_deep_tail_mixture_reads_every_level(self, monkeypatch):
-        # its top component has a negative weight, so no level dominates
+        # it is negative only from p_171 on, which the longdouble pass must reach
         def build():
             with pytest.raises(ValueError, match="unphysical"):
                 SignedThermalMixture((2.0, -1.0), (10.0, 10.5))
 
-        assert scanned_levels(monkeypatch, build) == [PHYSICALITY_CHECK_LEVELS + 1]
+        assert longdouble_reads(monkeypatch, build) == [(1, PHYSICALITY_CHECK_LEVELS + 1)]
