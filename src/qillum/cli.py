@@ -73,8 +73,7 @@ def _write_csv(path, header, columns) -> None:
         handle.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-            values = [c.tolist() if i else c.astype(float).tolist() for c, i in zip(block, integer)]
-            handle.write("".join(map(line.__mod__, zip(*values))))
+            handle.write("".join(map(line.__mod__, zip(*(c.tolist() for c in block)))))
 
 
 @contextmanager
@@ -150,19 +149,23 @@ def _grid(value) -> list:
         parts = value.split(":")
         if len(parts) != 4:
             raise ValueError(f"bad linspace grid {value!r}; want lin:start:stop:count")
-        span = _checked_span(float(parts[1]), float(parts[2]), nonnegative)
+        span = _checked_span(_parsed(parts[1]), _parsed(parts[2]), nonnegative)
         try:
-            count = int(parts[3])
-        except ValueError:  # _integer names the text it rejects
-            count = parts[3]
-        try:
-            count = _integer(count, least=0)
+            count = _integer(_parsed(parts[3], int), least=0)
         except ValueError as exc:
             raise ValueError(f"count {exc}") from None
         value = _linspace(*span, count)
     elif isinstance(value, str):
-        value = [float(v) for v in value.split(",")] if value else []
+        value = [_parsed(v) for v in value.split(",")] if value else []
     return _items(value, nonnegative, "numbers")
+
+
+def _parsed(text: str, convert=float):
+    """``convert(text)``, or the text itself when it is no such number: the reader names it."""
+    try:
+        return convert(text)
+    except ValueError:
+        return text
 
 
 def _outcome(pair) -> tuple:

@@ -217,8 +217,8 @@ def build_tables(config: TrajectoryConfig) -> LikelihoodTables:
     channel = TargetChannel(config.reflectivity, config.background_mean)
     herald_mux = ClickMultiplex(config.herald_detectors, config.herald_efficiency)
     receiver = ClickMultiplex(config.receiver_detectors, config.receiver_efficiency)
-    for multiplex in (herald_mux, receiver):
-        check_outcome(multiplex.detector_count, multiplex.detector_count)
+    # click_distribution checks the receiver's outcomes; a coherent config builds no herald row
+    check_outcome(herald_mux.detector_count, herald_mux.detector_count)
     l0 = click_distribution(receiver, background_state(channel))
 
     if config.signal_kind is SignalKind.COHERENT:

@@ -13,10 +13,11 @@ coefficients with a row per outcome, loss and amplifier kernels) sits behind
 prefix invariant: every entry depends only on its indices and the parameters,
 so the table at any size is the leading block of the table at a larger size,
 and a table that is too small is grown by its missing block: the stored
-entries are copied, and only the new ones are computed.  The loss and
-amplifier kernels are filled a block of ``_FILL_ROWS`` rows at a time from
-their entry formula, so a fill's scratch space is one block; each entry comes
-from the same operations as a whole-grid build.
+entries are copied, and only the new ones are computed.  Every 2-D table
+(POVM coefficients, loss and amplifier kernels) is filled by ``_filled``, a
+block of ``_FILL_ROWS`` rows at a time from its entry rule, so a fill's
+scratch space is one block; each entry comes from the same operations as a
+whole-grid build.
 """
 
 from __future__ import annotations
@@ -167,21 +168,19 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
 
 def _povm_table(detectors: int, clicks: int, efficiency: float, n_max: int) -> np.ndarray:
     """POVM coefficients at n <= n_max of the outcomes k <= clicks, one row each; rows
-    above ``clicks`` are not built, so an unstable row (N = 32, eta 0.9) fails no lower one."""
+    above ``clicks`` are not built, so an unstable row (N = 32, eta 0.9) fails no lower one.
+    New columns are sliced from rows built at the new width, whose leading entries
+    are the old ones (tests/test_povm.py), so the first row to raise is a cold build's."""
     # The key cannot tell 2.0 from 2, so the inputs are checked on every call, not on a miss.
     check_outcome(detectors, clicks)
     check_efficiency(efficiency)
 
-    def fill(table, have):
-        rows, size = table.shape
-        # A wider table rebuilds every row; a taller one builds only its new rows.
-        # A row's leading entries do not depend on its width (tests/test_povm.py),
-        # so rows could grow by columns, but a cold verify sweep's 134 row builds
-        # for 42 kept rows cost only 11-14 ms, and growing by columns saved none.
-        for k in range(have[0] if have[1] == size else 0, rows):
-            table[k] = povm_fock_diagonal(detectors, k, efficiency, size - 1)
+    def entry(k, n):  # outcome k, photon number n: each row's powers from the whole grid
+        return [povm_fock_diagonal(detectors, row, efficiency, int(n[0, -1]))[n[0]]
+                for row in k.ravel().tolist()]
 
-    return _leading_block(("povm", detectors, float(efficiency)), (clicks + 1, n_max + 1), fill)
+    return _leading_block(("povm", detectors, float(efficiency)), (clicks + 1, n_max + 1),
+                          lambda table, have: _filled(table, have, entry))
 
 
 def oracle_click_prob(detectors: int, clicks: int, efficiency: float, diag: FockVector) -> float:
@@ -223,8 +222,9 @@ def oracle_herald_state(
 def _filled(table: np.ndarray, have: tuple, entry) -> None:
     """Write ``entry(i, j)`` into every entry of ``table`` outside its leading ``have`` block.
 
-    The new rows are filled at every column, then the new columns of the old
-    rows, ``_FILL_ROWS`` rows at a time.  ``entry`` maps a column of row
+    The new columns of the old rows are filled first, then the new rows at
+    every column, ``_FILL_ROWS`` rows at a time, so rows are filled in
+    increasing order whatever the growth.  ``entry`` maps a column of row
     indices and a row of column indices to the entries they span.  Only one
     block's temporaries are alive at once, and each entry comes from the same
     operations on the same inputs as a whole-grid build, so the table is
@@ -235,7 +235,7 @@ def _filled(table: np.ndarray, have: tuple, entry) -> None:
     # table once here spares a regrowth per block.
     _log_factorial(np.array([max(rows, cols) - 1]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for first, last, left in ((have[0], rows, 0), (0, have[0], have[1])):
+        for first, last, left in ((0, have[0], have[1]), (have[0], rows, 0)):
             if left == cols:
                 continue
             j = np.arange(left, cols)[None, :]
@@ -295,8 +295,6 @@ def displaced_thermal_diag(
     """
     check_mean(thermal_mean, "thermal mean")
     check_mean(coherent_mean, "coherent mean")
-    if thermal_mean == 0.0:
-        return poisson_diag(coherent_mean, n_max)
     gain = 1.0 + thermal_mean
     seed = poisson_diag(coherent_mean / gain, n_max)
     amp = _amplifier_kernel(gain, n_max, n_max)

@@ -158,8 +158,6 @@ def povm_fock_diagonal(detector_count: int, clicks: int, efficiency: float, n_ma
     check_count(n_max, "n_max")
 
     coeffs = np.zeros(n_max + 1)
-    if n_max < clicks:
-        return coeffs
     signs, scales = map(np.array, expansion_terms(detector_count, clicks, efficiency))
     # Powers of every n from 0, then the rows n < k dropped.  No entry depends
     # on n_max: each leading block of a width-700 row equalled the narrower

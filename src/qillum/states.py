@@ -189,7 +189,7 @@ class SignedThermalMixture:
 
     @classmethod
     def thermal(cls, mean: float) -> "SignedThermalMixture":
-        return cls((1.0,), (check_mean(mean, "thermal mean"),))
+        return cls((1.0,), (mean,))
 
 
 def checked_mixtures(rows) -> list[SignedThermalMixture]:
@@ -243,7 +243,11 @@ def _checked_row(weights: tuple, means: tuple) -> tuple:
             floats = False
     if not floats:
         weights, means = tuple(map(float, weights)), tuple(map(float, means))
-    scale = math.fsum(map(abs, weights))
+    try:
+        scale = math.fsum(map(abs, weights))
+    except OverflowError:  # finite weights whose magnitudes sum past the largest double
+        raise ValueError("component weights must sum in magnitude to at most the largest "
+                         f"double, got weights up to {max(map(abs, weights))!r}") from None
     trace = math.fsum(weights)
     trace_bound = _TRACE_TOL_FLOOR + _TRACE_TOL_PER_WEIGHT * scale
     if abs(trace - 1.0) > trace_bound:
@@ -364,11 +368,15 @@ def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list
 
     The column's scales s_l, signed binomials and C(N, k) are computed once,
     after its first mean passes ``check_mean``.  Each row is computed on the
-    mean as a double.  A row whose mean is negative (``_mean_is_negative``)
-    raises ``NumericalInstabilityError``.  A failing grid raises the error its
-    first failing mean raises alone.
+    mean as a double.  A row whose normalization or mean overflows, or whose
+    mean is negative (``_mean_is_negative``), raises
+    ``NumericalInstabilityError``.  A failing grid raises the error its first
+    failing mean raises alone.
     """
     probabilities = []
+
+    def where(nbar) -> str:
+        return f"nbar={nbar}, eta={efficiency}, N={detectors}, k={clicks}"
 
     def rows():
         scales = None
@@ -380,19 +388,23 @@ def herald_states(nbars, efficiency: float, detectors: int, clicks: int) -> list
                 signs, scales = expansion_terms(detectors, clicks, efficiency)
             means = [(x - x * s) / (1.0 + x * s) for s in scales]
             terms = [sign * (1.0 + mean) for sign, mean in zip(signs, means)]
+            # near the largest double, C(k, l) (1 + m_l) or w_l m_l overflows, and fsum
+            # of a +inf and a -inf raises a bare ValueError
+            if not all(map(math.isfinite, terms)):
+                raise NumericalInstabilityError(f"herald normalization overflows for {where(nbar)}")
             denom = math.fsum(terms)
             if abs(denom) < 1e-300:
-                raise DegenerateHeraldingError(
-                    f"herald normalization vanished for nbar={nbar}, eta={efficiency}, "
-                    f"N={detectors}, k={clicks}"
-                )
+                raise DegenerateHeraldingError(f"herald normalization vanished for {where(nbar)}")
             weights = [t / denom for t in terms]
             _absorb_residual(weights)
             probabilities.append(clamp_probability(combinations * denom / (1.0 + x)))
+            if not all(math.isfinite(w * m) for w, m in zip(weights, means)):
+                raise NumericalInstabilityError(f"herald mean overflows: a weight times its "
+                                                f"mean is not finite for {where(nbar)}")
             if _mean_is_negative(weights, means):
                 raise NumericalInstabilityError(
                     f"herald mean {math.fsum(map(operator.mul, weights, means))!r} is negative "
-                    f"for nbar={nbar}, eta={efficiency}, N={detectors}, k={clicks}"
+                    f"for {where(nbar)}"
                 )
             yield tuple(weights), tuple(means)
 
@@ -432,10 +444,7 @@ def _absorb_residual(weights: list) -> None:
         residual = math.fsum(weights) - 1.0
         if residual == 0.0:
             break
-        adjusted = weights[j] - residual
-        if adjusted == weights[j]:
-            break
-        weights[j] = adjusted
+        weights[j] -= residual
 
 
 def mean_photon(state) -> float:

@@ -655,6 +655,13 @@ class TestBoundaryDefects:
                           "--grid: stop must be finite, >= 0, got inf"),
         "grid_span_overflows": (["herald-stats", "--grid", "lin:1e308:-1e308:3"],
                                 "--grid: stop must be finite, >= 0, got -1e+308"),
+        # float()'s own message once: could not convert string to float
+        "grid_start_not_a_number": (["herald-stats", "--grid", "lin:a:1:3"],
+                                    "--grid: start must be finite, >= 0, got 'a'"),
+        "grid_stop_not_a_number": (["herald-stats", "--grid", "lin:0:b:3"],
+                                   "--grid: stop must be finite, >= 0, got 'b'"),
+        "grid_item_not_a_number": (["herald-stats", "--grid", "0.5,x"],
+                                   "--grid: must be finite, >= 0, got 'x'"),
         # numpy's and int()'s own messages once
         "grid_count_negative": (["herald-stats", "--grid", "lin:0:1:-3"],
                                 "--grid: count must be an integer >= 0, got -3"),
@@ -697,6 +704,49 @@ class TestBoundaryDefects:
                                  "--out", str(out)])
         assert (done.returncode, done.stderr) == (0, "")
         assert read(out).splitlines()[-1].startswith("1.79769313486e+308,")
+
+    # a herald weight near 1e16 times a mean near 1.7e308 overflowed, and fsum
+    # raised "-inf + inf in fsum": a traceback, or that text as a config error
+    OVERFLOW = ("herald mean overflows: a weight times its mean is not finite "
+                "for nbar=1.7e+308, eta=5e-324, N=")
+    OVERFLOW_ROWS = {
+        "herald_stats": (lambda tmp_path: ["herald-stats", "--grid", "1.7e308", "--eta", "5e-324"],
+                         f"error: {OVERFLOW}1, k=1"),
+        "click_prob": (lambda tmp_path: ["click-prob", "--grid", "1.7e308", "--eta", "5e-324"],
+                       f"error: {OVERFLOW}2, k=1"),
+        "wigner": (lambda tmp_path: ["wigner", "--state", "herald", "--nbar", "1.7e308",
+                                     "--eta", "5e-324", "--detectors", "1", "--clicks", "1"],
+                   f"config error: --nbar, --eta, --detectors, --clicks: {OVERFLOW}1, k=1"),
+        "trajectories": (_trajectories_row(nbar=1.7e308, eta=5e-324),
+                         f"config error: signals[0]: {OVERFLOW}1, k=1"),
+    }
+
+    @pytest.mark.parametrize("row", sorted(OVERFLOW_ROWS))
+    def test_overflowing_herald_mean_is_one_error_line(self, row, tmp_path, capsys):
+        argv, message = self.OVERFLOW_ROWS[row]
+        out = tmp_path / "out.csv"
+        assert run_cli(argv(tmp_path) + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta", ["0", "5e-324", "0.9", "1"])
+    @pytest.mark.parametrize("mean", ["0", "5e-324", "1e-300", "1", "1e300", "1.7e308"])
+    @pytest.mark.parametrize("command", [
+        ["herald-stats", "--grid", "{mean}", "--eta", "{eta}"],
+        ["click-prob", "--grid", "{mean}", "--nbar-b", "{mean}", "--eta", "{eta}"],
+        ["wigner", "--state", "herald", "--nbar", "{mean}", "--eta", "{eta}",
+         "--detectors", "1", "--clicks", "1"],
+    ], ids=["herald-stats", "click-prob", "wigner"])
+    def test_closed_forms_at_the_boundary_values(self, command, mean, eta, capsys):
+        # every run is an output or one error line in the package's own words
+        argv = [arg.format(mean=mean, eta=eta) for arg in command]
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            return
+        assert code == 1
+        assert err.startswith(("config error: ", "error: ")) and err.count("\n") == 1
+        assert "fsum" not in err and "could not convert" not in err
 
     @pytest.mark.parametrize(
         "overrides",

@@ -404,6 +404,25 @@ GUARDS = {
         lambda tmp_path: apply_channel(None, DisplacedThermal(1.0, 0.0)),
         TypeError, "channel must be a TargetChannel, got NoneType",
     ),
+    # finite weights whose magnitudes sum past the largest double: a bare
+    # OverflowError from fsum once
+    "mixture_weight_magnitudes_past_the_largest_double": (
+        lambda tmp_path: SignedThermalMixture((1.5e308, -1.5e308, 1.0), (1.0, 2.0, 3.0)),
+        ValueError, "component weights must sum in magnitude to at most the largest double, "
+                    "got weights up to 1.5e+308",
+    ),
+    # a weight near 1e16 times a mean near 1.7e308, or C(k, l) (1 + m_l) past
+    # the largest double: "-inf + inf in fsum" once
+    "herald_state_mean_overflows": (
+        lambda tmp_path: herald_state(1.7e308, 5e-324, 1, 1),
+        NumericalInstabilityError, "herald mean overflows: a weight times its mean is not finite "
+                                   "for nbar=1.7e+308, eta=5e-324, N=1, k=1",
+    ),
+    "herald_state_normalization_overflows": (
+        lambda tmp_path: herald_state(1.7e308, 5e-324, 4, 4),
+        NumericalInstabilityError,
+        "herald normalization overflows for nbar=1.7e+308, eta=5e-324, N=4, k=4",
+    ),
 }
 
 # herald_states and checked_mixtures, a bad value alone and after 70 good ones:

@@ -177,6 +177,38 @@ class TestCachePrefixInvariant:
                 assert np.array_equal(got, cold)
                 assert not got.flags.writeable
 
+    @pytest.mark.parametrize("detectors", [32, 64])
+    def test_povm_table_grown_where_rows_raise(self, detectors):
+        # At eta 0.9, once the width passes about 40, rows from k = 29 (N = 32)
+        # or k = 25 (N = 64) raise.  Each request of each growth must return
+        # what a cold build of its shape returns, or raise what that build raises.
+        def request(tables, rows, cols):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_tables", tables)
+                try:
+                    return oracle._povm_table(detectors, rows - 1, 0.9, cols - 1).tobytes()
+                except Exception as exc:
+                    return type(exc), str(exc)
+
+        last = detectors + 1
+        growths = (
+            [(1, 21), (last, 21), (last, 41), (last, 161)],  # by rows, then by columns
+            [(25, 21), (25, 41), (25, 161), (last, 161)],  # by columns, then by rows
+            [(30, 21), (33, 41), (last, 161)],  # both at once: old and new rows raise
+        )
+        raised = []
+        for growth in growths:
+            tables = {}
+            for rows, cols in growth:
+                got = request(tables, rows, cols)
+                assert got == request({}, rows, cols)
+                raised.append(isinstance(got, tuple))
+        assert any(raised) and not all(raised)
+
+    def test_amplifier_gain_below_one_raises(self):
+        with pytest.raises(ValueError, match=r"^amplifier gain must be >= 1, got 0\.5$"):
+            oracle._amplifier_kernel(0.5, 3, 3)
+
     @settings(max_examples=40, deadline=None)
     @given(
         transmissions=st.tuples(
@@ -504,9 +536,10 @@ class TestDisplacedThermalDiag:
         assert second - mean**2 == pytest.approx(expected_var, abs=1e-8)
 
     def test_pure_coherent_is_poisson(self):
+        # at thermal mean 0 the gain-1 amplifier is the identity, which keeps every bit
         diag = oracle.displaced_thermal_diag(1.0, 0.0, 60)
         expected = oracle.poisson_diag(1.0, 60)
-        assert np.allclose(diag.probs, expected.probs, atol=1e-15)
+        assert diag.probs.tobytes() == expected.probs.tobytes()
         # at mean 0 the Poisson distribution is the vacuum
         vacuum = oracle.fock_diag(0, 60).probs
         assert np.array_equal(oracle.poisson_diag(0.0, 60).probs, vacuum)

@@ -317,8 +317,8 @@ class TestFockDiagonal:
         widths=st.lists(st.integers(min_value=0, max_value=700), min_size=2, max_size=2),
     )
     def test_leading_entries_do_not_depend_on_the_width(self, data, detectors, eta, widths):
-        # oracle._povm_table rebuilds its rows when a table widens; growing them
-        # by columns instead (ROADMAP item 11) keeps the bits only while this holds
+        # oracle._povm_table grows its rows by columns, slicing the new ones from
+        # a row built at the new width; that keeps the bits only while this holds
         clicks = data.draw(st.integers(min_value=0, max_value=detectors))
         narrow, wide = sorted(widths)
         leading = povm_fock_diagonal(detectors, clicks, eta, wide)[:narrow + 1]
